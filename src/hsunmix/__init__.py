@@ -55,11 +55,9 @@ from .unmix import (
     AlgorithmVariant,
     StopReason,
     UnmixingResult,
+    abundance_step,
     global_cost,
-    local_cost,
     run_unmixing,
-    smooth_cost_gradient,
-    update_abundance,
     update_abundance_multiplicative,
     update_signatures,
 )
@@ -84,6 +82,7 @@ __all__ = [
     "UnmixingConfig",
     "UnmixingResult",
     "aad",
+    "abundance_step",
     "build_neighborhood",
     "bundled_library",
     "estimate_sparsity_weight",
@@ -94,7 +93,6 @@ __all__ = [
     "fcm_objective",
     "generate_synthetic",
     "global_cost",
-    "local_cost",
     "match_endmembers",
     "neighbor_weights",
     "parse_experiment_spec",
@@ -107,11 +105,9 @@ __all__ = [
     "run_experiment",
     "run_unmixing",
     "sad",
-    "smooth_cost_gradient",
     "sparsity_gradient",
     "sparsity_norm",
     "spectral_angle_cos",
-    "update_abundance",
     "update_abundance_multiplicative",
     "update_signatures",
     "validate_abundances",

@@ -91,7 +91,10 @@ def _cmd_cluster(args) -> int:
 def _cmd_unmix(args) -> int:
     image = read_cube(args.cube)
     variant = resolve_variant(args.variant)
-    if args.clusters_given and variant != AlgorithmVariant.CLUSTERED_SPARSE_DISTRIBUTED.value:
+    n_clusters = args.clusters
+    if n_clusters is None:
+        n_clusters = UnmixingConfig().clusters
+    elif variant != AlgorithmVariant.CLUSTERED_SPARSE_DISTRIBUTED.value:
         print(f"warning: --clusters has no effect for variant {variant}", file=sys.stderr)
 
     if args.init == "vca":
@@ -107,13 +110,13 @@ def _cmd_unmix(args) -> int:
         sparsity_weight=args.sparsity_weight,
         max_iter=args.max_iter,
         eps=args.eps,
-        clusters=args.clusters,
+        clusters=n_clusters,
         seed=args.seed,
         variant=variant,
     )
     clusters = None
     if variant == AlgorithmVariant.CLUSTERED_SPARSE_DISTRIBUTED.value:
-        clusters = fcm(image, args.clusters, seed=args.seed)
+        clusters = fcm(image, n_clusters, seed=args.seed)
     result = run_unmixing(image, cfg, A0, S0, clusters)
 
     report = None
@@ -214,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=VARIANT_CHOICES, default="proposed")
     p.add_argument("--init", choices=("vca", "random"), default="vca")
     p.add_argument("--endmembers", type=int, default=6)
-    p.add_argument("--clusters", type=int, default=6)
+    p.add_argument("--clusters", type=int, default=None,
+                   help="cluster count for the clustered variant")
     p.add_argument("--mu", type=float, default=0.02, help="gradient step size")
     p.add_argument("--eta", type=float, default=0.1, help="neighborhood coupling strength")
     p.add_argument("--q", type=float, default=1.0, help="sparsity norm exponent in (0, 1]")
@@ -249,9 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "unmix":
-        given = argv if argv is not None else sys.argv[1:]
-        args.clusters_given = "--clusters" in given
     try:
         return args.func(args)
     except (NumericalFailureError, DegenerateDataError) as exc:

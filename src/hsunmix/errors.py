@@ -6,7 +6,7 @@ class DegenerateDataError(ValueError):
 
 
 class NumericalFailureError(RuntimeError):
-    """An iterative solver produced a non-finite value."""
+    """An iterative solver produced a non-finite or diverging value."""
 
     def __init__(self, message: str, iteration: int | None = None):
         super().__init__(message)

@@ -153,8 +153,8 @@ def generate_synthetic(
 def bundled_library() -> SignatureMatrix:
     """The spectral library shipped with the package.
 
-    Twelve smooth reflectance spectra on 224 bands, entries in [0, 1], every
-    pair separated by more than 0.05 rad of spectral angle.
+    Eight smooth reflectance spectra on 224 bands, entries in [0, 1], every
+    pair separated by more than 0.3 rad of spectral angle.
     """
     path = resources.files("hsunmix.data").joinpath("library.csv")
     with resources.as_file(path) as p:

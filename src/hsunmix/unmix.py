@@ -1,39 +1,52 @@
-"""Simplex-constrained unmixing solvers over a pixel network.
+"""Simplex-constrained unmixing: one solver loop, six presets.
 
-One outer loop serves six variants of the same alternating scheme:
+Every variant runs the same alternating loop. Each iteration may update the
+signatures with the multiplicative rule, then updates all abundance columns
+at once, projects each column onto the unit simplex and records the
+objective. A variant is a row of ``PRESETS`` over five knobs:
 
-* ``nmf``                          multiplicative updates for both factors
-* ``lq_nmf``                       multiplicative signatures, projected
-                                   gradient abundances with a q-norm penalty
-* ``distributed``                  adds neighborhood cooperation
-* ``sparse_distributed``           neighborhood cooperation plus sparsity
-* ``clustered_sparse_distributed`` cooperation restricted to same-cluster
-                                   neighbors (the full method)
-* ``fcls``                         abundances only, signatures held fixed
+================================  =======  ============  ======  ==============  ========
+variant                           coupled  cluster mask  sparse  multiplicative  update A
+================================  =======  ============  ======  ==============  ========
+``nmf``                           no       no            no      yes             yes
+``lq_nmf``                        no       no            yes     no              yes
+``distributed``                   yes      no            no      no              yes
+``sparse_distributed``            yes      no            yes     no              yes
+``clustered_sparse_distributed``  yes      yes           yes     no              yes
+``fcls``                          no       no            no      no              no
+================================  =======  ============  ======  ==============  ========
+
+*coupled* pulls each pixel toward its neighbors with strength ``cfg.eta``;
+the *cluster mask* keeps only neighbors in the pixel's own cluster; *sparse*
+adds the q-norm penalty with weight ``cfg.sparsity_weight`` (estimated from
+the image when unset); *multiplicative* replaces the gradient abundance step
+by the multiplicative rule; *update A* turns the signature update on.
+
+The gradient abundance step is diffusion LMS: pixel k steps down the
+gradient of its own local cost, residual plus weighted squared differences
+to its neighbors plus penalty. The neighbor weights are normalized per
+pixel, so the neighbor graph is not symmetric and the stacked step is not
+the gradient of the summed objective. The sweep is synchronous: every
+pixel reads its neighbors from the previous iterate.
 
 The sparsity penalty promotes sparsity only for q < 1. At q = 1 it is the l1
 norm, constant on the simplex, and the projection cancels its step up to
 rounding.
-
-Every iteration ends by projecting each abundance column onto the unit
-simplex, so all iterates satisfy the nonnegativity and sum-to-one
-constraints. The abundance sweep is synchronous: every pixel reads its
-neighbors from the previous iterate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import NumericalFailureError
 from .regularizers import (
     estimate_sparsity_weight,
     neighbor_weights,
-    project_simplex,
     project_simplex_columns,
     sparsity_gradient,
     sparsity_norm,
@@ -50,6 +63,9 @@ from .types import (
 )
 
 MULT_GUARD = 1e-12  # added to multiplicative-update denominators
+# Abundances this large (or non-finite) leave the unit column sum below
+# rounding, so the simplex projection can no longer resolve it.
+DIVERGENCE_BOUND = 1.0 / np.finfo(np.float64).eps
 
 
 class AlgorithmVariant(str, Enum):
@@ -59,6 +75,26 @@ class AlgorithmVariant(str, Enum):
     SPARSE_DISTRIBUTED = "sparse_distributed"
     CLUSTERED_SPARSE_DISTRIBUTED = "clustered_sparse_distributed"
     FCLS = "fcls"
+
+
+class Preset(NamedTuple):
+    """The knobs one variant sets; see the module docstring."""
+
+    coupled: bool
+    cluster_mask: bool
+    sparse: bool
+    multiplicative: bool
+    update_a: bool
+
+
+PRESETS = {
+    AlgorithmVariant.NMF: Preset(False, False, False, True, True),
+    AlgorithmVariant.LQ_NMF: Preset(False, False, True, False, True),
+    AlgorithmVariant.DISTRIBUTED: Preset(True, False, False, False, True),
+    AlgorithmVariant.SPARSE_DISTRIBUTED: Preset(True, False, True, False, True),
+    AlgorithmVariant.CLUSTERED_SPARSE_DISTRIBUTED: Preset(True, True, True, False, True),
+    AlgorithmVariant.FCLS: Preset(False, False, False, False, False),
+}
 
 
 class StopReason(str, Enum):
@@ -81,101 +117,87 @@ class UnmixingResult:
             raise ValueError("cost_trace length must equal iterations_run")
 
 
-def global_cost(Y, A, S) -> float:
-    """Summed squared reconstruction error over all pixels."""
+def _factors(Y, A, S):
+    """Image, signature and abundance matrices, checked for matching shapes."""
     Yd = as_matrix(Y, "image")
     Ad = as_matrix(A, "signatures")
     Sd = as_matrix(S, "abundances")
     if Ad.shape[0] != Yd.shape[0] or Ad.shape[1] != Sd.shape[0] or Sd.shape[1] != Yd.shape[1]:
         raise ValueError("incompatible shapes for image, signatures, abundances")
+    return Yd, Ad, Sd
+
+
+def global_cost(Y, A, S) -> float:
+    """Summed squared reconstruction error over all pixels."""
+    Yd, Ad, Sd = _factors(Y, A, S)
     resid = Yd - Ad @ Sd
     return float(np.sum(resid * resid))
 
 
-def local_cost(
-    k: int,
-    Y,
-    A,
-    S,
-    nbhd: Optional[NeighborhoodSystem] = None,
-    clusters: Optional[ClusterAssignment] = None,
-    cfg: UnmixingConfig = UnmixingConfig(),
+def neighbor_operator(
+    nbhd: NeighborhoodSystem, clusters: Optional[ClusterAssignment] = None
+) -> csr_matrix:
+    """The weighted neighbor graph as an N x N CSR matrix W.
+
+    Row k holds the attached weights of the neighbors of pixel k. With
+    ``clusters`` given, the weights to neighbors in another cluster are set
+    to zero, so the coupling only sees same-cluster neighbors.
+    """
+    if nbhd.weights is None:
+        raise ValueError("neighborhood weights have not been attached")
+    n = nbhd.n_pixels
+    weights = nbhd.weights
+    if clusters is not None:
+        labels = clusters.labels
+        if labels.shape != (n,):
+            raise ValueError("clusters do not match the neighborhood size")
+        rows = np.repeat(np.arange(n), np.diff(nbhd.indptr))
+        weights = weights * (labels[rows] == labels[nbhd.indices])
+    return csr_matrix((weights, nbhd.indices, nbhd.indptr), shape=(n, n))
+
+
+def abundance_step(
+    Y, A, S, mu: float, W: Optional[csr_matrix] = None,
+    eta: float = 0.0, lam: float = 0.0, q: float = 1.0,
+) -> np.ndarray:
+    """Diffusion-LMS abundance step of every pixel at once, before projection.
+
+    Column k is ``mu`` times
+
+        A^T (y_k - A s_k) + eta sum_j W[k, j] (s_j - s_k) - lam grad |s_k|_q
+
+    with every pixel read from ``S``. The first two terms are minus half the
+    gradient of pixel k's local cost in s_k; the neighbor sum is
+    ``S W^T - S diag(W 1)``.
+    """
+    Yd, Ad, Sd = _factors(Y, A, S)
+    step = mu * (Ad.T @ (Yd - Ad @ Sd))
+    if W is not None and eta > 0:
+        degree = np.asarray(W.sum(axis=1)).ravel()
+        step += (mu * eta) * ((W @ Sd.T).T - Sd * degree)
+    if lam > 0:
+        step -= (mu * lam) * sparsity_gradient(Sd, q)
+    return step
+
+
+def objective(
+    Y, A, S, W: Optional[csr_matrix] = None,
+    eta: float = 0.0, lam: float = 0.0, q: float = 1.0,
 ) -> float:
-    """Per-pixel objective: residual + neighborhood coupling + sparsity penalty.
+    """The objective the solver records: the sum of every pixel's local cost.
 
-    The neighborhood term sums the weighted squared abundance differences to
-    the neighbors that pass the variant's cluster mask; the sparsity term is
-    the guarded q-norm of the pixel abundance scaled by the variant weight.
+    That is ``global_cost`` plus eta sum_kj W[k, j] |s_k - s_j|^2 plus lam
+    times the summed guarded q-norms of the abundance columns.
     """
-    Yd = as_matrix(Y, "image")
-    Ad = as_matrix(A, "signatures")
+    value = global_cost(Y, A, S)
     Sd = as_matrix(S, "abundances")
-    eta, lam, use_mask, _, _ = _variant_params(cfg, Yd)
-    s_k = Sd[:, k]
-    resid = Yd[:, k] - Ad @ s_k
-    value = float(resid @ resid)
-    if eta > 0:
-        neighbors, weights = _masked_neighbors(k, nbhd, clusters, use_mask)
-        if neighbors.size:
-            diff = Sd[:, neighbors] - s_k[:, None]
-            value += eta * float(weights @ np.einsum("ij,ij->j", diff, diff))
+    if W is not None and eta > 0:
+        rows = np.repeat(np.arange(W.shape[0]), np.diff(W.indptr))
+        diff = Sd[:, rows] - Sd[:, W.indices]
+        value += eta * float(W.data @ np.einsum("ij,ij->j", diff, diff))
     if lam > 0:
-        value += lam * float(sparsity_norm(s_k, cfg.q))
+        value += lam * float(sparsity_norm(Sd, q).sum())
     return value
-
-
-def smooth_cost_gradient(
-    k: int,
-    Y,
-    A,
-    S,
-    nbhd: Optional[NeighborhoodSystem] = None,
-    clusters: Optional[ClusterAssignment] = None,
-    cfg: UnmixingConfig = UnmixingConfig(),
-) -> np.ndarray:
-    """Gradient of the smooth part of ``local_cost`` (residual + neighborhood)
-    with respect to the abundance vector of pixel k."""
-    Yd = as_matrix(Y, "image")
-    Ad = as_matrix(A, "signatures")
-    Sd = as_matrix(S, "abundances")
-    eta, _, use_mask, _, _ = _variant_params(cfg, Yd)
-    s_k = Sd[:, k]
-    grad = -2.0 * (Ad.T @ (Yd[:, k] - Ad @ s_k))
-    if eta > 0:
-        neighbors, weights = _masked_neighbors(k, nbhd, clusters, use_mask)
-        if neighbors.size:
-            grad = grad + 2.0 * eta * ((s_k[:, None] - Sd[:, neighbors]) @ weights)
-    return grad
-
-
-def update_abundance(
-    k: int,
-    Y,
-    A,
-    S_prev,
-    nbhd: Optional[NeighborhoodSystem] = None,
-    clusters: Optional[ClusterAssignment] = None,
-    cfg: UnmixingConfig = UnmixingConfig(),
-) -> np.ndarray:
-    """One projected update of the abundance column of pixel k.
-
-    Moves along the residual gradient, pulls toward the (cluster-masked)
-    neighbor abundances, steps down the sparsity gradient, then projects
-    onto the simplex. Neighbor values are read from ``S_prev`` unchanged.
-    """
-    Yd = as_matrix(Y, "image")
-    Ad = as_matrix(A, "signatures")
-    Sd = as_matrix(S_prev, "abundances")
-    eta, lam, use_mask, _, _ = _variant_params(cfg, Yd)
-    s_k = Sd[:, k]
-    step = cfg.mu * (Ad.T @ (Yd[:, k] - Ad @ s_k))
-    if eta > 0:
-        neighbors, weights = _masked_neighbors(k, nbhd, clusters, use_mask)
-        if neighbors.size:
-            step = step + cfg.mu * eta * ((Sd[:, neighbors] - s_k[:, None]) @ weights)
-    if lam > 0:
-        step = step - cfg.mu * lam * sparsity_gradient(s_k, cfg.q)
-    return project_simplex(s_k + step)
 
 
 def update_signatures(Y, A, S) -> np.ndarray:
@@ -184,20 +206,14 @@ def update_signatures(Y, A, S) -> np.ndarray:
     Keeps nonnegativity and never increases the reconstruction error; the
     additive guard only protects against zero denominators.
     """
-    Yd = as_matrix(Y, "image")
-    Ad = as_matrix(A, "signatures")
-    Sd = as_matrix(S, "abundances")
-    if Ad.shape[0] != Yd.shape[0] or Ad.shape[1] != Sd.shape[0] or Sd.shape[1] != Yd.shape[1]:
-        raise ValueError("incompatible shapes for image, signatures, abundances")
+    Yd, Ad, Sd = _factors(Y, A, S)
     gram = Sd @ Sd.T
     return Ad * (Yd @ Sd.T) / (Ad @ gram + MULT_GUARD)
 
 
 def update_abundance_multiplicative(Y, A, S) -> np.ndarray:
     """Multiplicative abundance update S * (A^T Y) / (A^T A S + guard)."""
-    Yd = as_matrix(Y, "image")
-    Ad = as_matrix(A, "signatures")
-    Sd = as_matrix(S, "abundances")
+    Yd, Ad, Sd = _factors(Y, A, S)
     return Sd * (Ad.T @ Yd) / ((Ad.T @ Ad) @ Sd + MULT_GUARD)
 
 
@@ -216,14 +232,15 @@ def run_unmixing(
     clusters: Optional[ClusterAssignment] = None,
     on_iteration: Optional[Callable[[int, np.ndarray, np.ndarray, float], None]] = None,
 ) -> UnmixingResult:
-    """Run the variant selected by ``cfg.variant`` from the given initialization.
+    """Run the preset of ``cfg.variant`` from the given initialization.
 
-    Every outer iteration updates the signatures (multiplicative rule, skipped
-    for ``fcls``), sweeps all abundance columns synchronously, projects each
-    column onto the simplex, and records the full objective (reconstruction
-    error plus the variant's neighborhood and sparsity terms). The run stops
-    when two consecutive objectives differ by less than ``cfg.eps`` or after
-    ``cfg.max_iter`` iterations.
+    Every outer iteration updates the signatures (if the preset does),
+    updates all abundance columns synchronously, projects each column onto
+    the simplex, and records the objective. The run stops when two
+    consecutive objectives differ by less than ``cfg.eps`` or after
+    ``cfg.max_iter`` iterations. An abundance update that is non-finite or
+    too large to project raises :class:`NumericalFailureError` before the
+    projection sees it.
 
     ``clusters`` is required by the clustered variant and ignored elsewhere.
     ``on_iteration`` receives (iteration, A, S, objective) after each pass;
@@ -231,8 +248,8 @@ def run_unmixing(
     """
     if not isinstance(Y, HyperspectralImage):
         raise ValueError("Y must be a HyperspectralImage")
-    variant = AlgorithmVariant(cfg.variant)
-    if variant is AlgorithmVariant.CLUSTERED_SPARSE_DISTRIBUTED and clusters is None:
+    preset = PRESETS[AlgorithmVariant(cfg.variant)]
+    if preset.cluster_mask and clusters is None:
         raise ValueError("the clustered variant requires a ClusterAssignment")
     Yd = Y.data
     A = as_matrix(init_A, "init_A").copy()
@@ -241,38 +258,36 @@ def run_unmixing(
     if A.shape[0] != n_bands or S.shape != (A.shape[1], n_pixels):
         raise ValueError("initial matrices do not match the image dimensions")
 
-    eta, lam, use_mask, multiplicative_s, update_a = _variant_params(cfg, Yd)
-
-    src = dst = w_eff = None
+    eta = cfg.eta if preset.coupled else 0.0
+    lam = 0.0
+    if preset.sparse:
+        lam = cfg.sparsity_weight
+        if lam is None:
+            lam = estimate_sparsity_weight(Yd)
+    W = None
     if eta > 0:
-        system = neighbor_weights(Y, build_neighborhood(Y.width, Y.height))
-        if system.indices.size:
-            src = np.repeat(np.arange(n_pixels), np.diff(system.indptr))
-            dst = system.indices
-            w_eff = system.weights
-            if use_mask:
-                labels = clusters.labels
-                w_eff = w_eff * (labels[src] == labels[dst])
+        W = neighbor_operator(
+            neighbor_weights(Y, build_neighborhood(Y.width, Y.height)),
+            clusters if preset.cluster_mask else None,
+        )
 
     trace: List[float] = []
     j_prev: Optional[float] = None
     reason = StopReason.MAX_ITER
     for iteration in range(1, cfg.max_iter + 1):
-        if update_a:
-            gram = S @ S.T
-            A = A * (Yd @ S.T) / (A @ gram + MULT_GUARD)
-        if multiplicative_s:
-            S = S * (A.T @ Yd) / ((A.T @ A) @ S + MULT_GUARD)
+        if preset.update_a:
+            A = update_signatures(Yd, A, S)
+        if preset.multiplicative:
+            S = update_abundance_multiplicative(Yd, A, S)
         else:
-            step = cfg.mu * (A.T @ (Yd - A @ S))
-            if src is not None:
-                step += (cfg.mu * eta) * _neighbor_pull(S, src, dst, w_eff)
-            if lam > 0:
-                step -= (cfg.mu * lam) * sparsity_gradient(S, cfg.q)
-            S = S + step
+            S = S + abundance_step(Yd, A, S, cfg.mu, W, eta, lam, cfg.q)
+        if not np.abs(S).max() < DIVERGENCE_BOUND:
+            raise NumericalFailureError(
+                f"abundance update diverged at iteration {iteration}", iteration=iteration
+            )
         S = project_simplex_columns(S)
 
-        j = _objective(Yd, A, S, eta, lam, cfg.q, src, dst, w_eff)
+        j = objective(Yd, A, S, W, eta, lam, cfg.q)
         if not np.isfinite(j):
             raise NumericalFailureError(
                 f"objective became non-finite at iteration {iteration}", iteration=iteration
@@ -292,70 +307,3 @@ def run_unmixing(
         iterations_run=len(trace),
         stop_reason=reason,
     )
-
-
-def _variant_params(cfg: UnmixingConfig, Yd: np.ndarray):
-    """Resolve (eta, sparsity weight, cluster mask, multiplicative S-step, update A)."""
-    variant = AlgorithmVariant(cfg.variant)
-    sparse = variant in (
-        AlgorithmVariant.LQ_NMF,
-        AlgorithmVariant.SPARSE_DISTRIBUTED,
-        AlgorithmVariant.CLUSTERED_SPARSE_DISTRIBUTED,
-    )
-    cooperative = variant in (
-        AlgorithmVariant.DISTRIBUTED,
-        AlgorithmVariant.SPARSE_DISTRIBUTED,
-        AlgorithmVariant.CLUSTERED_SPARSE_DISTRIBUTED,
-    )
-    lam = 0.0
-    if sparse:
-        lam = (
-            cfg.sparsity_weight
-            if cfg.sparsity_weight is not None
-            else estimate_sparsity_weight(Yd)
-        )
-    eta = cfg.eta if cooperative else 0.0
-    use_mask = variant is AlgorithmVariant.CLUSTERED_SPARSE_DISTRIBUTED
-    multiplicative_s = variant is AlgorithmVariant.NMF
-    update_a = variant is not AlgorithmVariant.FCLS
-    return eta, lam, use_mask, multiplicative_s, update_a
-
-
-def _masked_neighbors(
-    k: int,
-    nbhd: Optional[NeighborhoodSystem],
-    clusters: Optional[ClusterAssignment],
-    use_mask: bool,
-):
-    if nbhd is None:
-        raise ValueError("this variant needs a neighborhood system")
-    if nbhd.weights is None:
-        raise ValueError("neighborhood weights have not been attached")
-    neighbors = nbhd.neighbors_of(k)
-    weights = nbhd.weights_of(k)
-    if use_mask:
-        if clusters is None:
-            raise ValueError("the clustered variant requires a ClusterAssignment")
-        keep = clusters.labels[neighbors] == clusters.labels[k]
-        neighbors = neighbors[keep]
-        weights = weights[keep]
-    return neighbors, weights
-
-
-def _neighbor_pull(S: np.ndarray, src: np.ndarray, dst: np.ndarray, w_eff: np.ndarray) -> np.ndarray:
-    """Sum of weighted neighbor differences for every pixel, c x N."""
-    contrib = (S[:, dst] - S[:, src]) * w_eff
-    acc = np.zeros((S.shape[1], S.shape[0]))
-    np.add.at(acc, src, contrib.T)
-    return acc.T
-
-
-def _objective(Yd, A, S, eta, lam, q, src, dst, w_eff) -> float:
-    resid = Yd - A @ S
-    value = float(np.sum(resid * resid))
-    if src is not None and eta > 0:
-        diff = S[:, src] - S[:, dst]
-        value += eta * float(w_eff @ np.einsum("ij,ij->j", diff, diff))
-    if lam > 0:
-        value += lam * float(sparsity_norm(S, q).sum())
-    return value

@@ -43,12 +43,13 @@ from hsunmix.types import (
 )
 from hsunmix.unmix import (
     StopReason,
-    local_cost,
+    abundance_step,
+    neighbor_operator,
     run_unmixing,
-    smooth_cost_gradient,
     update_abundance_multiplicative,
     update_signatures,
 )
+from pixel_oracle import local_cost
 
 
 def simplex_projection_qp_oracle(v):
@@ -93,21 +94,23 @@ def test_criterion_02_gradients_match_finite_differences():
     Y = rng.random((L, width * height)) + 0.1
     A = rng.random((L, c)) + 0.1
     nbhd = neighbor_weights(Y, build_neighborhood(width, height))
-    cfg = UnmixingConfig(variant="distributed", eta=0.3)
+    W = neighbor_operator(nbhd)
+    eta = 0.3
     h = 1e-6
     worst = 0.0
     for _ in range(100):
         S = rng.dirichlet(np.ones(c), size=width * height).T
         k = int(rng.integers(width * height))
-        g = smooth_cost_gradient(k, Y, A, S, nbhd, cfg=cfg)
+        # the solver's step at mu = 1 is minus half the local-cost gradient
+        g = -2.0 * abundance_step(Y, A, S, 1.0, W, eta)[:, k]
         fd = np.zeros(c)
         for i in range(c):
             Sp, Sm = S.copy(), S.copy()
             Sp[i, k] += h
             Sm[i, k] -= h
             fd[i] = (
-                local_cost(k, Y, A, Sp, nbhd, cfg=cfg)
-                - local_cost(k, Y, A, Sm, nbhd, cfg=cfg)
+                local_cost(k, Y, A, Sp, nbhd, eta=eta)
+                - local_cost(k, Y, A, Sm, nbhd, eta=eta)
             ) / (2 * h)
         rel = float(np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12))
         worst = max(worst, rel)

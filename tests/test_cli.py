@@ -124,11 +124,14 @@ class TestUnmixCommand:
         assert report["matching"] is None
         assert len(report["cost_trace"]) >= 1
 
-    def test_clusters_flag_warns_for_non_clustered_variant(self, scene_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("flag", [["--clusters", "4"], ["--clusters=4"]], ids=["space", "equals"])
+    def test_clusters_flag_warns_for_non_clustered_variant(
+        self, scene_dir, tmp_path, capsys, flag
+    ):
         rc = main(
             [
                 "unmix", str(scene_dir / "Y.cube"),
-                "--variant", "nmf", "--endmembers", "3", "--clusters", "4",
+                "--variant", "nmf", "--endmembers", "3", *flag,
                 "--max-iter", "2", "--out", str(tmp_path / "warned"),
             ]
         )

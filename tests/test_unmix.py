@@ -1,12 +1,14 @@
 """Cost functions, update rules, and the unmixing driver."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from hsunmix.clustering import fcm
 from hsunmix.errors import NumericalFailureError
 from hsunmix.initialize import fcls_abundances, vca
-from hsunmix.regularizers import neighbor_weights, sparsity_norm
+from hsunmix.regularizers import neighbor_weights, project_simplex_columns, sparsity_norm
 from hsunmix.synth import bundled_library, generate_synthetic
 from hsunmix.types import (
     AbundanceMatrix,
@@ -18,17 +20,19 @@ from hsunmix.types import (
     validate_abundances,
 )
 from hsunmix.unmix import (
+    PRESETS,
     AlgorithmVariant,
     StopReason,
+    abundance_step,
     converged,
     global_cost,
-    local_cost,
+    neighbor_operator,
+    objective,
     run_unmixing,
-    smooth_cost_gradient,
-    update_abundance,
     update_abundance_multiplicative,
     update_signatures,
 )
+from pixel_oracle import local_cost, pixel_step
 
 
 def random_problem(rng, L=6, c=3, width=4, height=3):
@@ -39,6 +43,15 @@ def random_problem(rng, L=6, c=3, width=4, height=3):
     Y = np.abs(A @ S + noise)
     image = HyperspectralImage(Y, width, height)
     return image, A, S
+
+
+def split_clusters(width, height, n_bands):
+    """Three clusters in diagonal stripes, so most neighborhoods are split."""
+    x, y = np.meshgrid(np.arange(width), np.arange(height))
+    labels = ((x + 2 * y) // 3).ravel() % 3
+    memberships = np.full((3, labels.size), 0.1)
+    memberships[labels, np.arange(labels.size)] = 0.8
+    return ClusterAssignment(labels, memberships, np.ones((n_bands, 3)))
 
 
 def test_variant_enum_matches_config_names():
@@ -68,62 +81,76 @@ class TestGlobalCost:
 
 
 class TestLocalCost:
+    """Hand values of the objective the loop records, the sum of the local costs."""
+
     def test_reduces_to_residual_without_regularizers(self):
         rng = np.random.default_rng(2)
         image, A, S = random_problem(rng)
-        cfg = UnmixingConfig(eta=0.0, sparsity_weight=0.0)
         k = 5
         want = np.sum((image.data[:, k] - A @ S[:, k]) ** 2)
-        assert local_cost(k, image.data, A, S, cfg=cfg) == pytest.approx(want, rel=1e-12)
+        got = objective(image.data[:, k : k + 1], A, S[:, k : k + 1])
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_identical_neighbors_add_nothing(self):
         image = HyperspectralImage(np.ones((3, 4)), 2, 2)
         A = np.ones((3, 2)) * 0.5
         S = np.tile(np.array([[0.4], [0.6]]), (1, 4))
-        nbhd = neighbor_weights(image.data, build_neighborhood(2, 2))
-        cfg = UnmixingConfig(variant="distributed", eta=0.7)
-        want = np.sum((image.data[:, 0] - A @ S[:, 0]) ** 2)
-        assert local_cost(0, image.data, A, S, nbhd, cfg=cfg) == pytest.approx(want, rel=1e-12)
+        W = neighbor_operator(neighbor_weights(image.data, build_neighborhood(2, 2)))
+        want = np.sum((image.data - A @ S) ** 2)
+        assert objective(image.data, A, S, W, eta=0.7) == pytest.approx(want, rel=1e-12)
 
     def test_hand_built_neighborhood_term(self):
-        # zero residual, one neighbor with weight 1, opposite unit abundances
+        # zero residual, one neighbor with weight 1, opposite unit abundances:
+        # each of the two pixels pays 0.1 * 2
         Y = np.array([[1.0, 0.0], [0.0, 1.0]])
         A = np.eye(2)
         S = np.array([[1.0, 0.0], [0.0, 1.0]])
         nbhd = build_neighborhood(2, 1).with_weights(np.array([1.0, 1.0]))
-        cfg = UnmixingConfig(variant="distributed", eta=0.1)
-        got = local_cost(0, Y, A, S, nbhd, cfg=cfg)
-        assert got == pytest.approx(0.2, rel=1e-12)
+        assert objective(Y, A, S, neighbor_operator(nbhd), eta=0.1) == pytest.approx(0.4, rel=1e-12)
+        assert local_cost(0, Y, A, S, nbhd, eta=0.1) == pytest.approx(0.2, rel=1e-12)
 
     def test_sparsity_term_included(self):
         rng = np.random.default_rng(3)
         image, A, S = random_problem(rng)
-        base = UnmixingConfig(eta=0.0, sparsity_weight=0.0)
-        lam = UnmixingConfig(eta=0.0, sparsity_weight=0.5, q=0.5)
-        k = 2
-        diff = local_cost(k, image.data, A, S, cfg=lam) - local_cost(k, image.data, A, S, cfg=base)
-        assert diff == pytest.approx(0.5 * sparsity_norm(S[:, k], 0.5), rel=1e-9)
+        diff = objective(image.data, A, S, lam=0.5, q=0.5) - objective(image.data, A, S)
+        assert diff == pytest.approx(0.5 * sparsity_norm(S, 0.5).sum(), rel=1e-9)
+
+    def test_objective_is_the_sum_of_local_costs(self):
+        rng = np.random.default_rng(31)
+        image, A, S = random_problem(rng, width=6, height=5)
+        nbhd = neighbor_weights(image.data, build_neighborhood(6, 5))
+        clusters = split_clusters(6, 5, image.n_bands)
+        W = neighbor_operator(nbhd, clusters)
+        knobs = dict(eta=0.3, lam=0.4, q=0.5)
+        want = sum(
+            local_cost(k, image.data, A, S, nbhd, clusters, **knobs) for k in range(30)
+        )
+        assert objective(image.data, A, S, W, **knobs) == pytest.approx(want, rel=1e-12)
 
 
 class TestSmoothGradient:
     @pytest.mark.parametrize("eta", [0.0, 0.3])
     def test_matches_finite_differences(self, eta):
+        # at mu = 1, minus twice the step is the smooth local-cost gradient
         rng = np.random.default_rng(4)
         image, A, S = random_problem(rng, L=7, c=4, width=3, height=3)
         nbhd = neighbor_weights(image.data, build_neighborhood(3, 3))
-        cfg = UnmixingConfig(variant="distributed", eta=eta)
+        g = -2.0 * abundance_step(image.data, A, S, 1.0, neighbor_operator(nbhd), eta)
         h = 1e-6
         for k in [0, 4, 8]:
-            g = smooth_cost_gradient(k, image.data, A, S, nbhd, cfg=cfg)
             for i in range(4):
                 Sp, Sm = S.copy(), S.copy()
                 Sp[i, k] += h
                 Sm[i, k] -= h
                 fd = (
-                    local_cost(k, image.data, A, Sp, nbhd, cfg=cfg)
-                    - local_cost(k, image.data, A, Sm, nbhd, cfg=cfg)
+                    local_cost(k, image.data, A, Sp, nbhd, eta=eta)
+                    - local_cost(k, image.data, A, Sm, nbhd, eta=eta)
                 ) / (2 * h)
-                assert abs(g[i] - fd) / max(abs(fd), 1e-10) < 1e-5
+                assert abs(g[i, k] - fd) / max(abs(fd), 1e-10) < 1e-5
+
+
+def projected_step(Y, A, S, mu, *args, **kwargs):
+    return project_simplex_columns(S + abundance_step(Y, A, S, mu, *args, **kwargs))
 
 
 class TestUpdateAbundance:
@@ -131,21 +158,16 @@ class TestUpdateAbundance:
         Y = np.array([[1.0], [0.0]])
         A = np.eye(2)
         S = np.array([[0.5], [0.5]])
-        cfg = UnmixingConfig(mu=0.1, eta=0.0, sparsity_weight=0.0)
-        out = update_abundance(0, Y, A, S, None, None, cfg)
-        assert np.allclose(out, [0.55, 0.45], rtol=0, atol=1e-15)
+        out = projected_step(Y, A, S, 0.1)
+        assert np.allclose(out[:, 0], [0.55, 0.45], rtol=0, atol=1e-15)
 
     def test_identical_neighbors_contribute_nothing(self):
         Y = np.ones((3, 4))
         A = np.ones((3, 2)) * 0.5
         S = np.tile(np.array([[0.4], [0.6]]), (1, 4))
-        nbhd = neighbor_weights(Y, build_neighborhood(2, 2))
-        with_nb = update_abundance(
-            0, Y, A, S, nbhd, None, UnmixingConfig(variant="distributed", eta=0.9)
-        )
-        without = update_abundance(
-            0, Y, A, S, None, None, UnmixingConfig(eta=0.0, sparsity_weight=0.0)
-        )
+        W = neighbor_operator(neighbor_weights(Y, build_neighborhood(2, 2)))
+        with_nb = projected_step(Y, A, S, 0.02, W, eta=0.9)
+        without = projected_step(Y, A, S, 0.02)
         assert np.array_equal(with_nb, without)
 
     def test_fixed_point_at_constrained_optimum(self):
@@ -158,17 +180,51 @@ class TestUpdateAbundance:
         cand = np.stack([grid, 1.0 - grid])
         errs = np.sum((y[:, None] - A @ cand) ** 2, axis=0)
         s_star = cand[:, np.argmin(errs)]
-        cfg = UnmixingConfig(mu=0.01, eta=0.0, sparsity_weight=0.0)
-        out = update_abundance(0, y[:, None], A, s_star[:, None], None, None, cfg)
-        assert np.max(np.abs(out - s_star)) < 1e-9
+        out = projected_step(y[:, None], A, s_star[:, None], 0.01)
+        assert np.max(np.abs(out[:, 0] - s_star)) < 1e-9
 
     def test_output_feasible(self):
         rng = np.random.default_rng(6)
         image, A, S = random_problem(rng)
-        cfg = UnmixingConfig(mu=0.5, eta=0.0, sparsity_weight=2.0)
-        out = update_abundance(1, image.data, A, S, None, None, cfg)
+        out = projected_step(image.data, A, S, 0.5, lam=2.0)
         assert out.min() >= 0.0
-        assert out.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(out.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+
+
+class TestAbundanceStepMatchesOracle:
+    @pytest.mark.parametrize("variant", ["distributed", "clustered_sparse_distributed"])
+    def test_every_column_matches_the_pixel_step(self, variant):
+        rng = np.random.default_rng(32)
+        image, A, S = random_problem(rng, width=6, height=5)
+        nbhd = neighbor_weights(image.data, build_neighborhood(6, 5))
+        preset = PRESETS[AlgorithmVariant(variant)]
+        clusters = split_clusters(6, 5, image.n_bands) if preset.cluster_mask else None
+        knobs = dict(eta=0.3, lam=0.4 if preset.sparse else 0.0, q=0.5)
+        step = abundance_step(image.data, A, S, 0.05, neighbor_operator(nbhd, clusters), **knobs)
+        for k in range(image.n_pixels):
+            want = pixel_step(k, image.data, A, S, 0.05, nbhd, clusters, **knobs)
+            np.testing.assert_allclose(step[:, k], want, rtol=0, atol=1e-15)
+        unmasked = abundance_step(image.data, A, S, 0.05, neighbor_operator(nbhd), **knobs)
+        assert (np.max(np.abs(step - unmasked)) > 1e-4) == preset.cluster_mask
+
+    def test_loop_runs_the_kernels(self):
+        rng = np.random.default_rng(33)
+        image, A_true, S_true = random_problem(rng, L=8, width=6, height=5)
+        A0 = rng.random((8, 3)) + 0.3
+        # C order, like the copy the solver works on, so BLAS rounds alike
+        S0 = np.ascontiguousarray(rng.dirichlet(np.ones(3), size=30).T)
+        clusters = split_clusters(6, 5, 8)
+        cfg = UnmixingConfig(
+            variant="clustered_sparse_distributed", sparsity_weight=0.4, q=0.5, max_iter=1
+        )
+        result = run_unmixing(image, cfg, A0, S0, clusters)
+        Y = image.data
+        W = neighbor_operator(neighbor_weights(Y, build_neighborhood(6, 5)), clusters)
+        A1 = update_signatures(Y, A0, S0)
+        S1 = projected_step(Y, A1, S0, cfg.mu, W, cfg.eta, 0.4, 0.5)
+        assert np.array_equal(result.A.data, A1)
+        assert np.array_equal(result.S.data, S1)
+        assert result.cost_trace == [objective(Y, A1, S1, W, cfg.eta, 0.4, 0.5)]
 
 
 class TestUpdateSignatures:
@@ -318,8 +374,10 @@ class TestRunUnmixing:
         image, A0, S0 = self._setup(seed=8)
         # a destructive step size drives the gradient update to overflow
         cfg = UnmixingConfig(variant="distributed", mu=1e300, max_iter=10)
-        with pytest.raises((NumericalFailureError, ValueError)):
-            run_unmixing(image, cfg, A0, S0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailureError):
+                run_unmixing(image, cfg, A0, S0)
 
 
 class TestMultiplicativeAbundanceStep:
