@@ -17,7 +17,6 @@ from .errors import (
 from .experiment import (
     ExperimentSpec,
     parse_experiment_spec,
-    resolve_variant,
     run_experiment,
     write_aggregate_csv,
     write_rows_csv,
@@ -43,16 +42,17 @@ from .regularizers import (
 from .synth import SyntheticScene, bundled_library, generate_synthetic
 from .types import (
     AbundanceMatrix,
+    AlgorithmVariant,
     ClusterAssignment,
     HyperspectralImage,
     NeighborhoodSystem,
     SignatureMatrix,
     UnmixingConfig,
     build_neighborhood,
+    resolve_variant,
     validate_abundances,
 )
 from .unmix import (
-    AlgorithmVariant,
     StopReason,
     UnmixingResult,
     abundance_step,

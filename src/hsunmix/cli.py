@@ -2,7 +2,9 @@
 
 Subcommands cover the full pipeline: synthesize a scene, cluster its pixels,
 unmix it with any algorithm variant, score estimates against ground truth,
-and drive Monte-Carlo experiment sweeps from a spec file.
+and drive Monte-Carlo experiment sweeps from a spec file. ``unmix`` and every
+experiment cell run the same init -> cluster -> solve path,
+:func:`hsunmix.experiment.run_pipeline`.
 
 Exit codes: 0 on success, 1 when the algorithm itself fails (numerical
 breakdown or degenerate input data), 2 for usage, IO, and format errors.
@@ -19,15 +21,14 @@ import numpy as np
 
 from .clustering import fcm
 from .errors import CubeFormatError, DegenerateDataError, LibraryParseError, NumericalFailureError
-from .experiment import parse_experiment_spec, resolve_variant, run_experiment, write_aggregate_csv, write_rows_csv
+from .experiment import parse_experiment_spec, run_experiment, run_pipeline, write_aggregate_csv, write_rows_csv
 from .fileio import read_cube, read_spectral_library, write_cube, write_report, write_spectral_library
-from .initialize import fcls_abundances, random_init, vca
 from .metrics import evaluate_matrices
 from .synth import bundled_library, generate_synthetic
-from .types import HyperspectralImage, SignatureMatrix, UnmixingConfig
-from .unmix import AlgorithmVariant, run_unmixing
+from .types import VARIANT_ALIASES, AlgorithmVariant, HyperspectralImage, UnmixingConfig, resolve_variant
+from .unmix import PRESETS
 
-VARIANT_CHOICES = tuple(v.value for v in AlgorithmVariant) + ("proposed",)
+VARIANT_CHOICES = tuple(v.value for v in AlgorithmVariant) + tuple(VARIANT_ALIASES)
 
 
 def _load_library(path):
@@ -93,15 +94,9 @@ def _cmd_unmix(args) -> int:
     variant = resolve_variant(args.variant)
     n_clusters = args.clusters
     if n_clusters is None:
-        n_clusters = UnmixingConfig().clusters
-    elif variant != AlgorithmVariant.CLUSTERED_SPARSE_DISTRIBUTED.value:
+        n_clusters = UnmixingConfig.clusters
+    elif not PRESETS[AlgorithmVariant(variant)].cluster_mask:
         print(f"warning: --clusters has no effect for variant {variant}", file=sys.stderr)
-
-    if args.init == "vca":
-        A0 = vca(image, args.endmembers, seed=args.seed)
-        S0 = fcls_abundances(image, A0)
-    else:
-        A0, S0 = random_init(image.n_bands, args.endmembers, image.n_pixels, seed=args.seed)
 
     cfg = UnmixingConfig(
         mu=args.mu,
@@ -114,10 +109,7 @@ def _cmd_unmix(args) -> int:
         seed=args.seed,
         variant=variant,
     )
-    clusters = None
-    if variant == AlgorithmVariant.CLUSTERED_SPARSE_DISTRIBUTED.value:
-        clusters = fcm(image, n_clusters, seed=args.seed)
-    result = run_unmixing(image, cfg, A0, S0, clusters)
+    result = run_pipeline(image, cfg, args.endmembers, args.init, init_seed=args.seed, fcm_seed=args.seed)
 
     report = None
     if args.truth_a is not None or args.truth_s is not None:
@@ -219,13 +211,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--endmembers", type=int, default=6)
     p.add_argument("--clusters", type=int, default=None,
                    help="cluster count for the clustered variant")
-    p.add_argument("--mu", type=float, default=0.02, help="gradient step size")
-    p.add_argument("--eta", type=float, default=0.1, help="neighborhood coupling strength")
-    p.add_argument("--q", type=float, default=1.0, help="sparsity norm exponent in (0, 1]")
-    p.add_argument("--sparsity-weight", type=float, default=None,
+    p.add_argument("--mu", type=float, default=UnmixingConfig.mu, help="gradient step size")
+    p.add_argument("--eta", type=float, default=UnmixingConfig.eta, help="neighborhood coupling strength")
+    p.add_argument("--q", type=float, default=UnmixingConfig.q, help="sparsity norm exponent in (0, 1]")
+    p.add_argument("--sparsity-weight", type=float, default=UnmixingConfig.sparsity_weight,
                    help="override the data-driven sparsity weight")
-    p.add_argument("--max-iter", type=int, default=1000)
-    p.add_argument("--eps", type=float, default=1e-8, help="cost-change stopping threshold")
+    p.add_argument("--max-iter", type=int, default=UnmixingConfig.max_iter)
+    p.add_argument("--eps", type=float, default=UnmixingConfig.eps, help="cost-change stopping threshold")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--truth-a", default=None, help="true signatures CSV for scoring")
     p.add_argument("--truth-s", default=None, help="true abundance cube for scoring")

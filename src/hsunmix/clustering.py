@@ -64,8 +64,7 @@ def fcm(
         new_u = _memberships(arr, centers, m)
         centers = _centers(arr, new_u, m, centers)
         if on_iteration is not None:
-            objective = float(np.sum(new_u**m * _sq_distances(arr, centers)))
-            on_iteration(iteration, new_u, centers, objective)
+            on_iteration(iteration, new_u, centers, fcm_objective(arr, new_u, centers, m))
         if memberships is not None and np.max(np.abs(new_u - memberships)) < tol:
             memberships = new_u
             break

@@ -1,4 +1,9 @@
-"""Monte-Carlo experiment harness.
+"""Monte-Carlo experiment harness and the unmixing pipeline it shares with the CLI.
+
+``run_pipeline`` is the one path from an image to a solver result: it
+initializes the signatures and abundances, runs fuzzy c-means when the
+variant's preset gates the coupling by cluster, and then solves. ``hsunmix
+unmix`` calls it once; every cell of an experiment calls it on a fresh scene.
 
 An experiment sweeps algorithm variants over noise levels, cluster counts,
 and repeated runs on freshly generated synthetic scenes, then writes a tidy
@@ -12,8 +17,10 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from contextlib import nullcontext
+from dataclasses import dataclass
+from itertools import product
+from typing import Callable, List, Optional, Sequence, Tuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -21,8 +28,8 @@ from .clustering import fcm
 from .initialize import fcls_abundances, random_init, vca
 from .metrics import evaluate
 from .synth import generate_synthetic
-from .types import UnmixingConfig, as_matrix
-from .unmix import AlgorithmVariant, run_unmixing
+from .types import AlgorithmVariant, HyperspectralImage, UnmixingConfig, as_matrix, resolve_variant
+from .unmix import PRESETS, UnmixingResult, run_unmixing
 
 RUN_COLUMNS = (
     "variant",
@@ -39,23 +46,45 @@ AGGREGATE_COLUMNS = ("variant", "snr_db", "clusters", "rms_sad", "rms_aad")
 # seed stream tags
 _SCENE, _FCM, _INIT, _SIGNATURES = 0, 1, 2, 3
 
-VARIANT_ALIASES = {"proposed": AlgorithmVariant.CLUSTERED_SPARSE_DISTRIBUTED.value}
 
+def run_pipeline(
+    Y: HyperspectralImage,
+    cfg: UnmixingConfig,
+    endmembers: int,
+    init: str,
+    init_seed: int,
+    fcm_seed: int,
+    **fcm_options,
+) -> UnmixingResult:
+    """Initialize, cluster if the preset of ``cfg.variant`` asks for it, and solve.
 
-def resolve_variant(name: str) -> str:
-    """Map CLI spellings (including the ``proposed`` alias) to variant names."""
-    name = name.strip()
-    name = VARIANT_ALIASES.get(name, name)
-    return AlgorithmVariant(name).value
+    ``init`` is ``"vca"`` (VCA signatures, FCLS abundances) or ``"random"``.
+    The clustering uses ``cfg.clusters`` groups; ``fcm_options`` go to
+    :func:`~hsunmix.clustering.fcm`.
+    """
+    if init == "vca":
+        A0 = vca(Y, endmembers, seed=init_seed)
+        S0 = fcls_abundances(Y, A0)
+    else:
+        A0, S0 = random_init(Y.n_bands, endmembers, Y.n_pixels, seed=init_seed)
+    clusters = None
+    if PRESETS[AlgorithmVariant(cfg.variant)].cluster_mask:
+        clusters = fcm(Y, cfg.clusters, seed=fcm_seed, **fcm_options)
+    return run_unmixing(Y, cfg, A0, S0, clusters)
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Full description of one experiment sweep."""
+    """Full description of one experiment sweep.
 
-    variants: Tuple[str, ...] = (AlgorithmVariant.CLUSTERED_SPARSE_DISTRIBUTED.value,)
+    The solver settings default to those of :class:`UnmixingConfig`; every
+    (variant, cluster count) config is built once on construction, so a bad
+    setting fails before any cell runs.
+    """
+
+    variants: Tuple[str, ...] = (UnmixingConfig.variant,)
     snr_levels: Tuple[float, ...] = (15.0, 20.0, 25.0, 30.0, 35.0)
-    cluster_counts: Tuple[int, ...] = (6,)
+    cluster_counts: Tuple[int, ...] = (UnmixingConfig.clusters,)
     runs: int = 20
     width: int = 40
     height: int = 40
@@ -63,13 +92,13 @@ class ExperimentSpec:
     patch: int = 8
     filter_size: int = 7
     purity_cap: float = 0.8
-    mu: float = 0.02
-    eta: float = 0.1
-    q: float = 1.0
+    mu: float = UnmixingConfig.mu
+    eta: float = UnmixingConfig.eta
+    q: float = UnmixingConfig.q
     q_lq: float = 0.5
-    sparsity_weight: Optional[float] = None
-    max_iter: int = 1000
-    eps: float = 1e-8
+    sparsity_weight: Optional[float] = UnmixingConfig.sparsity_weight
+    max_iter: int = UnmixingConfig.max_iter
+    eps: float = UnmixingConfig.eps
     init: str = "vca"
     fcm_m: float = 2.0
     fcm_tol: float = 1e-6
@@ -90,30 +119,58 @@ class ExperimentSpec:
             raise ValueError("init must be 'vca' or 'random'")
         if min(self.cluster_counts) < 1:
             raise ValueError("cluster counts must be positive")
+        for variant in self.variants:
+            for n_clusters in self.cluster_counts:
+                self.config(variant, n_clusters)
+
+    def config(self, variant: str, n_clusters: int) -> UnmixingConfig:
+        """Solver settings of one cell; ``lq_nmf`` runs at ``q_lq``, the rest at ``q``."""
+        return UnmixingConfig(
+            mu=self.mu,
+            eta=self.eta,
+            q=self.q_lq if variant == AlgorithmVariant.LQ_NMF else self.q,
+            sparsity_weight=self.sparsity_weight,
+            max_iter=self.max_iter,
+            eps=self.eps,
+            clusters=n_clusters,
+            seed=self.seed,
+            variant=variant,
+        )
 
     @property
     def n_cells(self) -> int:
         return len(self.variants) * len(self.snr_levels) * len(self.cluster_counts) * self.runs
 
 
-_SPEC_LIST_KEYS = {"variants", "snr_levels", "cluster_counts"}
-_SPEC_INT_KEYS = {
-    "runs", "width", "height", "endmembers", "patch", "filter_size",
-    "max_iter", "fcm_max_iter", "seed",
-}
-_SPEC_FLOAT_KEYS = {
-    "purity_cap", "mu", "eta", "q", "q_lq", "sparsity_weight", "eps",
-    "fcm_m", "fcm_tol",
-}
-_SPEC_STR_KEYS = {"init", "library"}
-_SPEC_BOOL_KEYS = {"fix_signatures"}
+_SPEC_TYPES = get_type_hints(ExperimentSpec)
+
+
+def _parse_spec_value(kind, text: str):
+    """Parse ``text`` as a value of the ``ExperimentSpec`` field type ``kind``.
+
+    Tuples take comma-separated items; only ``Optional`` fields accept ``none``.
+    """
+    if get_origin(kind) is tuple:
+        item = get_args(kind)[0]
+        return tuple(_parse_spec_value(item, v.strip()) for v in text.split(",") if v.strip())
+    if get_origin(kind) is Union:
+        if text.lower() == "none":
+            return None
+        kind = get_args(kind)[0]
+    if kind is bool:
+        if text.lower() not in ("true", "false"):
+            raise ValueError(f"expected true/false, got {text!r}")
+        return text.lower() == "true"
+    return kind(text)
 
 
 def parse_experiment_spec(text: str) -> ExperimentSpec:
     """Parse the flat key-value experiment grammar.
 
     One ``key = value`` pair per line; ``#`` starts a comment; blank lines
-    are ignored. List-valued keys take comma-separated entries.
+    are ignored. The keys are the :class:`ExperimentSpec` fields, and each
+    value is read as its field's type. List-valued keys take comma-separated
+    entries.
     """
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -124,30 +181,12 @@ def parse_experiment_spec(text: str) -> ExperimentSpec:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        val = val.strip()
         if key in values:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         try:
-            if key in _SPEC_LIST_KEYS:
-                items = [v.strip() for v in val.split(",") if v.strip()]
-                if key == "variants":
-                    values[key] = tuple(items)
-                elif key == "snr_levels":
-                    values[key] = tuple(float(v) for v in items)
-                else:
-                    values[key] = tuple(int(v) for v in items)
-            elif key in _SPEC_INT_KEYS:
-                values[key] = int(val)
-            elif key in _SPEC_FLOAT_KEYS:
-                values[key] = None if val.lower() == "none" else float(val)
-            elif key in _SPEC_BOOL_KEYS:
-                if val.lower() not in ("true", "false"):
-                    raise ValueError(f"expected true/false, got {val!r}")
-                values[key] = val.lower() == "true"
-            elif key in _SPEC_STR_KEYS:
-                values[key] = None if val.lower() == "none" else val
-            else:
+            if key not in _SPEC_TYPES:
                 raise ValueError(f"unknown key {key!r}")
+            values[key] = _parse_spec_value(_SPEC_TYPES[key], val.strip())
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     return ExperimentSpec(**values)
@@ -195,36 +234,17 @@ def run_cell(
         purity_cap=spec.purity_cap,
         seed=derive_seed(spec.seed, _SCENE, snr_idx, run),
     )
-
-    init_seed = derive_seed(spec.seed, _INIT, snr_idx, run)
-    if spec.init == "vca":
-        A0 = vca(scene.Y, spec.endmembers, seed=init_seed)
-        S0 = fcls_abundances(scene.Y, A0)
-    else:
-        A0, S0 = random_init(scene.Y.n_bands, spec.endmembers, scene.Y.n_pixels, seed=init_seed)
-
-    cfg = UnmixingConfig(
-        mu=spec.mu,
-        eta=spec.eta,
-        q=spec.q_lq if variant == AlgorithmVariant.LQ_NMF.value else spec.q,
-        sparsity_weight=spec.sparsity_weight,
-        max_iter=spec.max_iter,
-        eps=spec.eps,
-        clusters=n_clusters,
-        seed=spec.seed,
-        variant=variant,
+    result = run_pipeline(
+        scene.Y,
+        spec.config(variant, n_clusters),
+        spec.endmembers,
+        spec.init,
+        init_seed=derive_seed(spec.seed, _INIT, snr_idx, run),
+        fcm_seed=derive_seed(spec.seed, _FCM, snr_idx, cluster_idx, run),
+        m=spec.fcm_m,
+        tol=spec.fcm_tol,
+        max_iter=spec.fcm_max_iter,
     )
-    clusters = None
-    if variant == AlgorithmVariant.CLUSTERED_SPARSE_DISTRIBUTED.value:
-        clusters = fcm(
-            scene.Y,
-            n_clusters,
-            m=spec.fcm_m,
-            tol=spec.fcm_tol,
-            max_iter=spec.fcm_max_iter,
-            seed=derive_seed(spec.seed, _FCM, snr_idx, cluster_idx, run),
-        )
-    result = run_unmixing(scene.Y, cfg, A0, S0, clusters)
     report = evaluate(scene.A_true, scene.S_true, result)
     return {
         "variant": variant,
@@ -251,8 +271,10 @@ def run_experiment(
     """Run all cells of ``spec`` and return (per-run rows, aggregate rows).
 
     Rows come back in deterministic cell order (variants, then snr levels,
-    then cluster counts, then runs) regardless of ``jobs``. Aggregates hold
-    the per-cell means of rms_sad and rms_aad over the Monte-Carlo runs.
+    then cluster counts, then runs) regardless of ``jobs``, and ``progress``
+    is called with (done, total, row) in that order as the rows arrive.
+    Aggregates hold the per-cell means of rms_sad and rms_aad over the
+    Monte-Carlo runs.
     """
     library = as_matrix(library, "library")
     cells = [
@@ -262,37 +284,25 @@ def run_experiment(
         for ci in range(len(spec.cluster_counts))
         for run in range(spec.runs)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_cell_worker, cells))
-    else:
-        rows = []
-        for i, cell in enumerate(cells):
-            row = _cell_worker(cell)
+    rows = []
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        mapped = map(_cell_worker, cells) if pool is None else pool.map(_cell_worker, cells)
+        for done, row in enumerate(mapped, start=1):
             rows.append(row)
             if progress is not None:
-                progress(i + 1, len(cells), row)
+                progress(done, len(cells), row)
 
     aggregates = []
-    for vi in range(len(spec.variants)):
-        for si in range(len(spec.snr_levels)):
-            for ci in range(len(spec.cluster_counts)):
-                group = [
-                    r
-                    for r in rows
-                    if r["variant"] == spec.variants[vi]
-                    and r["snr_db"] == spec.snr_levels[si]
-                    and r["clusters"] == spec.cluster_counts[ci]
-                ]
-                aggregates.append(
-                    {
-                        "variant": spec.variants[vi],
-                        "snr_db": spec.snr_levels[si],
-                        "clusters": spec.cluster_counts[ci],
-                        "rms_sad": sum(r["rms_sad"] for r in group) / len(group),
-                        "rms_aad": sum(r["rms_aad"] for r in group) / len(group),
-                    }
-                )
+    for variant, snr, n_clusters in product(spec.variants, spec.snr_levels, spec.cluster_counts):
+        cell = {"variant": variant, "snr_db": snr, "clusters": n_clusters}
+        group = [r for r in rows if all(r[k] == v for k, v in cell.items())]
+        aggregates.append(
+            {
+                **cell,
+                "rms_sad": sum(r["rms_sad"] for r in group) / len(group),
+                "rms_aad": sum(r["rms_aad"] for r in group) / len(group),
+            }
+        )
     return rows, aggregates
 
 

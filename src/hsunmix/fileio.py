@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -188,17 +188,7 @@ def write_report(path, report, cost_trace: Sequence[float], config) -> None:
     produce byte-identical files.
     """
     if isinstance(config, UnmixingConfig):
-        config = {
-            "mu": config.mu,
-            "eta": config.eta,
-            "q": config.q,
-            "sparsity_weight": config.sparsity_weight,
-            "max_iter": config.max_iter,
-            "eps": config.eps,
-            "clusters": config.clusters,
-            "seed": config.seed,
-            "variant": str(config.variant),
-        }
+        config = asdict(config)
     elif not isinstance(config, Mapping):
         raise ValueError("config must be an UnmixingConfig or a mapping")
     doc = {

@@ -51,9 +51,8 @@ def sad(a, b) -> float:
 
 
 def aad(a, b) -> float:
-    """Angle between two abundance vectors, in radians."""
-    cos = spectral_angle_cos(a, b)
-    return float(np.arccos(np.clip(cos, -1.0, 1.0)))
+    """Angle between two abundance vectors, in radians: the angle of :func:`sad`."""
+    return sad(a, b)
 
 
 def match_endmembers(A_true, A_est) -> np.ndarray:

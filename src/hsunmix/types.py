@@ -1,4 +1,4 @@
-"""Core value types and the pixel-grid neighborhood.
+"""Core value types, the algorithm variant names and the pixel-grid neighborhood.
 
 All matrix containers are frozen dataclasses that validate their invariants on
 construction. The stored arrays should be treated as read-only; operations
@@ -15,6 +15,7 @@ Shape conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
@@ -227,14 +228,23 @@ class ClusterAssignment:
         return self.memberships.shape[0]
 
 
-VARIANT_NAMES = (
-    "nmf",
-    "lq_nmf",
-    "distributed",
-    "sparse_distributed",
-    "clustered_sparse_distributed",
-    "fcls",
-)
+class AlgorithmVariant(str, Enum):
+    NMF = "nmf"
+    LQ_NMF = "lq_nmf"
+    DISTRIBUTED = "distributed"
+    SPARSE_DISTRIBUTED = "sparse_distributed"
+    CLUSTERED_SPARSE_DISTRIBUTED = "clustered_sparse_distributed"
+    FCLS = "fcls"
+
+
+VARIANT_ALIASES = {"proposed": AlgorithmVariant.CLUSTERED_SPARSE_DISTRIBUTED.value}
+
+
+def resolve_variant(name: str) -> str:
+    """Map CLI spellings (including the ``proposed`` alias) to variant names."""
+    name = name.strip()
+    name = VARIANT_ALIASES.get(name, name)
+    return AlgorithmVariant(name).value
 
 
 @dataclass(frozen=True)
@@ -255,7 +265,7 @@ class UnmixingConfig:
     eps: float = 1e-8
     clusters: int = 6
     seed: int = 0
-    variant: str = "clustered_sparse_distributed"
+    variant: str = AlgorithmVariant.CLUSTERED_SPARSE_DISTRIBUTED.value
 
     def __post_init__(self):
         if not (self.mu > 0 and np.isfinite(self.mu)):
@@ -274,10 +284,7 @@ class UnmixingConfig:
             raise ValueError("eps must be positive")
         if self.clusters < 1:
             raise ValueError("clusters must be at least 1")
-        if self.variant not in VARIANT_NAMES:
-            raise ValueError(
-                f"unknown variant {self.variant!r}; choose from {VARIANT_NAMES}"
-            )
+        object.__setattr__(self, "variant", AlgorithmVariant(self.variant).value)
 
 
 def build_neighborhood(width: int, height: int) -> NeighborhoodSystem:

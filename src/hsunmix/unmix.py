@@ -53,6 +53,7 @@ from .regularizers import (
 )
 from .types import (
     AbundanceMatrix,
+    AlgorithmVariant,
     ClusterAssignment,
     HyperspectralImage,
     NeighborhoodSystem,
@@ -66,15 +67,6 @@ MULT_GUARD = 1e-12  # added to multiplicative-update denominators
 # Abundances this large (or non-finite) leave the unit column sum below
 # rounding, so the simplex projection can no longer resolve it.
 DIVERGENCE_BOUND = 1.0 / np.finfo(np.float64).eps
-
-
-class AlgorithmVariant(str, Enum):
-    NMF = "nmf"
-    LQ_NMF = "lq_nmf"
-    DISTRIBUTED = "distributed"
-    SPARSE_DISTRIBUTED = "sparse_distributed"
-    CLUSTERED_SPARSE_DISTRIBUTED = "clustered_sparse_distributed"
-    FCLS = "fcls"
 
 
 class Preset(NamedTuple):

@@ -6,9 +6,12 @@ import json
 import numpy as np
 import pytest
 
-from hsunmix.cli import main
-from hsunmix.experiment import parse_experiment_spec
+import hsunmix.experiment
+from hsunmix.cli import VARIANT_CHOICES, main
+from hsunmix.experiment import ExperimentSpec, parse_experiment_spec, run_experiment
 from hsunmix.fileio import read_cube, read_spectral_library
+from hsunmix.synth import bundled_library
+from hsunmix.types import AlgorithmVariant, UnmixingConfig, resolve_variant
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +141,25 @@ class TestUnmixCommand:
         assert rc == 0
         assert "--clusters has no effect" in capsys.readouterr().err
 
+    def test_proposed_alias_writes_the_same_files(self, scene_dir, tmp_path):
+        outs = []
+        for variant in ("proposed", "clustered_sparse_distributed"):
+            outs.append(tmp_path / variant)
+            rc = main(
+                [
+                    "unmix", str(scene_dir / "Y.cube"),
+                    "--variant", variant, "--endmembers", "3", "--clusters", "2",
+                    "--max-iter", "5", "--out", str(outs[-1]),
+                ]
+            )
+            assert rc == 0
+        for name in ("A_est.csv", "S_est.cube", "report.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_every_variant_choice_resolves_through_the_enum(self):
+        resolved = {AlgorithmVariant(resolve_variant(choice)) for choice in VARIANT_CHOICES}
+        assert resolved == set(AlgorithmVariant)
+
     def test_missing_input_file_is_a_usage_error(self, tmp_path, capsys):
         rc = main(
             ["unmix", str(tmp_path / "absent.cube"), "--out", str(tmp_path / "o")]
@@ -246,6 +268,24 @@ class TestExperimentCommand:
         assert rc == 2
         assert "unknown key" in capsys.readouterr().err
 
+    def test_none_for_a_required_setting_is_a_usage_error(self, tmp_path, capsys):
+        spec_path = tmp_path / "bad.spec"
+        spec_path.write_text("runs = 1\nmu = none\n")
+        rc = main(["experiment", str(spec_path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "error: line 2" in capsys.readouterr().err
+
+    def test_bad_solver_setting_fails_before_any_scene(self, tmp_path, capsys, monkeypatch):
+        def no_scene(*args, **kwargs):
+            raise AssertionError("a scene was generated")
+
+        monkeypatch.setattr(hsunmix.experiment, "generate_synthetic", no_scene)
+        spec_path = tmp_path / "bad.spec"
+        spec_path.write_text("runs = 1\nmu = -1\n")
+        rc = main(["experiment", str(spec_path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "mu must be positive" in capsys.readouterr().err
+
 
 class TestSpecParsing:
     def test_full_grammar(self):
@@ -298,3 +338,71 @@ class TestSpecParsing:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             parse_experiment_spec("variants = magic\n")
+
+    @pytest.mark.parametrize("key", ["mu", "purity_cap", "runs", "fix_signatures"])
+    def test_none_only_for_optional_keys(self, key):
+        with pytest.raises(ValueError, match=r"line 2"):
+            parse_experiment_spec(f"runs = 2\n{key} = none\n")
+
+    @pytest.mark.parametrize(
+        "text", ["mu = -1", "eta = -0.5", "q = 0", "eps = 0", "variants = nmf, lq_nmf\nq_lq = 2"]
+    )
+    def test_bad_solver_settings_rejected_at_parse_time(self, text):
+        with pytest.raises(ValueError):
+            parse_experiment_spec(text + "\n")
+
+    def test_solver_defaults_are_the_config_defaults(self):
+        spec = parse_experiment_spec("")
+        cfg = spec.config(spec.variants[0], spec.cluster_counts[0])
+        assert cfg == UnmixingConfig()
+        assert spec.config("lq_nmf", 6).q == spec.q_lq
+
+
+TINY_SPEC = """\
+variants = nmf, proposed
+snr_levels = 20, 30
+cluster_counts = 2
+runs = 2
+width = 8
+height = 8
+endmembers = 3
+patch = 4
+filter_size = 3
+max_iter = 3
+fcm_max_iter = 10
+"""
+
+
+class TestRunExperiment:
+    def test_parallel_rows_and_progress_match_serial(self):
+        spec = parse_experiment_spec(TINY_SPEC)
+        library = bundled_library().data
+        results = {}
+        for jobs in (1, 2):
+            calls = []
+            rows, aggregates = run_experiment(
+                spec, library, jobs=jobs,
+                progress=lambda done, total, row: calls.append((done, total, row)),
+            )
+            n = spec.n_cells
+            assert [(done, total) for done, total, _ in calls] == [(i, n) for i in range(1, n + 1)]
+            assert [row for _, _, row in calls] == rows
+            results[jobs] = (rows, aggregates)
+        assert results[2] == results[1]
+
+    def test_clustering_follows_the_preset(self, monkeypatch):
+        clustered = []
+        real_fcm = hsunmix.experiment.fcm
+
+        def counting_fcm(Y, n_clusters, **kwargs):
+            clustered.append(n_clusters)
+            return real_fcm(Y, n_clusters, **kwargs)
+
+        monkeypatch.setattr(hsunmix.experiment, "fcm", counting_fcm)
+        spec = ExperimentSpec(
+            variants=tuple(v.value for v in AlgorithmVariant), snr_levels=(20,), cluster_counts=(2,),
+            runs=1, width=8, height=8, endmembers=3, patch=4, filter_size=3, max_iter=3, fcm_max_iter=10,
+        )
+        rows, _ = run_experiment(spec, bundled_library().data)
+        assert len(rows) == len(AlgorithmVariant)
+        assert clustered == [2]

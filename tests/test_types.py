@@ -5,6 +5,7 @@ import pytest
 
 from hsunmix.types import (
     AbundanceMatrix,
+    AlgorithmVariant,
     ClusterAssignment,
     HyperspectralImage,
     NeighborhoodSystem,
@@ -197,3 +198,8 @@ class TestUnmixingConfig:
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             UnmixingConfig(**kwargs)
+
+    def test_variant_member_is_stored_as_its_name(self):
+        cfg = UnmixingConfig(variant=AlgorithmVariant.NMF)
+        assert type(cfg.variant) is str
+        assert cfg.variant == "nmf"

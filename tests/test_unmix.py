@@ -54,12 +54,6 @@ def split_clusters(width, height, n_bands):
     return ClusterAssignment(labels, memberships, np.ones((n_bands, 3)))
 
 
-def test_variant_enum_matches_config_names():
-    from hsunmix.types import VARIANT_NAMES
-
-    assert tuple(v.value for v in AlgorithmVariant) == VARIANT_NAMES
-
-
 class TestGlobalCost:
     def test_exact_factorization_is_zero(self):
         rng = np.random.default_rng(0)
