@@ -115,9 +115,10 @@ def fcls_abundances(
     """Simplex-constrained least-squares abundances for fixed signatures.
 
     Runs the projected-gradient solver with the signatures held fixed,
-    starting from the uniform mixture. The default step size 1/lambda_max
-    of the signature Gram matrix guarantees a stable descent regardless of
-    the data scale.
+    starting from the uniform mixture; with A fixed the solver forms A^T Y
+    and A^T A once, so each iteration is c x N work. The default step size
+    1/lambda_max of the signature Gram matrix guarantees a stable descent
+    regardless of the data scale.
     """
     A = as_matrix(signatures, "signatures")
     if step is None:

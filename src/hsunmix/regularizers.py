@@ -20,6 +20,10 @@ SPARSITY_GUARD = 1e-12  # keeps the q-norm gradient finite at exact zeros
 # floating point. The slack is far below every consumer tolerance.
 _FEASIBLE_SLACK = 64 * np.finfo(np.float64).eps
 
+# Below this size (2^52), x + (1 - x) rounds to about 1 for every float x;
+# from 2^53 on it can round to 0.
+_SHIFT_BOUND = 1.0 / np.finfo(np.float64).eps
+
 
 def estimate_sparsity_weight(Y) -> float:
     """Data-driven weight for the sparsity penalty.
@@ -99,14 +103,21 @@ def project_simplex_columns(V) -> np.ndarray:
     feasible = (V >= 0).all(axis=0) & (np.abs(V.sum(axis=0) - 1.0) <= _FEASIBLE_SLACK)
     if feasible.all():
         return V.copy()
-    u = np.sort(V, axis=0)[::-1]
+    # The projection commutes with shifts along the ones vector. A column
+    # whose largest entry reaches _SHIFT_BOUND in size is measured from that
+    # entry, so its top entry is exactly 0 and the first rank qualifies;
+    # unshifted, u + (1 - u) can round to 0 there. Smaller columns stay in
+    # place, bit for bit, because the first rank always qualifies for them.
+    top = V.max(axis=0)
+    X = V - np.where(np.abs(top) < _SHIFT_BOUND, 0.0, top)
+    u = np.sort(X, axis=0)[::-1]
     css = np.cumsum(u, axis=0)
     ranks = np.arange(1, c + 1, dtype=np.float64)[:, None]
     # the indices where this holds form a prefix of the sorted column
     positive = u + (1.0 - css) / ranks > 0
     rho = positive.sum(axis=0) - 1
     tau = (1.0 - css[rho, np.arange(n)]) / (rho + 1.0)
-    out = np.maximum(V + tau, 0.0)
+    out = np.maximum(X + tau, 0.0)
     out[:, feasible] = V[:, feasible]
     return out
 

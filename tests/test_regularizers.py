@@ -1,6 +1,7 @@
 """Sparsity weighting, similarity weights, simplex projection, penalty terms."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +147,14 @@ class TestProjectSimplex:
         P = project_simplex_columns(V)
         assert np.all(P >= 0.0)
         assert np.allclose(P.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+
+    def test_huge_finite_columns_keep_the_unit_sum(self):
+        # in place, 1 - 1e300 rounds so the first rank fails and tau is x/0
+        V = np.array([[1e300, -1e300, 1e17, 0.5], [0.0, -1e300, 1e17 - 64, -1e300]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            P = project_simplex_columns(V)
+        assert np.array_equal(P, [[1.0, 0.5, 1.0, 1.0], [0.0, 0.5, 0.0, 0.0]])
 
     @pytest.mark.parametrize("c", [2, 3, 4, 5, 6])
     def test_matches_enumeration_oracle(self, c):

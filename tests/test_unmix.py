@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hsunmix import unmix
 from hsunmix.clustering import fcm
 from hsunmix.errors import NumericalFailureError
 from hsunmix.initialize import fcls_abundances, vca
@@ -25,10 +26,16 @@ from hsunmix.unmix import (
     StopReason,
     abundance_step,
     converged,
+    coupling,
     global_cost,
+    gram_multiplicative,
+    gram_objective,
+    gram_step,
+    image_energy,
     neighbor_operator,
     objective,
     run_unmixing,
+    signature_products,
     update_abundance_multiplicative,
     update_signatures,
 )
@@ -201,24 +208,113 @@ class TestAbundanceStepMatchesOracle:
         unmasked = abundance_step(image.data, A, S, 0.05, neighbor_operator(nbhd), **knobs)
         assert (np.max(np.abs(step - unmasked)) > 1e-4) == preset.cluster_mask
 
-    def test_loop_runs_the_kernels(self):
+    @staticmethod
+    def _one_iteration(variant):
         rng = np.random.default_rng(33)
         image, A_true, S_true = random_problem(rng, L=8, width=6, height=5)
         A0 = rng.random((8, 3)) + 0.3
         # C order, like the copy the solver works on, so BLAS rounds alike
         S0 = np.ascontiguousarray(rng.dirichlet(np.ones(3), size=30).T)
         clusters = split_clusters(6, 5, 8)
-        cfg = UnmixingConfig(
-            variant="clustered_sparse_distributed", sparsity_weight=0.4, q=0.5, max_iter=1
-        )
-        result = run_unmixing(image, cfg, A0, S0, clusters)
-        Y = image.data
+        cfg = UnmixingConfig(variant=variant, sparsity_weight=0.4, q=0.5, max_iter=1)
+        return run_unmixing(image, cfg, A0, S0, clusters), image.data, A0, S0, clusters, cfg
+
+    def test_loop_runs_the_kernels(self):
+        result, Y, A0, S0, clusters, cfg = self._one_iteration("clustered_sparse_distributed")
         W = neighbor_operator(neighbor_weights(Y, build_neighborhood(6, 5)), clusters)
+        graph = coupling(W)
         A1 = update_signatures(Y, A0, S0)
-        S1 = projected_step(Y, A1, S0, cfg.mu, W, cfg.eta, 0.4, 0.5)
+        P = signature_products(Y, A1)
+        S1 = project_simplex_columns(S0 + gram_step(P, S0, cfg.mu, graph, cfg.eta, 0.4, 0.5))
+        J = gram_objective(image_energy(Y), P, S1, graph, cfg.eta, 0.4, 0.5)
         assert np.array_equal(result.A.data, A1)
         assert np.array_equal(result.S.data, S1)
+        assert result.cost_trace == [J]
+        # the public wrappers run the same kernels
+        assert np.array_equal(S1, projected_step(Y, A1, S0, cfg.mu, W, cfg.eta, 0.4, 0.5))
         assert result.cost_trace == [objective(Y, A1, S1, W, cfg.eta, 0.4, 0.5)]
+
+    @pytest.mark.parametrize("variant", ["nmf", "fcls"])
+    def test_uncoupled_loop_runs_the_kernels(self, variant):
+        result, Y, A0, S0, _, cfg = self._one_iteration(variant)
+        A1 = update_signatures(Y, A0, S0) if variant == "nmf" else A0
+        P = signature_products(Y, A1)
+        if variant == "nmf":
+            S1 = project_simplex_columns(gram_multiplicative(P, S0))
+        else:
+            S1 = project_simplex_columns(S0 + gram_step(P, S0, cfg.mu))
+        assert np.array_equal(result.A.data, A1)
+        assert np.array_equal(result.S.data, S1)
+        assert result.cost_trace == [gram_objective(image_energy(Y), P, S1)]
+
+
+@pytest.fixture(scope="module")
+def scenes():
+    """40 x 40 scenes at 15, 25 and 35 dB and a noiseless one, with VCA + FCLS starts."""
+    out = {}
+    for snr in (15.0, 25.0, 35.0, np.inf):
+        scene = generate_synthetic(bundled_library().data, 6, snr_db=snr, seed=7)
+        A0 = vca(scene.Y, 6, seed=7)
+        out[snr] = (scene, A0, fcls_abundances(scene.Y, A0))
+    return out
+
+
+class TestGramForm:
+    """The solver's Gram-form residual against the direct ``global_cost``."""
+
+    @pytest.mark.parametrize("snr", [15.0, 25.0, 35.0, np.inf])
+    def test_residual_matches_global_cost(self, scenes, snr):
+        scene, A0, S0 = scenes[snr]
+        Y = scene.Y.data
+        worst = abs(objective(Y, scene.A_true, scene.S_true)
+                    - global_cost(Y, scene.A_true, scene.S_true))
+        recorded, direct = [], []
+
+        def watch(iteration, A, S, J):
+            recorded.append(J)
+            direct.append(global_cost(Y, A, S))
+
+        run_unmixing(scene.Y, UnmixingConfig(variant="nmf", max_iter=30), A0, S0,
+                     on_iteration=watch)
+        worst = max(worst, float(np.max(np.abs(np.subtract(recorded, direct)))))
+        assert worst < 1e-9
+
+    @pytest.mark.parametrize("variant", ["nmf", "fcls", "distributed"])
+    def test_converging_run_stops_where_the_residual_form_would(self, scenes, variant):
+        scene, A0, S0 = scenes[25.0]
+        Y = scene.Y.data
+        cfg = UnmixingConfig(variant=variant, max_iter=2000, eps=1e-3)
+        direct = []
+
+        def watch(iteration, A, S, J):
+            # swap the Gram residual for the direct one; other terms are unchanged
+            direct.append(J - objective(Y, A, S) + global_cost(Y, A, S))
+
+        result = run_unmixing(scene.Y, cfg, A0, S0, on_iteration=watch)
+        assert result.stop_reason is StopReason.CONVERGED
+        steps = np.abs(np.diff(direct))
+        assert np.all(steps[:-1] >= cfg.eps) and steps[-1] < cfg.eps
+
+    def test_products_once_per_signature_update(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        image, _, _ = random_problem(rng, L=8, width=5, height=4)
+        A0 = rng.random((8, 3)) + 0.3
+        S0 = rng.dirichlet(np.ones(3), size=20).T
+        calls = []
+
+        def counting(Y, A):
+            calls.append(1)
+            return signature_products(Y, A)
+
+        monkeypatch.setattr(unmix, "signature_products", counting)
+        fcls_abundances(image, A0)
+        assert len(calls) == 1
+        for variant in AlgorithmVariant:
+            calls.clear()
+            cfg = UnmixingConfig(variant=variant.value, max_iter=7, eps=1e-300)
+            result = run_unmixing(image, cfg, A0, S0, split_clusters(5, 4, 8))
+            want = result.iterations_run if PRESETS[variant].update_a else 1
+            assert result.iterations_run == 7 and len(calls) == want
 
 
 class TestUpdateSignatures:
