@@ -45,7 +45,6 @@ from .types import (
     AlgorithmVariant,
     ClusterAssignment,
     HyperspectralImage,
-    NeighborhoodSystem,
     SignatureMatrix,
     UnmixingConfig,
     build_neighborhood,
@@ -74,7 +73,6 @@ __all__ = [
     "ExperimentSpec",
     "HyperspectralImage",
     "LibraryParseError",
-    "NeighborhoodSystem",
     "NumericalFailureError",
     "SignatureMatrix",
     "StopReason",

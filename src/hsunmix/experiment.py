@@ -173,6 +173,7 @@ def parse_experiment_spec(text: str) -> ExperimentSpec:
     entries.
     """
     values = {}
+    linenos = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -189,7 +190,20 @@ def parse_experiment_spec(text: str) -> ExperimentSpec:
             values[key] = _parse_spec_value(_SPEC_TYPES[key], val.strip())
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    return ExperimentSpec(**values)
+        linenos[key] = lineno
+    try:
+        return ExperimentSpec(**values)
+    except ValueError as exc:
+        # Name the line after which the settings read so far first fail the
+        # same way: the setting that made the spec invalid.
+        keys = list(values)
+        for i, key in enumerate(keys, start=1):
+            try:
+                ExperimentSpec(**{k: values[k] for k in keys[:i]})
+            except ValueError as partial:
+                if str(partial) == str(exc):
+                    raise ValueError(f"line {linenos[key]}: {exc}") from None
+        raise
 
 
 def derive_seed(master: int, *indices: int) -> int:

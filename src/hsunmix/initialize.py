@@ -110,24 +110,21 @@ def fcls_abundances(
     signatures,
     max_iter: int = 400,
     eps: float = 1e-10,
-    step: float | None = None,
 ) -> AbundanceMatrix:
     """Simplex-constrained least-squares abundances for fixed signatures.
 
     Runs the projected-gradient solver with the signatures held fixed,
     starting from the uniform mixture; with A fixed the solver forms A^T Y
-    and A^T A once, so each iteration is c x N work. The default step size
+    and A^T A once, so each iteration is c x N work. The step size
     1/lambda_max of the signature Gram matrix guarantees a stable descent
     regardless of the data scale.
     """
     A = as_matrix(signatures, "signatures")
-    if step is None:
-        top = float(np.linalg.eigvalsh(A.T @ A)[-1])
-        if top <= 0:
-            raise DegenerateDataError("signatures are identically zero")
-        step = 1.0 / top
+    top = float(np.linalg.eigvalsh(A.T @ A)[-1])
+    if top <= 0:
+        raise DegenerateDataError("signatures are identically zero")
     c = A.shape[1]
     S0 = np.full((c, Y.n_pixels), 1.0 / c)
-    cfg = UnmixingConfig(mu=step, eta=0.0, max_iter=max_iter, eps=eps, variant="fcls")
+    cfg = UnmixingConfig(mu=1.0 / top, eta=0.0, max_iter=max_iter, eps=eps, variant="fcls")
     result = run_unmixing(Y, cfg, A, S0)
     return result.S

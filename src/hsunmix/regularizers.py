@@ -9,9 +9,10 @@ pixel neighborhood, the Euclidean projection onto the unit simplex, and the
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import DegenerateDataError
-from .types import HyperspectralImage, NeighborhoodSystem, as_matrix
+from .types import as_matrix
 
 SPARSITY_GUARD = 1e-12  # keeps the q-norm gradient finite at exact zeros
 
@@ -62,31 +63,35 @@ def spectral_angle_cos(a, b) -> float:
     return float(a @ b) / float(np.sqrt(na2 * nb2))
 
 
-def neighbor_weights(Y, nbhd: NeighborhoodSystem) -> NeighborhoodSystem:
-    """Attach cosine-similarity weights, normalized over each neighbor list.
+def neighbor_weights(Y, adjacency) -> csr_matrix:
+    """Cosine-similarity weights on the pattern of ``adjacency``, normalized per row.
 
     The weight of neighbor j for pixel k is the cosine similarity of their
     spectra divided by the summed similarity over all neighbors of k, so the
-    weights of every pixel with neighbors sum to 1.
+    weights of every pixel with neighbors sum to 1. The result has the
+    stored entries of ``adjacency`` as its pattern; a pixel without
+    neighbors keeps an empty row.
     """
     arr = as_matrix(Y, "image")
     n = arr.shape[1]
-    if nbhd.n_pixels != n:
+    adjacency = csr_matrix(adjacency)
+    if adjacency.shape != (n, n):
         raise ValueError("neighborhood size does not match the pixel count")
     norms = np.sqrt((arr * arr).sum(axis=0))
     if np.any(norms == 0):
         raise ValueError("image contains a zero-spectrum pixel")
-    if nbhd.indices.size == 0:
-        return nbhd.with_weights(np.zeros(0))
-    src = np.repeat(np.arange(n), np.diff(nbhd.indptr))
-    dst = nbhd.indices
+    indptr, dst = adjacency.indptr, adjacency.indices
+    degrees = np.diff(indptr)
+    src = np.repeat(np.arange(n), degrees)
     dots = np.einsum("ij,ij->j", arr[:, src], arr[:, dst])
     theta = dots / (norms[src] * norms[dst])
-    denom = np.add.reduceat(theta, nbhd.indptr[:-1])
-    degrees = np.diff(nbhd.indptr)
-    if np.any((degrees > 0) & (denom[: degrees.size] == 0)):
+    # reduceat over the nonempty rows only: an empty row would read past theta
+    nonempty = degrees > 0
+    denom = np.zeros(n)
+    denom[nonempty] = np.add.reduceat(theta, indptr[:-1][nonempty])
+    if np.any(nonempty & (denom == 0)):
         raise DegenerateDataError("a pixel has zero total similarity to its neighbors")
-    return nbhd.with_weights(theta / denom[src])
+    return csr_matrix((theta / denom[src], dst, indptr), shape=(n, n))
 
 
 def project_simplex_columns(V) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Core value types, the algorithm variant names and the pixel-grid neighborhood.
+"""Core value types, the algorithm variant names and the pixel-grid adjacency.
 
 All matrix containers are frozen dataclasses that validate their invariants on
 construction. The stored arrays should be treated as read-only; operations
@@ -10,6 +10,7 @@ Shape conventions used throughout the package:
 * signatures      -- (bands L, endmembers c), one spectrum per column
 * abundances      -- (endmembers c, pixels N), one simplex vector per column
 * memberships     -- (clusters C, pixels N)
+* neighbor graph  -- (pixels N, pixels N) scipy CSR, row k holds pixel k's neighbors
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 ASC_TOL = 1e-9   # default tolerance on abundance column sums
-ROW_SUM_TOL = 1e-12  # tolerance on normalized neighbor-weight sums
 
 
 def as_matrix(x, name: str = "array") -> np.ndarray:
@@ -138,61 +139,6 @@ class AbundanceMatrix:
 
 
 @dataclass(frozen=True)
-class NeighborhoodSystem:
-    """Adjacency of the pixel grid in compressed sparse row form.
-
-    ``indices[indptr[k]:indptr[k+1]]`` lists the neighbors of pixel k (the
-    pixel itself is never included). ``weights`` is parallel to ``indices``
-    and, once attached, sums to 1 over each nonempty neighbor list.
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    weights: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        indptr = np.asarray(self.indptr, dtype=np.int64)
-        indices = np.asarray(self.indices, dtype=np.int64)
-        object.__setattr__(self, "indptr", indptr)
-        object.__setattr__(self, "indices", indices)
-        if indptr.ndim != 1 or indptr.size < 1 or indptr[0] != 0:
-            raise ValueError("indptr must be 1-D and start at 0")
-        if np.any(np.diff(indptr) < 0) or indptr[-1] != indices.size:
-            raise ValueError("indptr must be nondecreasing and end at len(indices)")
-        n = indptr.size - 1
-        if indices.size and (indices.min() < 0 or indices.max() >= n):
-            raise ValueError("neighbor indices out of range")
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=np.float64)
-            if w.shape != indices.shape:
-                raise ValueError("weights must be parallel to indices")
-            if np.any(w < 0) or not np.all(np.isfinite(w)):
-                raise ValueError("weights must be finite and nonnegative")
-            sums = np.add.reduceat(w, indptr[:-1]) if indices.size else np.zeros(0)
-            degrees = np.diff(indptr)
-            if indices.size:
-                bad = (degrees > 0) & (np.abs(sums - 1.0) > ROW_SUM_TOL)
-                if np.any(bad):
-                    raise ValueError("neighbor weights must sum to 1 per pixel")
-            object.__setattr__(self, "weights", w)
-
-    @property
-    def n_pixels(self) -> int:
-        return self.indptr.size - 1
-
-    def neighbors_of(self, k: int) -> np.ndarray:
-        return self.indices[self.indptr[k]:self.indptr[k + 1]]
-
-    def weights_of(self, k: int) -> np.ndarray:
-        if self.weights is None:
-            raise ValueError("weights have not been attached")
-        return self.weights[self.indptr[k]:self.indptr[k + 1]]
-
-    def with_weights(self, weights: np.ndarray) -> "NeighborhoodSystem":
-        return NeighborhoodSystem(self.indptr, self.indices, weights)
-
-
-@dataclass(frozen=True)
 class ClusterAssignment:
     """Fuzzy clustering result: hard labels, soft memberships, cluster centers.
 
@@ -287,11 +233,13 @@ class UnmixingConfig:
         object.__setattr__(self, "variant", AlgorithmVariant(self.variant).value)
 
 
-def build_neighborhood(width: int, height: int) -> NeighborhoodSystem:
-    """8-connected neighborhood of a width x height grid, pixels row-major.
+def build_neighborhood(width: int, height: int) -> csr_matrix:
+    """8-connected adjacency of a width x height grid, pixels row-major.
 
-    Interior pixels get 8 neighbors, edge pixels 5, corner pixels 3. A 1x1
-    grid yields an empty neighborhood. Weights are left unattached.
+    An N x N CSR matrix in canonical form (sorted columns, no duplicates)
+    with a stored 1 for each neighbor pair, symmetric, with an empty
+    diagonal. Interior pixels get 8 neighbors, edge pixels 5, corner pixels
+    3. A 1x1 grid yields an empty matrix.
     """
     if width < 1 or height < 1:
         raise ValueError("grid dimensions must be positive")
@@ -311,14 +259,12 @@ def build_neighborhood(width: int, height: int) -> NeighborhoodSystem:
             )
             src_parts.append(np.nonzero(ok)[0])
             dst_parts.append(src_parts[-1] + dr * width + dc)
-    src = np.concatenate(src_parts) if src_parts else np.zeros(0, dtype=np.int64)
-    dst = np.concatenate(dst_parts) if dst_parts else np.zeros(0, dtype=np.int64)
+    src = np.concatenate(src_parts)
+    dst = np.concatenate(dst_parts)
     order = np.lexsort((dst, src))
-    src = src[order]
-    dst = dst[order]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return NeighborhoodSystem(indptr, dst)
+    return csr_matrix((np.ones(dst.size), dst[order], indptr), shape=(n, n))
 
 
 def validate_abundances(S, tol: float = ASC_TOL) -> bool:

@@ -40,16 +40,28 @@ identities
     A^T (Y - A S) = A^T Y - (A^T A) S
     |Y - A S|^2   = |Y|^2 - 2 <A^T Y, S> + <A^T A, S S^T>
 
-|Y|^2 and the neighbor operator W, with its degree vector W 1 and the row
-of each stored weight (``coupling``), are formed once per run. A^T Y and
-A^T A are formed once per signature update: every iteration for the presets
-that update A, once per run for ``fcls``. The rest of an iteration is c x N
-work, apart from the L x N products inside ``update_signatures``.
+and the coupling term of the objective, for the neighbor operator W (a
+scipy CSR matrix from ``build_neighborhood`` through ``neighbor_weights``
+and ``neighbor_operator``), by
+
+    sum_kj W[k, j] |s_k - s_j|^2 = <W 1 + W^T 1, |s|^2> - 2 <S, S W^T>
+
+with |s|^2 the squared norms of the abundance columns. |Y|^2 and W, with
+its row sums W 1 and its spread W 1 + W^T 1 (``coupling``), are formed once
+per run. A^T Y and A^T A are formed once per signature update: every
+iteration for the presets that update A, once per run for ``fcls``. The
+rest of an iteration is c x N work, products with the sparse W included,
+apart from the L x N products inside ``update_signatures``.
 
 The Gram form of the residual rounds at about machine epsilon times |Y|^2,
 not times |Y - A S|^2. On 40 x 40 scenes with |Y|^2 of about 2e4, noiseless
 or noisy, the recorded cost differs from the direct ``global_cost`` by at
-most 1e-10, 100 times below the stop rule's default ``eps`` of 1e-8.
+most 1e-10, 100 times below the stop rule's default ``eps`` of 1e-8. The
+coupling identity likewise rounds at about machine epsilon times
+eta <W 1 + W^T 1, |s|^2>, not times the coupling term itself. Rows of W
+sum to at most 1 and abundance columns on the simplex have |s|^2 <= 1, so
+that scale is at most 2 eta N: about 7e-14 at the default eta = 0.1 on a
+40 x 40 scene.
 """
 
 from __future__ import annotations
@@ -74,7 +86,6 @@ from .types import (
     AlgorithmVariant,
     ClusterAssignment,
     HyperspectralImage,
-    NeighborhoodSystem,
     SignatureMatrix,
     UnmixingConfig,
     as_matrix,
@@ -148,41 +159,46 @@ def global_cost(Y, A, S) -> float:
     return float(np.sum(resid * resid))
 
 
-def neighbor_operator(
-    nbhd: NeighborhoodSystem, clusters: Optional[ClusterAssignment] = None
-) -> csr_matrix:
-    """The weighted neighbor graph as an N x N CSR matrix W.
+def neighbor_operator(W: csr_matrix, clusters: Optional[ClusterAssignment] = None) -> csr_matrix:
+    """The neighbor operator of the coupling: the weights W, gated by cluster.
 
-    Row k holds the attached weights of the neighbors of pixel k. With
-    ``clusters`` given, the weights to neighbors in another cluster are set
-    to zero, so the coupling only sees same-cluster neighbors.
+    With ``clusters`` given, the weights to neighbors in another cluster are
+    set to zero (kept as explicit zeros, so the pattern of W is unchanged)
+    and the coupling only sees same-cluster neighbors. Without, W is
+    returned as it is.
     """
-    if nbhd.weights is None:
-        raise ValueError("neighborhood weights have not been attached")
-    n = nbhd.n_pixels
-    weights = nbhd.weights
-    if clusters is not None:
-        labels = clusters.labels
-        if labels.shape != (n,):
-            raise ValueError("clusters do not match the neighborhood size")
-        rows = np.repeat(np.arange(n), np.diff(nbhd.indptr))
-        weights = weights * (labels[rows] == labels[nbhd.indices])
-    return csr_matrix((weights, nbhd.indices, nbhd.indptr), shape=(n, n))
+    if clusters is None:
+        return W
+    n = W.shape[0]
+    labels = clusters.labels
+    if labels.shape != (n,):
+        raise ValueError("clusters do not match the neighborhood size")
+    rows = np.repeat(np.arange(n), np.diff(W.indptr))
+    same = labels[rows] == labels[W.indices]
+    return csr_matrix((W.data * same, W.indices, W.indptr), shape=W.shape)
 
 
 class Coupling(NamedTuple):
-    """The neighbor operator W with what the kernels read of it every iteration."""
+    """The neighbor operator W with what the kernels read of it every iteration.
+
+    ``gram_objective`` forms the coupling term from one sparse product,
+
+        sum_kj W[k, j] |s_k - s_j|^2 = <spread, |s|^2> - 2 <S, S W^T>
+
+    with |s|^2 the squared norm of every abundance column. The right side
+    is a difference of two sums as large as <spread, |s|^2>, so it rounds at
+    about machine epsilon times eta <spread, |s|^2>, not times the term.
+    """
 
     W: csr_matrix
     degree: np.ndarray  # W 1, the summed weight of each row
-    rows: np.ndarray  # the row of each stored weight
+    spread: np.ndarray  # W 1 + W^T 1, each pixel's weight as sender and receiver
 
 
 def coupling(W: csr_matrix) -> Coupling:
-    """Bundle W with its degree vector and the row index of its stored weights."""
+    """Bundle W with its row sums and its row-plus-column sums."""
     degree = np.asarray(W.sum(axis=1)).ravel()
-    rows = np.repeat(np.arange(W.shape[0]), np.diff(W.indptr))
-    return Coupling(W, degree, rows)
+    return Coupling(W, degree, degree + np.asarray(W.sum(axis=0)).ravel())
 
 
 class Products(NamedTuple):
@@ -232,13 +248,18 @@ def gram_objective(
 
     The residual term is |Y|^2 - 2 <AtY, S> + <AtA, S S^T> with
     ``y_energy`` = |Y|^2; to it come eta sum_kj W[k, j] |s_k - s_j|^2 and
-    lam times the summed guarded q-norms of the abundance columns. On an
+    lam times the summed guarded q-norms of the abundance columns; the
+    coupling term comes from one sparse product (see ``Coupling``). On an
     exact fit the residual term can round to a tiny negative value.
     """
     value = y_energy - 2.0 * float(np.vdot(P.AtY, S)) + float(np.vdot(P.AtA, S @ S.T))
     if graph is not None and eta > 0:
-        diff = S[:, graph.rows] - S[:, graph.W.indices]
-        value += eta * float(graph.W.data @ np.einsum("ij,ij->j", diff, diff))
+        # np.vdot, not a full einsum reduction: that one sums sequentially
+        # and rounds about ten times worse on 40 x 40 scenes
+        pull = (graph.W @ S.T).T  # S W^T
+        value += eta * (
+            float(graph.spread @ np.einsum("ij,ij->j", S, S)) - 2.0 * float(np.vdot(S, pull))
+        )
     if lam > 0:
         value += lam * float(sparsity_norm(S, q).sum())
     return value

@@ -13,12 +13,14 @@ import numpy as np
 from hsunmix.regularizers import sparsity_gradient, sparsity_norm
 
 
-def masked_neighbors(k, nbhd, clusters=None):
-    """Neighbors of pixel k and their weights, restricted to its cluster."""
-    if nbhd is None:
-        raise ValueError("coupling needs a neighborhood system")
-    neighbors = nbhd.neighbors_of(k)
-    weights = nbhd.weights_of(k)
+def masked_neighbors(k, W, clusters=None):
+    """Neighbors of pixel k and their weights (row k of the CSR matrix W),
+    restricted to its cluster."""
+    if W is None:
+        raise ValueError("coupling needs a neighbor graph")
+    row = slice(W.indptr[k], W.indptr[k + 1])
+    neighbors = W.indices[row]
+    weights = W.data[row]
     if clusters is not None:
         keep = clusters.labels[neighbors] == clusters.labels[k]
         neighbors = neighbors[keep]
@@ -26,14 +28,14 @@ def masked_neighbors(k, nbhd, clusters=None):
     return neighbors, weights
 
 
-def local_cost(k, Y, A, S, nbhd=None, clusters=None, eta=0.0, lam=0.0, q=1.0):
+def local_cost(k, Y, A, S, W=None, clusters=None, eta=0.0, lam=0.0, q=1.0):
     """Pixel k's cost: residual + eta * weighted squared neighbor differences
     + lam * guarded q-norm of its abundance vector."""
     s_k = S[:, k]
     resid = Y[:, k] - A @ s_k
     value = float(resid @ resid)
     if eta > 0:
-        neighbors, weights = masked_neighbors(k, nbhd, clusters)
+        neighbors, weights = masked_neighbors(k, W, clusters)
         diff = S[:, neighbors] - s_k[:, None]
         value += eta * float(weights @ np.einsum("ij,ij->j", diff, diff))
     if lam > 0:
@@ -41,12 +43,12 @@ def local_cost(k, Y, A, S, nbhd=None, clusters=None, eta=0.0, lam=0.0, q=1.0):
     return value
 
 
-def pixel_step(k, Y, A, S, mu, nbhd=None, clusters=None, eta=0.0, lam=0.0, q=1.0):
+def pixel_step(k, Y, A, S, mu, W=None, clusters=None, eta=0.0, lam=0.0, q=1.0):
     """Pixel k's abundance step before projection, neighbors read from S."""
     s_k = S[:, k]
     step = mu * (A.T @ (Y[:, k] - A @ s_k))
     if eta > 0:
-        neighbors, weights = masked_neighbors(k, nbhd, clusters)
+        neighbors, weights = masked_neighbors(k, W, clusters)
         step = step + mu * eta * ((S[:, neighbors] - s_k[:, None]) @ weights)
     if lam > 0:
         step = step - mu * lam * sparsity_gradient(s_k, q)

@@ -284,7 +284,7 @@ class TestExperimentCommand:
         spec_path.write_text("runs = 1\nmu = -1\n")
         rc = main(["experiment", str(spec_path), "--out", str(tmp_path / "o")])
         assert rc == 2
-        assert "mu must be positive" in capsys.readouterr().err
+        assert "error: line 2: mu must be positive and finite" in capsys.readouterr().err
 
 
 class TestSpecParsing:
@@ -350,6 +350,21 @@ class TestSpecParsing:
     def test_bad_solver_settings_rejected_at_parse_time(self, text):
         with pytest.raises(ValueError):
             parse_experiment_spec(text + "\n")
+
+    @pytest.mark.parametrize(
+        "text,line,message",
+        [
+            ("runs = 1\nmu = -1", 2, "mu must be positive and finite"),
+            ("variants = nmf, lq_nmf\nq_lq = 2", 2, "q must lie in (0, 1]"),
+            ("q_lq = 2\n# the q_lq line is valid until lq_nmf runs\nvariants = lq_nmf", 3,
+             "q must lie in (0, 1]"),
+            ("runs = 2\ninit = none", 2, "init must be 'vca' or 'random'"),
+        ],
+    )
+    def test_spec_level_errors_name_the_line_that_made_them(self, text, line, message):
+        with pytest.raises(ValueError) as info:
+            parse_experiment_spec(text + "\n")
+        assert str(info.value) == f"line {line}: {message}"
 
     def test_solver_defaults_are_the_config_defaults(self):
         spec = parse_experiment_spec("")

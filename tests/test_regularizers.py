@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from hsunmix.errors import DegenerateDataError
 from hsunmix.regularizers import (
@@ -85,36 +86,50 @@ class TestSpectralAngleCos:
             spectral_angle_cos(np.zeros(3), np.ones(3))
 
 
+def row_weights(W, k):
+    """The stored weights of row k of the CSR matrix W, in column order."""
+    return W.data[W.indptr[k]:W.indptr[k + 1]]
+
+
 class TestNeighborWeights:
     def test_single_neighbor_gets_weight_one(self):
         Y = np.array([[1.0, 2.0], [0.5, 1.5]])
         nbhd = neighbor_weights(Y, build_neighborhood(2, 1))
-        assert nbhd.weights_of(0).tolist() == [1.0]
-        assert nbhd.weights_of(1).tolist() == [1.0]
+        assert row_weights(nbhd, 0).tolist() == [1.0]
+        assert row_weights(nbhd, 1).tolist() == [1.0]
 
     def test_hand_built_similarities(self):
         # middle pixel of a 1x3 image; neighbors at cosine 0.8 and 0.2
         Y = np.array([[0.8, 1.0, 0.2], [0.6, 0.0, np.sqrt(0.96)]])
         nbhd = neighbor_weights(Y, build_neighborhood(3, 1))
-        w = nbhd.weights_of(1)
+        w = row_weights(nbhd, 1)
         assert np.allclose(w, [0.8, 0.2], rtol=0, atol=1e-12)
 
     def test_identical_neighbors_share_uniformly(self):
         Y = np.tile(np.array([[1.0], [2.0]]), (1, 9))
         nbhd = neighbor_weights(Y, build_neighborhood(3, 3))
-        assert np.allclose(nbhd.weights_of(4), np.full(8, 1 / 8), rtol=0, atol=1e-15)
+        assert np.allclose(row_weights(nbhd, 4), np.full(8, 1 / 8), rtol=0, atol=1e-15)
 
     def test_weights_normalize_per_pixel(self):
         rng = np.random.default_rng(3)
         Y = rng.random((5, 12)) + 0.05
         nbhd = neighbor_weights(Y, build_neighborhood(4, 3))
         for k in range(12):
-            assert np.isclose(nbhd.weights_of(k).sum(), 1.0, rtol=0, atol=1e-12)
+            assert np.isclose(row_weights(nbhd, k).sum(), 1.0, rtol=0, atol=1e-12)
 
     def test_zero_pixel_rejected(self):
         Y = np.array([[1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(ValueError):
             neighbor_weights(Y, build_neighborhood(2, 1))
+
+    def test_neighborless_last_pixel_keeps_an_empty_row(self):
+        # pixels 0 and 1 are neighbors; pixel 2 has none
+        adjacency = csr_matrix((np.ones(2), [1, 0], [0, 1, 2, 2]), shape=(3, 3))
+        Y = np.array([[1.0, 2.0, 3.0], [0.5, 1.5, 1.0]])
+        W = neighbor_weights(Y, adjacency)
+        assert W.indptr.tolist() == [0, 1, 2, 2]
+        assert W.indices.tolist() == [1, 0]
+        assert W.data.tolist() == [1.0, 1.0]
 
     def test_orthogonal_neighbors_degenerate(self):
         # all similarities are exactly zero: normalization is impossible

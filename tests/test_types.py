@@ -2,13 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from hsunmix.types import (
     AbundanceMatrix,
     AlgorithmVariant,
     ClusterAssignment,
     HyperspectralImage,
-    NeighborhoodSystem,
     SignatureMatrix,
     UnmixingConfig,
     build_neighborhood,
@@ -29,34 +29,55 @@ def grid_neighbors(width, height, k):
     return out
 
 
+def neighbors(adjacency, k):
+    """Column indices of row k of a CSR adjacency matrix."""
+    return adjacency.indices[adjacency.indptr[k]:adjacency.indptr[k + 1]]
+
+
 class TestBuildNeighborhood:
+    def test_canonical_symmetric_csr_with_grid_degrees(self):
+        adjacency = build_neighborhood(5, 4)
+        assert isinstance(adjacency, csr_matrix)
+        assert adjacency.shape == (20, 20)
+        assert adjacency.has_sorted_indices and adjacency.has_canonical_format
+        assert np.array_equal(adjacency.data, np.ones(adjacency.nnz))
+        assert (adjacency != adjacency.T).nnz == 0
+        assert adjacency.diagonal().sum() == 0
+        degrees = np.array([
+            [3, 5, 5, 5, 3],
+            [5, 8, 8, 8, 5],
+            [5, 8, 8, 8, 5],
+            [3, 5, 5, 5, 3],
+        ])
+        assert np.array_equal(np.diff(adjacency.indptr), degrees.ravel())
+
     def test_center_of_3x3_has_8_neighbors(self):
         nbhd = build_neighborhood(3, 3)
-        assert sorted(nbhd.neighbors_of(4).tolist()) == [0, 1, 2, 3, 5, 6, 7, 8]
+        assert neighbors(nbhd, 4).tolist() == [0, 1, 2, 3, 5, 6, 7, 8]
 
     def test_corner_of_3x3_has_3_neighbors(self):
         nbhd = build_neighborhood(3, 3)
-        assert sorted(nbhd.neighbors_of(0).tolist()) == [1, 3, 4]
+        assert neighbors(nbhd, 0).tolist() == [1, 3, 4]
 
     def test_middle_of_1x5_row_has_2_neighbors(self):
         nbhd = build_neighborhood(5, 1)
-        assert sorted(nbhd.neighbors_of(2).tolist()) == [1, 3]
+        assert neighbors(nbhd, 2).tolist() == [1, 3]
 
     @pytest.mark.parametrize("width,height", [(1, 1), (2, 2), (4, 3), (7, 5)])
     def test_matches_brute_force(self, width, height):
         nbhd = build_neighborhood(width, height)
         for k in range(width * height):
-            assert sorted(nbhd.neighbors_of(k).tolist()) == grid_neighbors(width, height, k)
+            assert neighbors(nbhd, k).tolist() == grid_neighbors(width, height, k)
 
     def test_single_pixel_has_no_neighbors(self):
         nbhd = build_neighborhood(1, 1)
-        assert nbhd.neighbors_of(0).size == 0
+        assert nbhd.shape == (1, 1) and nbhd.nnz == 0
 
     def test_symmetry(self):
         nbhd = build_neighborhood(6, 4)
         for k in range(24):
-            for j in nbhd.neighbors_of(k):
-                assert k in nbhd.neighbors_of(j)
+            for j in neighbors(nbhd, k):
+                assert k in neighbors(nbhd, j)
 
     def test_rejects_nonpositive_dims(self):
         with pytest.raises(ValueError):
@@ -133,25 +154,6 @@ class TestSignatureAndAbundanceMatrices:
     def test_abundance_accepts_simplex(self):
         S = AbundanceMatrix(np.array([[0.25, 1.0], [0.75, 0.0]]))
         assert S.data.shape == (2, 2)
-
-
-class TestNeighborhoodSystem:
-    def test_weights_must_normalize(self):
-        nbhd = build_neighborhood(2, 1)
-        with pytest.raises(ValueError):
-            nbhd.with_weights(np.array([0.5, 0.7]))
-
-    def test_with_weights_roundtrip(self):
-        nbhd = build_neighborhood(3, 1).with_weights(np.array([1.0, 0.4, 0.6, 1.0]))
-        assert np.allclose(nbhd.weights_of(1), [0.4, 0.6])
-
-    def test_indptr_must_be_monotone(self):
-        with pytest.raises(ValueError):
-            NeighborhoodSystem(np.array([0, 2, 1]), np.array([1, 0]))
-
-    def test_indices_in_range(self):
-        with pytest.raises(ValueError):
-            NeighborhoodSystem(np.array([0, 1, 2]), np.array([1, 5]))
 
 
 class TestClusterAssignment:

@@ -106,7 +106,7 @@ class TestLocalCost:
         Y = np.array([[1.0, 0.0], [0.0, 1.0]])
         A = np.eye(2)
         S = np.array([[1.0, 0.0], [0.0, 1.0]])
-        nbhd = build_neighborhood(2, 1).with_weights(np.array([1.0, 1.0]))
+        nbhd = build_neighborhood(2, 1)  # the 0/1 adjacency: one neighbor, weight 1
         assert objective(Y, A, S, neighbor_operator(nbhd), eta=0.1) == pytest.approx(0.4, rel=1e-12)
         assert local_cost(0, Y, A, S, nbhd, eta=0.1) == pytest.approx(0.2, rel=1e-12)
 
@@ -120,13 +120,19 @@ class TestLocalCost:
         rng = np.random.default_rng(31)
         image, A, S = random_problem(rng, width=6, height=5)
         nbhd = neighbor_weights(image.data, build_neighborhood(6, 5))
-        clusters = split_clusters(6, 5, image.n_bands)
-        W = neighbor_operator(nbhd, clusters)
         knobs = dict(eta=0.3, lam=0.4, q=0.5)
-        want = sum(
-            local_cost(k, image.data, A, S, nbhd, clusters, **knobs) for k in range(30)
-        )
-        assert objective(image.data, A, S, W, **knobs) == pytest.approx(want, rel=1e-12)
+        # every pixel in its own cluster gates W to explicit zeros, so the
+        # coupling identity must add exactly nothing to residual plus sparsity
+        alone = ClusterAssignment(np.arange(30), np.eye(30), np.ones((image.n_bands, 30)))
+        for clusters in (split_clusters(6, 5, image.n_bands), alone):
+            W = neighbor_operator(nbhd, clusters)
+            want = sum(
+                local_cost(k, image.data, A, S, nbhd, clusters, **knobs) for k in range(30)
+            )
+            assert objective(image.data, A, S, W, **knobs) == pytest.approx(want, rel=1e-12)
+        assert W.nnz == nbhd.nnz and not W.data.any()
+        uncoupled = objective(image.data, A, S, lam=knobs["lam"], q=knobs["q"])
+        assert objective(image.data, A, S, W, **knobs) == uncoupled
 
 
 class TestSmoothGradient:
