@@ -31,6 +31,7 @@ from .fileio import (
 from .initialize import fcls_abundances, random_init, vca
 from .metrics import EvaluationReport, aad, evaluate, evaluate_matrices, match_endmembers, sad
 from .regularizers import (
+    build_neighborhood,
     estimate_sparsity_weight,
     neighbor_weights,
     project_simplex,
@@ -47,7 +48,6 @@ from .types import (
     HyperspectralImage,
     SignatureMatrix,
     UnmixingConfig,
-    build_neighborhood,
     resolve_variant,
     validate_abundances,
 )

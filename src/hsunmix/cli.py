@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import fcm
+from .clustering import FCM_M, FCM_MAX_ITER, FCM_TOL, fcm
 from .errors import CubeFormatError, DegenerateDataError, LibraryParseError, NumericalFailureError
 from .experiment import parse_experiment_spec, run_experiment, run_pipeline, write_aggregate_csv, write_rows_csv
 from .fileio import read_cube, read_spectral_library, write_cube, write_report, write_spectral_library
@@ -197,9 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster", help="fuzzy-cluster the pixels of a cube")
     p.add_argument("cube", help="input data cube")
     p.add_argument("--clusters", type=int, default=6)
-    p.add_argument("--m", type=float, default=2.0, help="fuzziness exponent")
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iter", type=int, default=300)
+    p.add_argument("--m", type=float, default=FCM_M, help="fuzziness exponent")
+    p.add_argument("--tol", type=float, default=FCM_TOL)
+    p.add_argument("--max-iter", type=int, default=FCM_MAX_ITER)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_cluster)

@@ -13,13 +13,18 @@ import numpy as np
 
 from .types import ClusterAssignment, as_matrix
 
+# defaults of fcm, read by the experiment spec and the ``cluster`` command
+FCM_M = 2.0  # fuzzifier
+FCM_TOL = 1e-6  # largest membership change that stops the iteration
+FCM_MAX_ITER = 300
+
 
 def fcm(
     Y,
     n_clusters: int,
-    m: float = 2.0,
-    tol: float = 1e-6,
-    max_iter: int = 300,
+    m: float = FCM_M,
+    tol: float = FCM_TOL,
+    max_iter: int = FCM_MAX_ITER,
     seed: int = 0,
     initial_centers: Optional[np.ndarray] = None,
     on_iteration: Optional[Callable[[int, np.ndarray, np.ndarray, float], None]] = None,
@@ -74,7 +79,7 @@ def fcm(
     return ClusterAssignment(labels, memberships, centers)
 
 
-def fcm_objective(Y, memberships: np.ndarray, centers: np.ndarray, m: float = 2.0) -> float:
+def fcm_objective(Y, memberships: np.ndarray, centers: np.ndarray, m: float = FCM_M) -> float:
     """Weighted squared distortion sum_ck u_ck^m ||y_k - v_c||^2."""
     arr = as_matrix(Y, "image")
     u = np.asarray(memberships, dtype=np.float64)

@@ -24,7 +24,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union, get_args, g
 
 import numpy as np
 
-from .clustering import fcm
+from .clustering import FCM_M, FCM_MAX_ITER, FCM_TOL, fcm
 from .initialize import fcls_abundances, random_init, vca
 from .metrics import evaluate
 from .synth import generate_synthetic
@@ -100,9 +100,9 @@ class ExperimentSpec:
     max_iter: int = UnmixingConfig.max_iter
     eps: float = UnmixingConfig.eps
     init: str = "vca"
-    fcm_m: float = 2.0
-    fcm_tol: float = 1e-6
-    fcm_max_iter: int = 300
+    fcm_m: float = FCM_M
+    fcm_tol: float = FCM_TOL
+    fcm_max_iter: int = FCM_MAX_ITER
     seed: int = 0
     fix_signatures: bool = False
     library: Optional[str] = None

@@ -1,18 +1,21 @@
-"""Regularization building blocks: sparsity weight, similarity weights, simplex projection.
+"""Regularization building blocks: pixel graph, sparsity weight, simplex projection.
 
-These are the small numerical kernels the solver composes: a data-driven
-estimate of the sparsity penalty weight, cosine-similarity weights over the
-pixel neighborhood, the Euclidean projection onto the unit simplex, and the
-(sub)gradient of the q-norm sparsity penalty.
+These are the small numerical kernels the solver composes: the pixel graph
+(the 8-connected grid adjacency and its cosine-similarity weights, gated by
+cluster when asked), a data-driven estimate of the sparsity penalty weight,
+the Euclidean projection onto the unit simplex, and the (sub)gradient of
+the q-norm sparsity penalty.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, diags, identity, kron
 
 from .errors import DegenerateDataError
-from .types import as_matrix
+from .types import ClusterAssignment, as_matrix
 
 SPARSITY_GUARD = 1e-12  # keeps the q-norm gradient finite at exact zeros
 
@@ -63,7 +66,25 @@ def spectral_angle_cos(a, b) -> float:
     return float(a @ b) / float(np.sqrt(na2 * nb2))
 
 
-def neighbor_weights(Y, adjacency) -> csr_matrix:
+def build_neighborhood(width: int, height: int) -> csr_matrix:
+    """8-connected adjacency of a width x height grid, pixels row-major.
+
+    An N x N CSR matrix in canonical form (sorted columns, no duplicates)
+    with a stored 1 for each neighbor pair, symmetric, with an empty
+    diagonal. Interior pixels get 8 neighbors, edge pixels 5, corner pixels
+    3. A 1x1 grid yields an empty matrix.
+
+    The king-move grid is (B_h kron B_w) - I, with B_m the m x m tridiagonal
+    matrix of ones. Both terms are CSR, so the difference drops the
+    cancelled diagonal; a default-format kron would keep it stored.
+    """
+    if width < 1 or height < 1:
+        raise ValueError("grid dimensions must be positive")
+    band_h, band_w = (diags([1.0, 1.0, 1.0], [-1, 0, 1], shape=(m, m)) for m in (height, width))
+    return kron(band_h, band_w, format="csr") - identity(width * height, format="csr")
+
+
+def neighbor_weights(Y, adjacency, clusters: Optional[ClusterAssignment] = None) -> csr_matrix:
     """Cosine-similarity weights on the pattern of ``adjacency``, normalized per row.
 
     The weight of neighbor j for pixel k is the cosine similarity of their
@@ -71,19 +92,30 @@ def neighbor_weights(Y, adjacency) -> csr_matrix:
     weights of every pixel with neighbors sum to 1. The result has the
     stored entries of ``adjacency`` as its pattern; a pixel without
     neighbors keeps an empty row.
+
+    With ``clusters`` given, the weights to neighbors in another cluster are
+    then set to zero, kept as explicit zeros so the pattern stays, and the
+    coupling only sees same-cluster neighbors; the remaining weights are not
+    renormalized. The spectral dot products are formed N stored entries at
+    a time, so the gathered spectra never exceed two copies of the image.
     """
     arr = as_matrix(Y, "image")
     n = arr.shape[1]
     adjacency = csr_matrix(adjacency)
     if adjacency.shape != (n, n):
         raise ValueError("neighborhood size does not match the pixel count")
+    if clusters is not None and clusters.labels.shape != (n,):
+        raise ValueError("clusters do not match the pixel count")
     norms = np.sqrt((arr * arr).sum(axis=0))
     if np.any(norms == 0):
         raise ValueError("image contains a zero-spectrum pixel")
     indptr, dst = adjacency.indptr, adjacency.indices
     degrees = np.diff(indptr)
     src = np.repeat(np.arange(n), degrees)
-    dots = np.einsum("ij,ij->j", arr[:, src], arr[:, dst])
+    dots = np.empty(dst.size)
+    for start in range(0, dst.size, n):
+        part = slice(start, start + n)
+        dots[part] = np.einsum("ij,ij->j", arr[:, src[part]], arr[:, dst[part]])
     theta = dots / (norms[src] * norms[dst])
     # reduceat over the nonempty rows only: an empty row would read past theta
     nonempty = degrees > 0
@@ -91,7 +123,10 @@ def neighbor_weights(Y, adjacency) -> csr_matrix:
     denom[nonempty] = np.add.reduceat(theta, indptr[:-1][nonempty])
     if np.any(nonempty & (denom == 0)):
         raise DegenerateDataError("a pixel has zero total similarity to its neighbors")
-    return csr_matrix((theta / denom[src], dst, indptr), shape=(n, n))
+    weights = theta / denom[src]
+    if clusters is not None:
+        weights = weights * (clusters.labels[src] == clusters.labels[dst])
+    return csr_matrix((weights, dst, indptr), shape=(n, n))
 
 
 def project_simplex_columns(V) -> np.ndarray:
@@ -135,20 +170,20 @@ def project_simplex(v) -> np.ndarray:
     return project_simplex_columns(v[:, None])[:, 0]
 
 
-def sparsity_norm(s, q: float, guard: float = SPARSITY_GUARD):
-    """Guarded q-norm: (sum_i (|s_i| + guard)^q)^(1/q).
+def sparsity_norm(s, q: float):
+    """Guarded q-norm: (sum_i (|s_i| + guard)^q)^(1/q), guard = ``SPARSITY_GUARD``.
 
     Accepts a vector or a matrix of column vectors (reduction over axis 0).
     """
-    _check_q_guard(q, guard)
+    _check_q(q)
     s = np.asarray(s, dtype=np.float64)
-    return ((np.abs(s) + guard) ** q).sum(axis=0) ** (1.0 / q)
+    return ((np.abs(s) + SPARSITY_GUARD) ** q).sum(axis=0) ** (1.0 / q)
 
 
-def sparsity_gradient(s, q: float, guard: float = SPARSITY_GUARD) -> np.ndarray:
+def sparsity_gradient(s, q: float) -> np.ndarray:
     """Gradient of the q-norm sparsity penalty.
 
-    For q < 1, guarded against zeros, componentwise
+    For q < 1, guarded against zeros by guard = ``SPARSITY_GUARD``, componentwise
     s_i * (|s_i| + guard)^(q-2) / (sum_j (|s_j| + guard)^q)^((q-1)/q).
 
     For q = 1 the penalty is the l1 norm, whose gradient on the nonnegative
@@ -159,18 +194,16 @@ def sparsity_gradient(s, q: float, guard: float = SPARSITY_GUARD) -> np.ndarray:
 
     Accepts a vector or a matrix of column vectors.
     """
-    _check_q_guard(q, guard)
+    _check_q(q)
     s = np.asarray(s, dtype=np.float64)
     if q == 1.0:
         return np.where(s < 0, -1.0, 1.0)
-    base = np.abs(s) + guard
+    base = np.abs(s) + SPARSITY_GUARD
     num = s * base ** (q - 2.0)
     den = (base**q).sum(axis=0) ** ((q - 1.0) / q)
     return num / den
 
 
-def _check_q_guard(q: float, guard: float) -> None:
+def _check_q(q: float) -> None:
     if not (0 < q <= 1):
         raise ValueError("q must lie in (0, 1]")
-    if not (guard > 0):
-        raise ValueError("guard must be positive")

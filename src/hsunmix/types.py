@@ -1,4 +1,4 @@
-"""Core value types, the algorithm variant names and the pixel-grid adjacency.
+"""Core value types and the algorithm variant names.
 
 All matrix containers are frozen dataclasses that validate their invariants on
 construction. The stored arrays should be treated as read-only; operations
@@ -10,7 +10,9 @@ Shape conventions used throughout the package:
 * signatures      -- (bands L, endmembers c), one spectrum per column
 * abundances      -- (endmembers c, pixels N), one simplex vector per column
 * memberships     -- (clusters C, pixels N)
-* neighbor graph  -- (pixels N, pixels N) scipy CSR, row k holds pixel k's neighbors
+
+The pixel graph, an N x N scipy CSR matrix whose row k holds pixel k's
+neighbors, lives in :mod:`hsunmix.regularizers`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 ASC_TOL = 1e-9   # default tolerance on abundance column sums
 
@@ -231,40 +232,6 @@ class UnmixingConfig:
         if self.clusters < 1:
             raise ValueError("clusters must be at least 1")
         object.__setattr__(self, "variant", AlgorithmVariant(self.variant).value)
-
-
-def build_neighborhood(width: int, height: int) -> csr_matrix:
-    """8-connected adjacency of a width x height grid, pixels row-major.
-
-    An N x N CSR matrix in canonical form (sorted columns, no duplicates)
-    with a stored 1 for each neighbor pair, symmetric, with an empty
-    diagonal. Interior pixels get 8 neighbors, edge pixels 5, corner pixels
-    3. A 1x1 grid yields an empty matrix.
-    """
-    if width < 1 or height < 1:
-        raise ValueError("grid dimensions must be positive")
-    n = width * height
-    rows, cols = np.divmod(np.arange(n), width)
-    src_parts = []
-    dst_parts = []
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            if dr == 0 and dc == 0:
-                continue
-            ok = (
-                (rows + dr >= 0)
-                & (rows + dr < height)
-                & (cols + dc >= 0)
-                & (cols + dc < width)
-            )
-            src_parts.append(np.nonzero(ok)[0])
-            dst_parts.append(src_parts[-1] + dr * width + dc)
-    src = np.concatenate(src_parts)
-    dst = np.concatenate(dst_parts)
-    order = np.lexsort((dst, src))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return csr_matrix((np.ones(dst.size), dst[order], indptr), shape=(n, n))
 
 
 def validate_abundances(S, tol: float = ASC_TOL) -> bool:

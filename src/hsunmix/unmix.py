@@ -40,9 +40,9 @@ identities
     A^T (Y - A S) = A^T Y - (A^T A) S
     |Y - A S|^2   = |Y|^2 - 2 <A^T Y, S> + <A^T A, S S^T>
 
-and the coupling term of the objective, for the neighbor operator W (a
-scipy CSR matrix from ``build_neighborhood`` through ``neighbor_weights``
-and ``neighbor_operator``), by
+and the coupling term of the objective, for the neighbor operator W (the
+scipy CSR matrix ``neighbor_weights`` forms on ``build_neighborhood``'s
+grid, cluster-gated for the cluster mask), by
 
     sum_kj W[k, j] |s_k - s_j|^2 = <W 1 + W^T 1, |s|^2> - 2 <S, S W^T>
 
@@ -75,6 +75,7 @@ from scipy.sparse import csr_matrix
 
 from .errors import NumericalFailureError
 from .regularizers import (
+    build_neighborhood,
     estimate_sparsity_weight,
     neighbor_weights,
     project_simplex_columns,
@@ -89,7 +90,6 @@ from .types import (
     SignatureMatrix,
     UnmixingConfig,
     as_matrix,
-    build_neighborhood,
 )
 
 MULT_GUARD = 1e-12  # added to multiplicative-update denominators
@@ -157,25 +157,6 @@ def global_cost(Y, A, S) -> float:
     Yd, Ad, Sd = _factors(Y, A, S)
     resid = Yd - Ad @ Sd
     return float(np.sum(resid * resid))
-
-
-def neighbor_operator(W: csr_matrix, clusters: Optional[ClusterAssignment] = None) -> csr_matrix:
-    """The neighbor operator of the coupling: the weights W, gated by cluster.
-
-    With ``clusters`` given, the weights to neighbors in another cluster are
-    set to zero (kept as explicit zeros, so the pattern of W is unchanged)
-    and the coupling only sees same-cluster neighbors. Without, W is
-    returned as it is.
-    """
-    if clusters is None:
-        return W
-    n = W.shape[0]
-    labels = clusters.labels
-    if labels.shape != (n,):
-        raise ValueError("clusters do not match the neighborhood size")
-    rows = np.repeat(np.arange(n), np.diff(W.indptr))
-    same = labels[rows] == labels[W.indices]
-    return csr_matrix((W.data * same, W.indices, W.indptr), shape=W.shape)
 
 
 class Coupling(NamedTuple):
@@ -363,9 +344,8 @@ def run_unmixing(
     y_energy = image_energy(Yd)
     graph = None
     if eta > 0:
-        graph = coupling(neighbor_operator(
-            neighbor_weights(Y, build_neighborhood(Y.width, Y.height)),
-            clusters if preset.cluster_mask else None,
+        graph = coupling(neighbor_weights(
+            Y, build_neighborhood(Y.width, Y.height), clusters if preset.cluster_mask else None
         ))
     products = None if preset.update_a else signature_products(Yd, A)
 

@@ -27,6 +27,7 @@ from hsunmix.fileio import (
 from hsunmix.initialize import fcls_abundances, vca
 from hsunmix.metrics import aad, match_endmembers, sad
 from hsunmix.regularizers import (
+    build_neighborhood,
     neighbor_weights,
     project_simplex,
     sparsity_gradient,
@@ -38,13 +39,11 @@ from hsunmix.types import (
     HyperspectralImage,
     SignatureMatrix,
     UnmixingConfig,
-    build_neighborhood,
     validate_abundances,
 )
 from hsunmix.unmix import (
     StopReason,
     abundance_step,
-    neighbor_operator,
     run_unmixing,
     update_abundance_multiplicative,
     update_signatures,
@@ -94,7 +93,6 @@ def test_criterion_02_gradients_match_finite_differences():
     Y = rng.random((L, width * height)) + 0.1
     A = rng.random((L, c)) + 0.1
     nbhd = neighbor_weights(Y, build_neighborhood(width, height))
-    W = neighbor_operator(nbhd)
     eta = 0.3
     h = 1e-6
     worst = 0.0
@@ -102,7 +100,7 @@ def test_criterion_02_gradients_match_finite_differences():
         S = rng.dirichlet(np.ones(c), size=width * height).T
         k = int(rng.integers(width * height))
         # the solver's step at mu = 1 is minus half the local-cost gradient
-        g = -2.0 * abundance_step(Y, A, S, 1.0, W, eta)[:, k]
+        g = -2.0 * abundance_step(Y, A, S, 1.0, nbhd, eta)[:, k]
         fd = np.zeros(c)
         for i in range(c):
             Sp, Sm = S.copy(), S.copy()

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import hsunmix.experiment
-from hsunmix.cli import VARIANT_CHOICES, main
+from hsunmix.cli import VARIANT_CHOICES, build_parser, main
+from hsunmix.clustering import FCM_M, FCM_MAX_ITER, FCM_TOL
 from hsunmix.experiment import ExperimentSpec, parse_experiment_spec, run_experiment
 from hsunmix.fileio import read_cube, read_spectral_library
 from hsunmix.synth import bundled_library
@@ -371,6 +372,12 @@ class TestSpecParsing:
         cfg = spec.config(spec.variants[0], spec.cluster_counts[0])
         assert cfg == UnmixingConfig()
         assert spec.config("lq_nmf", 6).q == spec.q_lq
+
+    def test_fcm_defaults_are_the_clustering_defaults(self):
+        spec = parse_experiment_spec("")
+        assert (spec.fcm_m, spec.fcm_tol, spec.fcm_max_iter) == (FCM_M, FCM_TOL, FCM_MAX_ITER)
+        args = build_parser().parse_args(["cluster", "Y.cube", "--out", "out"])
+        assert (args.m, args.tol, args.max_iter) == (FCM_M, FCM_TOL, FCM_MAX_ITER)
 
 
 TINY_SPEC = """\

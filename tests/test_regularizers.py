@@ -1,6 +1,7 @@
 """Sparsity weighting, similarity weights, simplex projection, penalty terms."""
 
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.sparse import csr_matrix
 
 from hsunmix.errors import DegenerateDataError
 from hsunmix.regularizers import (
+    build_neighborhood,
     estimate_sparsity_weight,
     neighbor_weights,
     project_simplex,
@@ -17,7 +19,7 @@ from hsunmix.regularizers import (
     sparsity_norm,
     spectral_angle_cos,
 )
-from hsunmix.types import build_neighborhood
+from hsunmix.types import ClusterAssignment
 
 
 def simplex_projection_oracle(v):
@@ -136,6 +138,25 @@ class TestNeighborWeights:
         Y = np.array([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(DegenerateDataError):
             neighbor_weights(Y, build_neighborhood(2, 1))
+
+    def test_cluster_labels_must_cover_every_pixel(self):
+        Y = np.array([[1.0, 2.0, 3.0], [0.5, 1.5, 1.0]])
+        clusters = ClusterAssignment(np.zeros(2, dtype=int), np.ones((1, 2)), np.ones((2, 1)))
+        with pytest.raises(ValueError, match="clusters do not match"):
+            neighbor_weights(Y, build_neighborhood(3, 1), clusters)
+
+    def test_peak_memory_stays_below_four_images(self):
+        # the dot products gather N stored entries at a time, never L x nnz
+        rng = np.random.default_rng(8)
+        Y = rng.random((100, 50 * 50)) + 0.05
+        adjacency = build_neighborhood(50, 50)
+        tracemalloc.start()
+        try:
+            neighbor_weights(Y, adjacency)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * Y.nbytes, f"peak {peak / Y.nbytes:.1f} x the image"
 
 
 class TestProjectSimplex:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
+from hsunmix.regularizers import build_neighborhood
 from hsunmix.types import (
     AbundanceMatrix,
     AlgorithmVariant,
@@ -11,7 +12,6 @@ from hsunmix.types import (
     HyperspectralImage,
     SignatureMatrix,
     UnmixingConfig,
-    build_neighborhood,
     validate_abundances,
 )
 
@@ -63,7 +63,9 @@ class TestBuildNeighborhood:
         nbhd = build_neighborhood(5, 1)
         assert neighbors(nbhd, 2).tolist() == [1, 3]
 
-    @pytest.mark.parametrize("width,height", [(1, 1), (2, 2), (4, 3), (7, 5)])
+    @pytest.mark.parametrize(
+        "width,height", [(1, 1), (1, 5), (5, 1), (2, 7), (2, 2), (4, 3), (7, 5)]
+    )
     def test_matches_brute_force(self, width, height):
         nbhd = build_neighborhood(width, height)
         for k in range(width * height):

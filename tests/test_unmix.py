@@ -9,7 +9,12 @@ from hsunmix import unmix
 from hsunmix.clustering import fcm
 from hsunmix.errors import NumericalFailureError
 from hsunmix.initialize import fcls_abundances, vca
-from hsunmix.regularizers import neighbor_weights, project_simplex_columns, sparsity_norm
+from hsunmix.regularizers import (
+    build_neighborhood,
+    neighbor_weights,
+    project_simplex_columns,
+    sparsity_norm,
+)
 from hsunmix.synth import bundled_library, generate_synthetic
 from hsunmix.types import (
     AbundanceMatrix,
@@ -17,7 +22,6 @@ from hsunmix.types import (
     HyperspectralImage,
     SignatureMatrix,
     UnmixingConfig,
-    build_neighborhood,
     validate_abundances,
 )
 from hsunmix.unmix import (
@@ -32,7 +36,6 @@ from hsunmix.unmix import (
     gram_objective,
     gram_step,
     image_energy,
-    neighbor_operator,
     objective,
     run_unmixing,
     signature_products,
@@ -96,7 +99,7 @@ class TestLocalCost:
         image = HyperspectralImage(np.ones((3, 4)), 2, 2)
         A = np.ones((3, 2)) * 0.5
         S = np.tile(np.array([[0.4], [0.6]]), (1, 4))
-        W = neighbor_operator(neighbor_weights(image.data, build_neighborhood(2, 2)))
+        W = neighbor_weights(image.data, build_neighborhood(2, 2))
         want = np.sum((image.data - A @ S) ** 2)
         assert objective(image.data, A, S, W, eta=0.7) == pytest.approx(want, rel=1e-12)
 
@@ -107,7 +110,7 @@ class TestLocalCost:
         A = np.eye(2)
         S = np.array([[1.0, 0.0], [0.0, 1.0]])
         nbhd = build_neighborhood(2, 1)  # the 0/1 adjacency: one neighbor, weight 1
-        assert objective(Y, A, S, neighbor_operator(nbhd), eta=0.1) == pytest.approx(0.4, rel=1e-12)
+        assert objective(Y, A, S, nbhd, eta=0.1) == pytest.approx(0.4, rel=1e-12)
         assert local_cost(0, Y, A, S, nbhd, eta=0.1) == pytest.approx(0.2, rel=1e-12)
 
     def test_sparsity_term_included(self):
@@ -119,13 +122,14 @@ class TestLocalCost:
     def test_objective_is_the_sum_of_local_costs(self):
         rng = np.random.default_rng(31)
         image, A, S = random_problem(rng, width=6, height=5)
-        nbhd = neighbor_weights(image.data, build_neighborhood(6, 5))
+        adjacency = build_neighborhood(6, 5)
+        nbhd = neighbor_weights(image.data, adjacency)
         knobs = dict(eta=0.3, lam=0.4, q=0.5)
         # every pixel in its own cluster gates W to explicit zeros, so the
         # coupling identity must add exactly nothing to residual plus sparsity
         alone = ClusterAssignment(np.arange(30), np.eye(30), np.ones((image.n_bands, 30)))
         for clusters in (split_clusters(6, 5, image.n_bands), alone):
-            W = neighbor_operator(nbhd, clusters)
+            W = neighbor_weights(image.data, adjacency, clusters)
             want = sum(
                 local_cost(k, image.data, A, S, nbhd, clusters, **knobs) for k in range(30)
             )
@@ -142,7 +146,7 @@ class TestSmoothGradient:
         rng = np.random.default_rng(4)
         image, A, S = random_problem(rng, L=7, c=4, width=3, height=3)
         nbhd = neighbor_weights(image.data, build_neighborhood(3, 3))
-        g = -2.0 * abundance_step(image.data, A, S, 1.0, neighbor_operator(nbhd), eta)
+        g = -2.0 * abundance_step(image.data, A, S, 1.0, nbhd, eta)
         h = 1e-6
         for k in [0, 4, 8]:
             for i in range(4):
@@ -172,7 +176,7 @@ class TestUpdateAbundance:
         Y = np.ones((3, 4))
         A = np.ones((3, 2)) * 0.5
         S = np.tile(np.array([[0.4], [0.6]]), (1, 4))
-        W = neighbor_operator(neighbor_weights(Y, build_neighborhood(2, 2)))
+        W = neighbor_weights(Y, build_neighborhood(2, 2))
         with_nb = projected_step(Y, A, S, 0.02, W, eta=0.9)
         without = projected_step(Y, A, S, 0.02)
         assert np.array_equal(with_nb, without)
@@ -203,15 +207,17 @@ class TestAbundanceStepMatchesOracle:
     def test_every_column_matches_the_pixel_step(self, variant):
         rng = np.random.default_rng(32)
         image, A, S = random_problem(rng, width=6, height=5)
-        nbhd = neighbor_weights(image.data, build_neighborhood(6, 5))
+        adjacency = build_neighborhood(6, 5)
+        nbhd = neighbor_weights(image.data, adjacency)
         preset = PRESETS[AlgorithmVariant(variant)]
         clusters = split_clusters(6, 5, image.n_bands) if preset.cluster_mask else None
         knobs = dict(eta=0.3, lam=0.4 if preset.sparse else 0.0, q=0.5)
-        step = abundance_step(image.data, A, S, 0.05, neighbor_operator(nbhd, clusters), **knobs)
+        W = neighbor_weights(image.data, adjacency, clusters)
+        step = abundance_step(image.data, A, S, 0.05, W, **knobs)
         for k in range(image.n_pixels):
             want = pixel_step(k, image.data, A, S, 0.05, nbhd, clusters, **knobs)
             np.testing.assert_allclose(step[:, k], want, rtol=0, atol=1e-15)
-        unmasked = abundance_step(image.data, A, S, 0.05, neighbor_operator(nbhd), **knobs)
+        unmasked = abundance_step(image.data, A, S, 0.05, nbhd, **knobs)
         assert (np.max(np.abs(step - unmasked)) > 1e-4) == preset.cluster_mask
 
     @staticmethod
@@ -227,7 +233,7 @@ class TestAbundanceStepMatchesOracle:
 
     def test_loop_runs_the_kernels(self):
         result, Y, A0, S0, clusters, cfg = self._one_iteration("clustered_sparse_distributed")
-        W = neighbor_operator(neighbor_weights(Y, build_neighborhood(6, 5)), clusters)
+        W = neighbor_weights(Y, build_neighborhood(6, 5), clusters)
         graph = coupling(W)
         A1 = update_signatures(Y, A0, S0)
         P = signature_products(Y, A1)
