@@ -24,7 +24,10 @@ from .errors import CubeFormatError, DegenerateDataError, LibraryParseError, Num
 from .experiment import parse_experiment_spec, run_experiment, run_pipeline, write_aggregate_csv, write_rows_csv
 from .fileio import read_cube, read_spectral_library, write_cube, write_report, write_spectral_library
 from .metrics import evaluate_matrices
-from .synth import bundled_library, generate_synthetic
+from .synth import (
+    SCENE_ENDMEMBERS, SCENE_FILTER, SCENE_HEIGHT, SCENE_PATCH, SCENE_PURITY_CAP, SCENE_WIDTH,
+    bundled_library, generate_synthetic,
+)
 from .types import VARIANT_ALIASES, AlgorithmVariant, HyperspectralImage, UnmixingConfig, resolve_variant
 from .unmix import PRESETS
 
@@ -182,13 +185,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic scene")
-    p.add_argument("--c", type=int, default=6, help="number of endmembers")
-    p.add_argument("--width", type=int, default=40)
-    p.add_argument("--height", type=int, default=40)
-    p.add_argument("--patch", type=int, default=8, help="side of the square patches")
-    p.add_argument("--filter", type=int, default=7, help="odd smoothing window size")
+    p.add_argument("--c", type=int, default=SCENE_ENDMEMBERS, help="number of endmembers")
+    p.add_argument("--width", type=int, default=SCENE_WIDTH)
+    p.add_argument("--height", type=int, default=SCENE_HEIGHT)
+    p.add_argument("--patch", type=int, default=SCENE_PATCH, help="side of the square patches")
+    p.add_argument("--filter", type=int, default=SCENE_FILTER, help="odd smoothing window size")
     p.add_argument("--snr", type=float, default=25.0, help="target SNR in dB")
-    p.add_argument("--purity-cap", type=float, default=0.8, help="maximum abundance of any pixel")
+    p.add_argument("--purity-cap", type=float, default=SCENE_PURITY_CAP,
+                   help="maximum abundance of any pixel")
     p.add_argument("--library", default=None, help="spectral library CSV (default: bundled)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
@@ -196,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="fuzzy-cluster the pixels of a cube")
     p.add_argument("cube", help="input data cube")
-    p.add_argument("--clusters", type=int, default=6)
+    p.add_argument("--clusters", type=int, default=UnmixingConfig.clusters)
     p.add_argument("--m", type=float, default=FCM_M, help="fuzziness exponent")
     p.add_argument("--tol", type=float, default=FCM_TOL)
     p.add_argument("--max-iter", type=int, default=FCM_MAX_ITER)
@@ -208,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("cube", help="input data cube")
     p.add_argument("--variant", choices=VARIANT_CHOICES, default="proposed")
     p.add_argument("--init", choices=("vca", "random"), default="vca")
-    p.add_argument("--endmembers", type=int, default=6)
+    p.add_argument("--endmembers", type=int, default=SCENE_ENDMEMBERS)
     p.add_argument("--clusters", type=int, default=None,
                    help="cluster count for the clustered variant")
     p.add_argument("--mu", type=float, default=UnmixingConfig.mu, help="gradient step size")

@@ -2,7 +2,9 @@
 
 Alternates the closed-form membership and center updates until the largest
 membership change drops below a tolerance. Used to split the pixel network
-into spectrally coherent groups before cooperative unmixing.
+into spectrally coherent groups before cooperative unmixing. Distances come
+from one pairwise call that sums explicit differences: exact zeros where a
+pixel equals a center, and C x N memory.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .types import ClusterAssignment, as_matrix
 
@@ -48,12 +51,7 @@ def fcm(
         raise ValueError("data must be finite")
     if not (1 <= n_clusters <= n_pixels):
         raise ValueError("n_clusters must lie in [1, pixel count]")
-    if not (m > 1):
-        raise ValueError("fuzzifier m must exceed 1")
-    if not (tol > 0):
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    check_fcm_settings(m, tol, max_iter)
 
     if initial_centers is not None:
         centers = np.array(initial_centers, dtype=np.float64)
@@ -79,6 +77,16 @@ def fcm(
     return ClusterAssignment(labels, memberships, centers)
 
 
+def check_fcm_settings(m: float, tol: float, max_iter: int) -> None:
+    """Raise ``ValueError`` unless ``fcm`` accepts these m, tol and max_iter."""
+    if not (m > 1):
+        raise ValueError("fuzzifier m must exceed 1")
+    if not (tol > 0):
+        raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+
+
 def fcm_objective(Y, memberships: np.ndarray, centers: np.ndarray, m: float = FCM_M) -> float:
     """Weighted squared distortion sum_ck u_ck^m ||y_k - v_c||^2."""
     arr = as_matrix(Y, "image")
@@ -88,10 +96,9 @@ def fcm_objective(Y, memberships: np.ndarray, centers: np.ndarray, m: float = FC
 
 
 def _sq_distances(arr: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # Explicit differences keep an exact zero when a pixel equals a center,
-    # which the coincidence rule in _memberships relies on.
-    diff = arr[:, :, None] - centers[:, None, :]
-    return np.einsum("lkc,lkc->ck", diff, diff, optimize=True)
+    # C x N, summed from explicit differences: a pixel equal to a center gets
+    # the exact zero that the coincidence rule in _memberships relies on.
+    return cdist(centers.T, arr.T, "sqeuclidean")
 
 
 def _memberships(arr: np.ndarray, centers: np.ndarray, m: float) -> np.ndarray:

@@ -24,10 +24,13 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union, get_args, g
 
 import numpy as np
 
-from .clustering import FCM_M, FCM_MAX_ITER, FCM_TOL, fcm
+from .clustering import FCM_M, FCM_MAX_ITER, FCM_TOL, check_fcm_settings, fcm
 from .initialize import fcls_abundances, random_init, vca
 from .metrics import evaluate
-from .synth import generate_synthetic
+from .synth import (
+    SCENE_ENDMEMBERS, SCENE_FILTER, SCENE_HEIGHT, SCENE_PATCH, SCENE_PURITY_CAP, SCENE_WIDTH,
+    check_scene_settings, generate_synthetic,
+)
 from .types import AlgorithmVariant, HyperspectralImage, UnmixingConfig, as_matrix, resolve_variant
 from .unmix import PRESETS, UnmixingResult, run_unmixing
 
@@ -77,21 +80,21 @@ def run_pipeline(
 class ExperimentSpec:
     """Full description of one experiment sweep.
 
-    The solver settings default to those of :class:`UnmixingConfig`; every
-    (variant, cluster count) config is built once on construction, so a bad
-    setting fails before any cell runs.
+    The solver settings default to those of :class:`UnmixingConfig`. The
+    scenes, the FCM settings (if a variant clusters) and every config are
+    checked on construction, so a bad setting fails before any cell runs.
     """
 
     variants: Tuple[str, ...] = (UnmixingConfig.variant,)
     snr_levels: Tuple[float, ...] = (15.0, 20.0, 25.0, 30.0, 35.0)
     cluster_counts: Tuple[int, ...] = (UnmixingConfig.clusters,)
     runs: int = 20
-    width: int = 40
-    height: int = 40
-    endmembers: int = 6
-    patch: int = 8
-    filter_size: int = 7
-    purity_cap: float = 0.8
+    width: int = SCENE_WIDTH
+    height: int = SCENE_HEIGHT
+    endmembers: int = SCENE_ENDMEMBERS
+    patch: int = SCENE_PATCH
+    filter_size: int = SCENE_FILTER
+    purity_cap: float = SCENE_PURITY_CAP
     mu: float = UnmixingConfig.mu
     eta: float = UnmixingConfig.eta
     q: float = UnmixingConfig.q
@@ -117,8 +120,10 @@ class ExperimentSpec:
             raise ValueError("runs must be at least 1")
         if self.init not in ("vca", "random"):
             raise ValueError("init must be 'vca' or 'random'")
-        if min(self.cluster_counts) < 1:
-            raise ValueError("cluster counts must be positive")
+        for snr in self.snr_levels:
+            check_scene_settings(**self.scene_settings(snr))
+        if any(PRESETS[AlgorithmVariant(v)].cluster_mask for v in self.variants):
+            check_fcm_settings(self.fcm_m, self.fcm_tol, self.fcm_max_iter)
         for variant in self.variants:
             for n_clusters in self.cluster_counts:
                 self.config(variant, n_clusters)
@@ -136,6 +141,11 @@ class ExperimentSpec:
             seed=self.seed,
             variant=variant,
         )
+
+    def scene_settings(self, snr: float) -> dict:
+        """Settings of ``generate_synthetic`` for the scenes at ``snr`` dB, all but library and seed."""
+        return dict(c=self.endmembers, width=self.width, height=self.height, patch=self.patch,
+                    filter_size=self.filter_size, snr_db=snr, purity_cap=self.purity_cap)
 
     @property
     def n_cells(self) -> int:
@@ -237,17 +247,8 @@ def run_cell(
     snr = spec.snr_levels[snr_idx]
     n_clusters = spec.cluster_counts[cluster_idx]
 
-    scene = generate_synthetic(
-        _cell_library(spec, library),
-        spec.endmembers,
-        width=spec.width,
-        height=spec.height,
-        patch=spec.patch,
-        filter_size=spec.filter_size,
-        snr_db=snr,
-        purity_cap=spec.purity_cap,
-        seed=derive_seed(spec.seed, _SCENE, snr_idx, run),
-    )
+    scene_seed = derive_seed(spec.seed, _SCENE, snr_idx, run)
+    scene = generate_synthetic(_cell_library(spec, library), **spec.scene_settings(snr), seed=scene_seed)
     result = run_pipeline(
         scene.Y,
         spec.config(variant, n_clusters),
@@ -290,6 +291,8 @@ def run_experiment(
     Aggregates hold the per-cell means of rms_sad and rms_aad over the
     Monte-Carlo runs.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     library = as_matrix(library, "library")
     cells = [
         (spec, library, vi, si, ci, run)

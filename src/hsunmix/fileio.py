@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -33,44 +33,13 @@ DTYPE_FLOAT64_LE = 1
 INTERLEAVE_BAND_SEQUENTIAL = 1
 _HEADER = struct.Struct("<8sIIIBB")
 
-REPORT_KEYS = (
-    "config",
-    "per_endmember_sad",
-    "rms_sad",
-    "rms_aad",
-    "matching",
-    "cost_trace",
-)
-
-
-@dataclass(frozen=True)
-class CubeHeader:
-    width: int
-    height: int
-    bands: int
-    dtype: int = DTYPE_FLOAT64_LE
-    interleave: int = INTERLEAVE_BAND_SEQUENTIAL
-
-    def __post_init__(self):
-        if min(self.width, self.height, self.bands) < 1:
-            raise ValueError("cube dimensions must be positive")
-
-    @property
-    def payload_size(self) -> int:
-        return self.width * self.height * self.bands * 8
-
 
 def write_cube(path, image: HyperspectralImage) -> None:
     """Write an image as a binary cube. Wavelength metadata is not stored."""
-    header = CubeHeader(image.width, image.height, image.n_bands)
     payload = np.ascontiguousarray(image.data, dtype="<f8").tobytes()
     with open(path, "wb") as fh:
-        fh.write(
-            _HEADER.pack(
-                MAGIC, header.width, header.height, header.bands,
-                header.dtype, header.interleave,
-            )
-        )
+        fh.write(_HEADER.pack(MAGIC, image.width, image.height, image.n_bands,
+                              DTYPE_FLOAT64_LE, INTERLEAVE_BAND_SEQUENTIAL))
         fh.write(payload)
 
 

@@ -24,6 +24,14 @@ from .types import (
 
 _SNR_BISECT_TOL_DB = 1e-9
 
+# scene defaults, read by the experiment spec and the ``synth`` and ``unmix`` commands
+SCENE_ENDMEMBERS = 6
+SCENE_WIDTH = 40
+SCENE_HEIGHT = 40
+SCENE_PATCH = 8  # side of the single-material blocks
+SCENE_FILTER = 7  # side of the smoothing window
+SCENE_PURITY_CAP = 0.8
+
 
 @dataclass(frozen=True)
 class SyntheticScene:
@@ -50,12 +58,12 @@ class SyntheticScene:
 def generate_synthetic(
     library,
     c: int,
-    width: int = 40,
-    height: int = 40,
-    patch: int = 8,
-    filter_size: int = 7,
+    width: int = SCENE_WIDTH,
+    height: int = SCENE_HEIGHT,
+    patch: int = SCENE_PATCH,
+    filter_size: int = SCENE_FILTER,
     snr_db: float = 25.0,
-    purity_cap: float = 0.8,
+    purity_cap: float = SCENE_PURITY_CAP,
     seed: int = 0,
 ) -> SyntheticScene:
     """Generate a width x height scene mixing ``c`` random library signatures.
@@ -80,20 +88,9 @@ def generate_synthetic(
     lib = as_matrix(library, "library")
     wavelengths = getattr(library, "wavelengths", None)
     n_bands, n_available = lib.shape
-    if not (1 <= c <= n_available):
+    check_scene_settings(c, width, height, patch, filter_size, snr_db, purity_cap)
+    if c > n_available:
         raise ValueError(f"c must lie in [1, {n_available}]")
-    if width < 1 or height < 1:
-        raise ValueError("scene dimensions must be positive")
-    if patch < 1:
-        raise ValueError("patch must be positive")
-    if filter_size < 1 or filter_size % 2 == 0:
-        raise ValueError("filter_size must be odd and positive")
-    if not (0 < purity_cap <= 1):
-        raise ValueError("purity_cap must lie in (0, 1]")
-    if purity_cap < 1.0 and purity_cap < 1.0 / c:
-        raise ValueError("purity_cap below 1/c cannot be satisfied")
-    if np.isnan(snr_db) or snr_db == -np.inf:
-        raise ValueError("snr_db must be a finite value or +inf")
 
     rng = np.random.default_rng(seed)
     chosen = np.sort(rng.choice(n_available, size=c, replace=False))
@@ -148,6 +145,25 @@ def generate_synthetic(
         snr_db=float(snr_db),
         noise=noise,
     )
+
+
+def check_scene_settings(c: int, width: int, height: int, patch: int, filter_size: int,
+                         snr_db: float, purity_cap: float) -> None:
+    """Raise ``ValueError`` on settings that ``generate_synthetic`` rejects for any library."""
+    if c < 1:
+        raise ValueError("c must be at least 1")
+    if width < 1 or height < 1:
+        raise ValueError("scene dimensions must be positive")
+    if patch < 1:
+        raise ValueError("patch must be positive")
+    if filter_size < 1 or filter_size % 2 == 0:
+        raise ValueError("filter_size must be odd and positive")
+    if not (0 < purity_cap <= 1):
+        raise ValueError("purity_cap must lie in (0, 1]")
+    if purity_cap < 1.0 and purity_cap < 1.0 / c:
+        raise ValueError("purity_cap below 1/c cannot be satisfied")
+    if np.isnan(snr_db) or snr_db == -np.inf:
+        raise ValueError("snr_db must be a finite value or +inf")
 
 
 def bundled_library() -> SignatureMatrix:

@@ -11,7 +11,9 @@ from hsunmix.cli import VARIANT_CHOICES, build_parser, main
 from hsunmix.clustering import FCM_M, FCM_MAX_ITER, FCM_TOL
 from hsunmix.experiment import ExperimentSpec, parse_experiment_spec, run_experiment
 from hsunmix.fileio import read_cube, read_spectral_library
-from hsunmix.synth import bundled_library
+from hsunmix.synth import (
+    SCENE_ENDMEMBERS, SCENE_FILTER, SCENE_HEIGHT, SCENE_PATCH, SCENE_PURITY_CAP, SCENE_WIDTH, bundled_library,
+)
 from hsunmix.types import AlgorithmVariant, UnmixingConfig, resolve_variant
 
 
@@ -287,6 +289,25 @@ class TestExperimentCommand:
         assert rc == 2
         assert "error: line 2: mu must be positive and finite" in capsys.readouterr().err
 
+    def test_bad_fcm_setting_fails_before_any_scene(self, tmp_path, capsys, monkeypatch):
+        def no_scene(*args, **kwargs):
+            raise AssertionError("a scene was generated")
+
+        monkeypatch.setattr(hsunmix.experiment, "generate_synthetic", no_scene)
+        spec_path = tmp_path / "bad.spec"
+        spec_path.write_text("variants = nmf, proposed\nfcm_m = 1.0\n")
+        rc = main(["experiment", str(spec_path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "error: line 2: fuzzifier m must exceed 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys, jobs):
+        spec_path = tmp_path / "sweep.spec"
+        spec_path.write_text(SPEC_TEXT)
+        rc = main(["experiment", str(spec_path), "--out", str(tmp_path / "o"), "--jobs", jobs])
+        assert rc == 2
+        assert "jobs must be at least 1" in capsys.readouterr().err
+
 
 class TestSpecParsing:
     def test_full_grammar(self):
@@ -360,6 +381,9 @@ class TestSpecParsing:
             ("q_lq = 2\n# the q_lq line is valid until lq_nmf runs\nvariants = lq_nmf", 3,
              "q must lie in (0, 1]"),
             ("runs = 2\ninit = none", 2, "init must be 'vca' or 'random'"),
+            ("runs = 1\nfcm_m = 1.0", 2, "fuzzifier m must exceed 1"),
+            ("runs = 1\nfilter_size = 4", 2, "filter_size must be odd and positive"),
+            ("runs = 1\nsnr_levels = 25, nan", 2, "snr_db must be a finite value or +inf"),
         ],
     )
     def test_spec_level_errors_name_the_line_that_made_them(self, text, line, message):
@@ -378,6 +402,20 @@ class TestSpecParsing:
         assert (spec.fcm_m, spec.fcm_tol, spec.fcm_max_iter) == (FCM_M, FCM_TOL, FCM_MAX_ITER)
         args = build_parser().parse_args(["cluster", "Y.cube", "--out", "out"])
         assert (args.m, args.tol, args.max_iter) == (FCM_M, FCM_TOL, FCM_MAX_ITER)
+
+    def test_fcm_settings_are_checked_only_when_a_variant_clusters(self):
+        assert parse_experiment_spec("variants = nmf\nfcm_m = 1.0\n").fcm_m == 1.0
+
+    def test_scene_defaults_are_the_synth_defaults(self):
+        scene = (SCENE_ENDMEMBERS, SCENE_WIDTH, SCENE_HEIGHT, SCENE_PATCH, SCENE_FILTER, SCENE_PURITY_CAP)
+        spec = parse_experiment_spec("")
+        assert (spec.endmembers, spec.width, spec.height, spec.patch, spec.filter_size, spec.purity_cap) == scene
+        args = build_parser().parse_args(["synth", "--out", "out"])
+        assert (args.c, args.width, args.height, args.patch, args.filter, args.purity_cap) == scene
+        args = build_parser().parse_args(["unmix", "Y.cube", "--out", "out"])
+        assert args.endmembers == SCENE_ENDMEMBERS
+        args = build_parser().parse_args(["cluster", "Y.cube", "--out", "out"])
+        assert args.clusters == UnmixingConfig.clusters
 
 
 TINY_SPEC = """\

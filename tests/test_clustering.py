@@ -1,5 +1,7 @@
 """Fuzzy clustering of pixel spectra."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -43,9 +45,21 @@ class TestFcmDegenerateCases:
         assert np.array_equal(ca.memberships, np.ones((1, 20)))
 
     def test_pixel_coinciding_with_center_is_hard_assigned(self):
-        Y = np.array([[0.0, 0.0, 10.0, 10.0, 10.0], [0.0, 0.0, 10.0, 10.0, 10.0]]) + 0.5
-        ca = fcm(make_image(Y), 2, seed=1)
-        assert np.allclose(ca.memberships.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+        # pixels 0, 1 equal center 0 and pixels 3, 4 equal center 1; the
+        # distances must be exactly zero there. On this draw the Gram form
+        # |y|^2 - 2 v.y + |v|^2 rounds to -8.9e-16 at both, so a kernel that
+        # loses exact zeros fails here.
+        Y = np.random.default_rng(3).random((5, 6)) + 0.1
+        Y[:, 1] = Y[:, 0]
+        Y[:, 4] = Y[:, 3]
+        first = {}
+        fcm(make_image(Y), 2, initial_centers=Y[:, [0, 3]],
+            on_iteration=lambda i, u, v, j: first.setdefault(i, u.copy()))
+        u = first[1]
+        assert np.array_equal(u[:, [0, 1]], [[1.0, 1.0], [0.0, 0.0]])
+        assert np.array_equal(u[:, [3, 4]], [[0.0, 0.0], [1.0, 1.0]])
+        others = u[:, [2, 5]]
+        assert np.all((others > 0.0) & (others < 1.0))
 
 
 class TestFcmSeparatedClouds:
@@ -106,6 +120,18 @@ class TestFcmProperties:
         a = fcm(make_image(Y), 2, initial_centers=init)
         b = fcm(make_image(Y), 2, initial_centers=init)
         assert np.array_equal(a.centers, b.centers)
+
+    def test_peak_memory_stays_below_two_images(self):
+        # the distances are C x N; no L x N x C difference tensor is formed
+        rng = np.random.default_rng(8)
+        Y = HyperspectralImage(rng.random((100, 50 * 50)) + 0.05, 50, 50)
+        tracemalloc.start()
+        try:
+            fcm(Y, 6, max_iter=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * Y.data.nbytes, f"peak {peak / Y.data.nbytes:.2f} x the image"
 
     def test_objective_value_matches_definition(self):
         rng = np.random.default_rng(12)
