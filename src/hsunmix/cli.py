@@ -2,9 +2,9 @@
 
 Subcommands cover the full pipeline: synthesize a scene, cluster its pixels,
 unmix it with any algorithm variant, score estimates against ground truth,
-and drive Monte-Carlo experiment sweeps from a spec file. ``unmix`` and every
-experiment cell run the same init -> cluster -> solve path,
-:func:`hsunmix.experiment.run_pipeline`.
+and drive Monte-Carlo experiment sweeps from a spec file. ``unmix`` runs the
+init -> cluster -> solve path :func:`hsunmix.experiment.run_pipeline`; every
+experiment cell runs the same steps, shared within its (snr, run) group.
 
 Exit codes: 0 on success, 1 when the algorithm itself fails (numerical
 breakdown or degenerate input data), 2 for usage, IO, and format errors.
@@ -21,7 +21,9 @@ import numpy as np
 
 from .clustering import FCM_M, FCM_MAX_ITER, FCM_TOL, fcm
 from .errors import CubeFormatError, DegenerateDataError, LibraryParseError, NumericalFailureError
-from .experiment import parse_experiment_spec, run_experiment, run_pipeline, write_aggregate_csv, write_rows_csv
+from .experiment import (
+    needs_clusters, parse_experiment_spec, run_experiment, run_pipeline, write_aggregate_csv, write_rows_csv,
+)
 from .fileio import read_cube, read_spectral_library, write_cube, write_report, write_spectral_library
 from .metrics import evaluate_matrices
 from .synth import (
@@ -29,7 +31,6 @@ from .synth import (
     bundled_library, generate_synthetic,
 )
 from .types import VARIANT_ALIASES, AlgorithmVariant, HyperspectralImage, UnmixingConfig, resolve_variant
-from .unmix import PRESETS
 
 VARIANT_CHOICES = tuple(v.value for v in AlgorithmVariant) + tuple(VARIANT_ALIASES)
 
@@ -98,7 +99,7 @@ def _cmd_unmix(args) -> int:
     n_clusters = args.clusters
     if n_clusters is None:
         n_clusters = UnmixingConfig.clusters
-    elif not PRESETS[AlgorithmVariant(variant)].cluster_mask:
+    elif not needs_clusters(variant):
         print(f"warning: --clusters has no effect for variant {variant}", file=sys.stderr)
 
     cfg = UnmixingConfig(

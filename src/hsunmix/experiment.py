@@ -1,16 +1,22 @@
 """Monte-Carlo experiment harness and the unmixing pipeline it shares with the CLI.
 
 ``run_pipeline`` is the one path from an image to a solver result: it
-initializes the signatures and abundances, runs fuzzy c-means when the
-variant's preset gates the coupling by cluster, and then solves. ``hsunmix
-unmix`` calls it once; every cell of an experiment calls it on a fresh scene.
+initializes the signatures and abundances (``initial_estimates``), runs
+fuzzy c-means when the variant's preset gates the coupling by cluster
+(``needs_clusters``), and then solves. ``hsunmix unmix`` calls it once; every
+cell of an experiment runs the same two steps on its scene.
 
 An experiment sweeps algorithm variants over noise levels, cluster counts,
 and repeated runs on freshly generated synthetic scenes, then writes a tidy
 per-run CSV plus an aggregate CSV of per-cell means. Every random ingredient
 is derived from the master seed and the cell coordinates, so any cell can be
-reproduced in isolation and scenes are shared by all variants of a given
-(snr, run) pair for paired comparisons.
+reproduced in isolation with ``run_cell``. The scene and the starting point
+depend only on (snr, run) and the clustering only on (snr, run, cluster
+count), so ``run_experiment`` works one (snr, run) group at a time: the
+group's first cell synthesizes the scene and initializes, the first
+clustered cell of each cluster count runs FCM, and every other cell of the
+group reuses them, read-only. With ``jobs > 1`` the groups, not the cells,
+are spread over the worker processes.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 import csv
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from itertools import product
 from typing import Callable, List, Optional, Sequence, Tuple, Union, get_args, get_origin, get_type_hints
 
@@ -31,7 +37,10 @@ from .synth import (
     SCENE_ENDMEMBERS, SCENE_FILTER, SCENE_HEIGHT, SCENE_PATCH, SCENE_PURITY_CAP, SCENE_WIDTH,
     check_scene_settings, generate_synthetic,
 )
-from .types import AlgorithmVariant, HyperspectralImage, UnmixingConfig, as_matrix, resolve_variant
+from .types import (
+    AbundanceMatrix, AlgorithmVariant, HyperspectralImage, SignatureMatrix, UnmixingConfig, as_matrix,
+    resolve_variant,
+)
 from .unmix import PRESETS, UnmixingResult, run_unmixing
 
 RUN_COLUMNS = (
@@ -50,6 +59,21 @@ AGGREGATE_COLUMNS = ("variant", "snr_db", "clusters", "rms_sad", "rms_aad")
 _SCENE, _FCM, _INIT, _SIGNATURES = 0, 1, 2, 3
 
 
+def initial_estimates(
+    Y: HyperspectralImage, endmembers: int, init: str, seed: int
+) -> Tuple[SignatureMatrix, AbundanceMatrix]:
+    """Starting signatures and abundances: ``"vca"`` (VCA signatures, FCLS abundances) or ``"random"``."""
+    if init == "vca":
+        A0 = vca(Y, endmembers, seed=seed)
+        return A0, fcls_abundances(Y, A0)
+    return random_init(Y.n_bands, endmembers, Y.n_pixels, seed=seed)
+
+
+def needs_clusters(variant: str) -> bool:
+    """Whether the preset of ``variant`` gates its coupling by FCM cluster."""
+    return PRESETS[AlgorithmVariant(variant)].cluster_mask
+
+
 def run_pipeline(
     Y: HyperspectralImage,
     cfg: UnmixingConfig,
@@ -65,13 +89,9 @@ def run_pipeline(
     The clustering uses ``cfg.clusters`` groups; ``fcm_options`` go to
     :func:`~hsunmix.clustering.fcm`.
     """
-    if init == "vca":
-        A0 = vca(Y, endmembers, seed=init_seed)
-        S0 = fcls_abundances(Y, A0)
-    else:
-        A0, S0 = random_init(Y.n_bands, endmembers, Y.n_pixels, seed=init_seed)
+    A0, S0 = initial_estimates(Y, endmembers, init, init_seed)
     clusters = None
-    if PRESETS[AlgorithmVariant(cfg.variant)].cluster_mask:
+    if needs_clusters(cfg.variant):
         clusters = fcm(Y, cfg.clusters, seed=fcm_seed, **fcm_options)
     return run_unmixing(Y, cfg, A0, S0, clusters)
 
@@ -81,8 +101,9 @@ class ExperimentSpec:
     """Full description of one experiment sweep.
 
     The solver settings default to those of :class:`UnmixingConfig`. The
-    scenes, the FCM settings (if a variant clusters) and every config are
-    checked on construction, so a bad setting fails before any cell runs.
+    scenes, the FCM settings and cluster counts (if a variant clusters) and
+    every config are checked on construction, so a bad setting fails before
+    any cell runs.
     """
 
     variants: Tuple[str, ...] = (UnmixingConfig.variant,)
@@ -122,8 +143,12 @@ class ExperimentSpec:
             raise ValueError("init must be 'vca' or 'random'")
         for snr in self.snr_levels:
             check_scene_settings(**self.scene_settings(snr))
-        if any(PRESETS[AlgorithmVariant(v)].cluster_mask for v in self.variants):
+        if any(needs_clusters(v) for v in self.variants):
             check_fcm_settings(self.fcm_m, self.fcm_tol, self.fcm_max_iter)
+            for n_clusters in self.cluster_counts:
+                if n_clusters > self.width * self.height:
+                    raise ValueError(f"cluster count {n_clusters} exceeds the {self.width * self.height}"
+                                     f" pixels of a {self.width} x {self.height} scene")
         for variant in self.variants:
             for n_clusters in self.cluster_counts:
                 self.config(variant, n_clusters)
@@ -230,6 +255,34 @@ def _cell_library(spec: ExperimentSpec, library: np.ndarray) -> np.ndarray:
     return library[:, chosen]
 
 
+# While run_experiment works on one (snr, run) group, the inputs its cells
+# share, keyed by what they depend on; None outside a group.
+_group: Optional[dict] = None
+
+
+def _read_only(value):
+    """``value`` with every array in it, through tuples and dataclasses, made read-only."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, tuple):
+        for item in value:
+            _read_only(item)
+    elif is_dataclass(value):
+        for item in vars(value).values():
+            _read_only(item)
+    return value
+
+
+def _shared(key: tuple, make: Callable[[], object]):
+    """``make()`` made read-only; within a group, made once per ``key``."""
+    if _group is not None and key in _group:
+        return _group[key]
+    value = _read_only(make())
+    if _group is not None:
+        _group[key] = value
+    return value
+
+
 def run_cell(
     spec: ExperimentSpec,
     library: np.ndarray,
@@ -240,26 +293,30 @@ def run_cell(
 ) -> dict:
     """Run a single (variant, snr, cluster count, run) cell and score it.
 
-    The scene and initialization seeds depend only on (snr, run) so that all
-    variants and cluster counts see the same data and starting point.
+    The scene and initialization seeds depend only on (snr, run), and the
+    FCM seed only on (snr, cluster count, run), so that all variants and
+    cluster counts see the same data and starting point. Within a group of
+    ``run_experiment`` the first cell that needs them makes them and the
+    others reuse them; called alone, the cell makes its own.
     """
     variant = spec.variants[variant_idx]
     snr = spec.snr_levels[snr_idx]
     n_clusters = spec.cluster_counts[cluster_idx]
 
-    scene_seed = derive_seed(spec.seed, _SCENE, snr_idx, run)
-    scene = generate_synthetic(_cell_library(spec, library), **spec.scene_settings(snr), seed=scene_seed)
-    result = run_pipeline(
-        scene.Y,
-        spec.config(variant, n_clusters),
-        spec.endmembers,
-        spec.init,
-        init_seed=derive_seed(spec.seed, _INIT, snr_idx, run),
-        fcm_seed=derive_seed(spec.seed, _FCM, snr_idx, cluster_idx, run),
-        m=spec.fcm_m,
-        tol=spec.fcm_tol,
-        max_iter=spec.fcm_max_iter,
-    )
+    scene = _shared(("scene", snr_idx, run), lambda: generate_synthetic(
+        _cell_library(spec, library), **spec.scene_settings(snr),
+        seed=derive_seed(spec.seed, _SCENE, snr_idx, run),
+    ))
+    A0, S0 = _shared(("init", snr_idx, run), lambda: initial_estimates(
+        scene.Y, spec.endmembers, spec.init, derive_seed(spec.seed, _INIT, snr_idx, run),
+    ))
+    clusters = None
+    if needs_clusters(variant):
+        clusters = _shared(("fcm", snr_idx, cluster_idx, run), lambda: fcm(
+            scene.Y, n_clusters, seed=derive_seed(spec.seed, _FCM, snr_idx, cluster_idx, run),
+            m=spec.fcm_m, tol=spec.fcm_tol, max_iter=spec.fcm_max_iter,
+        ))
+    result = run_unmixing(scene.Y, spec.config(variant, n_clusters), A0, S0, clusters)
     report = evaluate(scene.A_true, scene.S_true, result)
     return {
         "variant": variant,
@@ -273,8 +330,18 @@ def run_cell(
     }
 
 
-def _cell_worker(args) -> dict:
-    return run_cell(*args)
+def _run_group(args) -> List[dict]:
+    """Rows of every (variant, cluster count) cell of one (snr, run) group, in cell order."""
+    spec, library, snr_idx, run = args
+    global _group
+    _group = {}
+    try:
+        return [
+            run_cell(spec, library, vi, snr_idx, ci, run)
+            for vi, ci in product(range(len(spec.variants)), range(len(spec.cluster_counts)))
+        ]
+    finally:
+        _group = None
 
 
 def run_experiment(
@@ -285,29 +352,32 @@ def run_experiment(
 ) -> Tuple[List[dict], List[dict]]:
     """Run all cells of ``spec`` and return (per-run rows, aggregate rows).
 
-    Rows come back in deterministic cell order (variants, then snr levels,
-    then cluster counts, then runs) regardless of ``jobs``, and ``progress``
-    is called with (done, total, row) in that order as the rows arrive.
-    Aggregates hold the per-cell means of rms_sad and rms_aad over the
-    Monte-Carlo runs.
+    The work is split into one task per (snr, run) group, whose cells share
+    the scene, the starting point and the clusterings; with ``jobs > 1`` the
+    tasks go to a pool of that many processes, so more jobs than groups
+    leave workers idle. Rows come back in deterministic cell order
+    (variants, then snr levels, then cluster counts, then runs) regardless
+    of ``jobs``, and ``progress`` is called with (done, total, row) in that
+    order as soon as every earlier row has arrived. Aggregates hold the
+    per-cell means of rms_sad and rms_aad over the Monte-Carlo runs.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     library = as_matrix(library, "library")
-    cells = [
-        (spec, library, vi, si, ci, run)
-        for vi in range(len(spec.variants))
-        for si in range(len(spec.snr_levels))
-        for ci in range(len(spec.cluster_counts))
-        for run in range(spec.runs)
-    ]
-    rows = []
+    n_snr, n_clusters, total = len(spec.snr_levels), len(spec.cluster_counts), spec.n_cells
+    groups = [(spec, library, si, run) for si in range(n_snr) for run in range(spec.runs)]
+    rows: List[Optional[dict]] = [None] * total
+    done = 0
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        mapped = map(_cell_worker, cells) if pool is None else pool.map(_cell_worker, cells)
-        for done, row in enumerate(mapped, start=1):
-            rows.append(row)
-            if progress is not None:
-                progress(done, len(cells), row)
+        mapped = map(_run_group, groups) if pool is None else pool.map(_run_group, groups)
+        for (_, _, si, run), group_rows in zip(groups, mapped):
+            cells = product(range(len(spec.variants)), range(n_clusters))
+            for (vi, ci), row in zip(cells, group_rows):
+                rows[((vi * n_snr + si) * n_clusters + ci) * spec.runs + run] = row
+            while done < total and rows[done] is not None:
+                done += 1
+                if progress is not None:
+                    progress(done, total, rows[done - 1])
 
     aggregates = []
     for variant, snr, n_clusters in product(spec.variants, spec.snr_levels, spec.cluster_counts):

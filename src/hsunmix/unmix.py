@@ -50,8 +50,10 @@ with |s|^2 the squared norms of the abundance columns. |Y|^2 and W, with
 its row sums W 1 and its spread W 1 + W^T 1 (``coupling``), are formed once
 per run. A^T Y and A^T A are formed once per signature update: every
 iteration for the presets that update A, once per run for ``fcls``. The
-rest of an iteration is c x N work, products with the sparse W included,
-apart from the L x N products inside ``update_signatures``.
+coupling pull S W^T (``coupling_pull``) is formed once per iteration, after
+the projection, and read by the objective and by the next step. The rest of
+an iteration is c x N work, products with the sparse W included, apart from
+the L x N products inside ``update_signatures``.
 
 The Gram form of the residual rounds at about machine epsilon times |Y|^2,
 not times |Y - A S|^2. On 40 x 40 scenes with |Y|^2 of about 2e4, noiseless
@@ -199,9 +201,14 @@ def image_energy(Y) -> float:
     return float(np.vdot(Y, Y))
 
 
+def coupling_pull(graph: Coupling, S) -> np.ndarray:
+    """S W^T: column k is the weighted sum of pixel k's neighbor columns."""
+    return (graph.W @ S.T).T
+
+
 def gram_step(
     P: Products, S, mu: float, graph: Optional[Coupling] = None,
-    eta: float = 0.0, lam: float = 0.0, q: float = 1.0,
+    eta: float = 0.0, lam: float = 0.0, q: float = 1.0, pull: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Diffusion-LMS abundance step of every pixel at once, before projection.
 
@@ -211,11 +218,14 @@ def gram_step(
 
     with every pixel read from ``S``. The first two terms are minus half the
     gradient of pixel k's local cost in s_k. The residual part is
-    ``AtY - AtA S``; the neighbor sum is ``S W^T - S diag(W 1)``.
+    ``AtY - AtA S``; the neighbor sum is ``S W^T - S diag(W 1)``, with
+    S W^T taken from ``pull`` when given (``coupling_pull(graph, S)``).
     """
     step = mu * (P.AtY - P.AtA @ S)
     if graph is not None and eta > 0:
-        step += (mu * eta) * ((graph.W @ S.T).T - S * graph.degree)
+        if pull is None:
+            pull = coupling_pull(graph, S)
+        step += (mu * eta) * (pull - S * graph.degree)
     if lam > 0:
         step -= (mu * lam) * sparsity_gradient(S, q)
     return step
@@ -223,21 +233,23 @@ def gram_step(
 
 def gram_objective(
     y_energy: float, P: Products, S, graph: Optional[Coupling] = None,
-    eta: float = 0.0, lam: float = 0.0, q: float = 1.0,
+    eta: float = 0.0, lam: float = 0.0, q: float = 1.0, pull: Optional[np.ndarray] = None,
 ) -> float:
     """The objective the solver records: the sum of every pixel's local cost.
 
     The residual term is |Y|^2 - 2 <AtY, S> + <AtA, S S^T> with
     ``y_energy`` = |Y|^2; to it come eta sum_kj W[k, j] |s_k - s_j|^2 and
     lam times the summed guarded q-norms of the abundance columns; the
-    coupling term comes from one sparse product (see ``Coupling``). On an
-    exact fit the residual term can round to a tiny negative value.
+    coupling term comes from one sparse product, S W^T (see ``Coupling``),
+    taken from ``pull`` when given. On an exact fit the residual term can
+    round to a tiny negative value.
     """
     value = y_energy - 2.0 * float(np.vdot(P.AtY, S)) + float(np.vdot(P.AtA, S @ S.T))
     if graph is not None and eta > 0:
+        if pull is None:
+            pull = coupling_pull(graph, S)
         # np.vdot, not a full einsum reduction: that one sums sequentially
         # and rounds about ten times worse on 40 x 40 scenes
-        pull = (graph.W @ S.T).T  # S W^T
         value += eta * (
             float(graph.spread @ np.einsum("ij,ij->j", S, S)) - 2.0 * float(np.vdot(S, pull))
         )
@@ -348,6 +360,8 @@ def run_unmixing(
             Y, build_neighborhood(Y.width, Y.height), clusters if preset.cluster_mask else None
         ))
     products = None if preset.update_a else signature_products(Yd, A)
+    # S W^T of the current iterate, read by the objective and the next step
+    pull = None if graph is None else coupling_pull(graph, S)
 
     trace: List[float] = []
     j_prev: Optional[float] = None
@@ -359,14 +373,16 @@ def run_unmixing(
         if preset.multiplicative:
             S = gram_multiplicative(products, S)
         else:
-            S = S + gram_step(products, S, cfg.mu, graph, eta, lam, cfg.q)
+            S = S + gram_step(products, S, cfg.mu, graph, eta, lam, cfg.q, pull)
         if not np.abs(S).max() < DIVERGENCE_BOUND:
             raise NumericalFailureError(
                 f"abundance update diverged at iteration {iteration}", iteration=iteration
             )
         S = project_simplex_columns(S)
+        if graph is not None:
+            pull = coupling_pull(graph, S)
 
-        j = gram_objective(y_energy, products, S, graph, eta, lam, cfg.q)
+        j = gram_objective(y_energy, products, S, graph, eta, lam, cfg.q, pull)
         if not np.isfinite(j):
             raise NumericalFailureError(
                 f"objective became non-finite at iteration {iteration}", iteration=iteration

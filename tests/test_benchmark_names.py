@@ -4,7 +4,8 @@
 word, a name the program no longer has: its layer then reads as zero.
 ``perfbench/replay.py`` imports kernels by name. These checks load both
 files without writing anything next to them and fail when a rename leaves a
-layer with nothing to time or breaks the replay's imports.
+layer with nothing to time or breaks the replay's imports, or when the work
+an experiment's cells share moves out of the cell spans that count it.
 """
 
 import importlib
@@ -12,6 +13,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from hsunmix.experiment import ExperimentSpec, run_experiment
+from hsunmix.synth import bundled_library
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -61,3 +65,26 @@ def test_every_traced_layer_has_a_name_that_resolves(tracing):
 def test_replay_imports_resolve():
     replay = load("replay")
     assert callable(replay.replay_kernels)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_shared_experiment_work_is_counted_inside_cells(tracing, tmp_path, jobs):
+    spec = ExperimentSpec(
+        variants=("proposed", "nmf"), snr_levels=(20, 30), cluster_counts=(2,), runs=2,
+        width=8, height=8, endmembers=3, patch=4, filter_size=3, max_iter=3, fcm_max_iter=10,
+    )
+    tracer = tracing.Tracer(tmp_path / "trace")
+    tracer.start()
+    try:
+        run_experiment(spec, bundled_library().data, jobs=jobs)
+    finally:
+        tracer.stop()
+    spans = tracer.collect()
+    cells = {span["id"] for span in spans if span["name"] == "experiment.cell"}
+    assert len(cells) == spec.n_cells
+    groups = len(spec.snr_levels) * spec.runs
+    for name, calls in (("synth.generate", groups), ("initialize.vca", groups),
+                        ("initialize.fcls", groups), ("clustering.fcm", groups)):
+        named = [span for span in spans if span["name"] == name]
+        assert len(named) == calls, name
+        assert all(span["parent"] in cells for span in named), name

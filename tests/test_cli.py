@@ -2,6 +2,7 @@
 
 import csv
 import json
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,10 +10,14 @@ import pytest
 import hsunmix.experiment
 from hsunmix.cli import VARIANT_CHOICES, build_parser, main
 from hsunmix.clustering import FCM_M, FCM_MAX_ITER, FCM_TOL
-from hsunmix.experiment import ExperimentSpec, parse_experiment_spec, run_experiment
+from hsunmix.experiment import (
+    _FCM, _INIT, _SCENE, ExperimentSpec, derive_seed, parse_experiment_spec, run_cell, run_experiment, run_pipeline,
+)
 from hsunmix.fileio import read_cube, read_spectral_library
+from hsunmix.metrics import evaluate
 from hsunmix.synth import (
     SCENE_ENDMEMBERS, SCENE_FILTER, SCENE_HEIGHT, SCENE_PATCH, SCENE_PURITY_CAP, SCENE_WIDTH, bundled_library,
+    generate_synthetic,
 )
 from hsunmix.types import AlgorithmVariant, UnmixingConfig, resolve_variant
 
@@ -384,6 +389,8 @@ class TestSpecParsing:
             ("runs = 1\nfcm_m = 1.0", 2, "fuzzifier m must exceed 1"),
             ("runs = 1\nfilter_size = 4", 2, "filter_size must be odd and positive"),
             ("runs = 1\nsnr_levels = 25, nan", 2, "snr_db must be a finite value or +inf"),
+            ("variants = nmf, proposed\nwidth = 2\nheight = 2", 3,
+             "cluster count 6 exceeds the 4 pixels of a 2 x 2 scene"),
         ],
     )
     def test_spec_level_errors_name_the_line_that_made_them(self, text, line, message):
@@ -405,6 +412,7 @@ class TestSpecParsing:
 
     def test_fcm_settings_are_checked_only_when_a_variant_clusters(self):
         assert parse_experiment_spec("variants = nmf\nfcm_m = 1.0\n").fcm_m == 1.0
+        assert parse_experiment_spec("variants = nmf\nwidth = 2\nheight = 2\n").cluster_counts == (6,)
 
     def test_scene_defaults_are_the_synth_defaults(self):
         scene = (SCENE_ENDMEMBERS, SCENE_WIDTH, SCENE_HEIGHT, SCENE_PATCH, SCENE_FILTER, SCENE_PURITY_CAP)
@@ -466,3 +474,77 @@ class TestRunExperiment:
         rows, _ = run_experiment(spec, bundled_library().data)
         assert len(rows) == len(AlgorithmVariant)
         assert clustered == [2]
+
+    @pytest.mark.parametrize("init", ["vca", "random"])
+    def test_every_row_matches_the_pipeline_on_a_fresh_scene(self, init):
+        # The cells of a group share one scene, start and clustering per
+        # cluster count; a cell that wrote into them would change the rows
+        # after it, which this oracle computes from scratch for every cell.
+        spec = ExperimentSpec(**MIXED_SPEC, init=init)
+        library = bundled_library().data
+        rows, _ = run_experiment(spec, library)
+        coords = product(range(3), range(2), range(2), range(2))
+        for row, (vi, si, ci, run) in zip(rows, coords, strict=True):
+            scene = generate_synthetic(
+                library, **spec.scene_settings(spec.snr_levels[si]), seed=derive_seed(spec.seed, _SCENE, si, run)
+            )
+            result = run_pipeline(
+                scene.Y, spec.config(spec.variants[vi], spec.cluster_counts[ci]), spec.endmembers, init,
+                init_seed=derive_seed(spec.seed, _INIT, si, run),
+                fcm_seed=derive_seed(spec.seed, _FCM, si, ci, run),
+                m=spec.fcm_m, tol=spec.fcm_tol, max_iter=spec.fcm_max_iter,
+            )
+            report = evaluate(scene.A_true, scene.S_true, result)
+            assert row == {
+                "variant": spec.variants[vi], "snr_db": spec.snr_levels[si],
+                "clusters": spec.cluster_counts[ci], "run": run,
+                "rms_sad": report.rms_sad, "rms_aad": report.rms_aad,
+                "iterations": result.iterations_run, "stop_reason": result.stop_reason.value,
+            }
+            assert run_cell(spec, library, vi, si, ci, run) == row
+
+    @pytest.mark.parametrize(
+        "variants,clusters", [(("proposed", "distributed", "fcls"), True), (("nmf", "fcls"), False)],
+        ids=["clustered", "unclustered"],
+    )
+    def test_shared_work_runs_once_per_group(self, monkeypatch, variants, clusters):
+        calls = {name: [] for name in ("generate_synthetic", "vca", "fcls_abundances", "fcm")}
+
+        def counted(name):
+            real = getattr(hsunmix.experiment, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name].append(kwargs.get("seed"))
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(hsunmix.experiment, name, counted(name))
+        spec = ExperimentSpec(**{**MIXED_SPEC, "variants": variants})
+        rows, _ = run_experiment(spec, bundled_library().data)
+        assert len(rows) == spec.n_cells
+        groups = len(spec.snr_levels) * spec.runs
+        for name in ("generate_synthetic", "vca", "fcls_abundances"):
+            assert len(calls[name]) == groups, name
+        assert len(set(calls["generate_synthetic"])) == len(set(calls["vca"])) == groups
+        assert len(set(calls["fcm"])) == len(calls["fcm"]) == (groups * len(spec.cluster_counts) if clusters else 0)
+
+    def test_more_jobs_than_groups_match_serial(self):
+        spec = ExperimentSpec(**{**MIXED_SPEC, "snr_levels": (25,), "runs": 1})
+        library = bundled_library().data
+        results = {}
+        for jobs in (1, 2):
+            calls = []
+            results[jobs] = run_experiment(
+                spec, library, jobs=jobs, progress=lambda done, total, row: calls.append((done, total, row)),
+            )
+            assert calls == [(i, spec.n_cells, row) for i, row in enumerate(results[jobs][0], start=1)]
+        assert results[2] == results[1]
+
+
+# a clustered variant, an unclustered one and fcls; 2 SNRs x 2 cluster counts x 2 runs
+MIXED_SPEC = dict(
+    variants=("proposed", "distributed", "fcls"), snr_levels=(20, 30), cluster_counts=(2, 3), runs=2,
+    width=8, height=8, endmembers=3, patch=4, filter_size=3, max_iter=4, fcm_max_iter=10,
+)

@@ -246,6 +246,26 @@ class TestAbundanceStepMatchesOracle:
         assert np.array_equal(S1, projected_step(Y, A1, S0, cfg.mu, W, cfg.eta, 0.4, 0.5))
         assert result.cost_trace == [objective(Y, A1, S1, W, cfg.eta, 0.4, 0.5)]
 
+    def test_loop_reuses_the_pull_of_the_projected_iterate(self):
+        # The loop forms S W^T once per iteration for the objective and the
+        # next step; composing the one-call kernels must give the same bits.
+        rng = np.random.default_rng(34)
+        image, _, _ = random_problem(rng, L=8, width=6, height=5)
+        A = rng.random((8, 3)) + 0.3
+        S = np.ascontiguousarray(rng.dirichlet(np.ones(3), size=30).T)
+        cfg = UnmixingConfig(variant="distributed", max_iter=4, eps=1e-300)
+        result = run_unmixing(image, cfg, A, S)
+        graph = coupling(neighbor_weights(image.data, build_neighborhood(6, 5)))
+        trace = []
+        for _ in range(cfg.max_iter):
+            A = update_signatures(image.data, A, S)
+            P = signature_products(image.data, A)
+            S = project_simplex_columns(S + gram_step(P, S, cfg.mu, graph, cfg.eta))
+            trace.append(gram_objective(image_energy(image.data), P, S, graph, cfg.eta))
+        assert np.array_equal(result.A.data, A)
+        assert np.array_equal(result.S.data, S)
+        assert result.cost_trace == trace
+
     @pytest.mark.parametrize("variant", ["nmf", "fcls"])
     def test_uncoupled_loop_runs_the_kernels(self, variant):
         result, Y, A0, S0, _, cfg = self._one_iteration(variant)
