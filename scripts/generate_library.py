@@ -25,10 +25,12 @@ The design balances four solver-facing properties, checked explicitly below:
     inflating the bias floor of the regularized solvers.
   * Small data-estimated sparsity weight: the shared background gives every
     band a solid baseline across all pixels, so scenes mixed from this
-    library report a small sparsity weight. With exponent q = 1 the sparsity
-    gradient is a support indicator, which the simplex projection cannot
-    cancel on sparse columns; a large weight would leak abundance mass into
-    zero entries every iteration and bias the recovered signatures.
+    library report a small sparsity weight. At exponent q = 1 the weight
+    does not move the iterates: the l1 gradient is all ones on the simplex,
+    a uniform shift that the simplex projection cancels. Below q = 1 (the
+    lq_nmf default is 0.5) the step is no uniform shift and grows near zero
+    abundances, so a large weight would push mass off small entries every
+    iteration and bias the recovered signatures.
 
 The seed is scanned until the library satisfies the documented guarantees:
 

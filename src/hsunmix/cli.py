@@ -2,9 +2,10 @@
 
 Subcommands cover the full pipeline: synthesize a scene, cluster its pixels,
 unmix it with any algorithm variant, score estimates against ground truth,
-and drive Monte-Carlo experiment sweeps from a spec file. ``unmix`` runs the
-init -> cluster -> solve path :func:`hsunmix.experiment.run_pipeline`; every
-experiment cell runs the same steps, shared within its (snr, run) group.
+and drive Monte-Carlo experiment sweeps from a spec file. ``unmix``
+initializes (:func:`hsunmix.experiment.initial_estimates`), clusters when the
+variant's preset asks for it, and solves; every experiment cell runs the same
+three steps, shared within its (snr, run) group.
 
 Exit codes: 0 on success, 1 when the algorithm itself fails (numerical
 breakdown or degenerate input data), 2 for usage, IO, and format errors.
@@ -22,7 +23,7 @@ import numpy as np
 from .clustering import FCM_M, FCM_MAX_ITER, FCM_TOL, fcm
 from .errors import CubeFormatError, DegenerateDataError, LibraryParseError, NumericalFailureError
 from .experiment import (
-    needs_clusters, parse_experiment_spec, run_experiment, run_pipeline, write_aggregate_csv, write_rows_csv,
+    initial_estimates, needs_clusters, parse_experiment_spec, run_experiment, write_aggregate_csv, write_rows_csv,
 )
 from .fileio import read_cube, read_spectral_library, write_cube, write_report, write_spectral_library
 from .metrics import evaluate_matrices
@@ -31,6 +32,7 @@ from .synth import (
     bundled_library, generate_synthetic,
 )
 from .types import VARIANT_ALIASES, AlgorithmVariant, HyperspectralImage, UnmixingConfig, resolve_variant
+from .unmix import run_unmixing
 
 VARIANT_CHOICES = tuple(v.value for v in AlgorithmVariant) + tuple(VARIANT_ALIASES)
 
@@ -113,7 +115,9 @@ def _cmd_unmix(args) -> int:
         seed=args.seed,
         variant=variant,
     )
-    result = run_pipeline(image, cfg, args.endmembers, args.init, init_seed=args.seed, fcm_seed=args.seed)
+    A0, S0 = initial_estimates(image, args.endmembers, args.init, args.seed)
+    clusters = fcm(image, n_clusters, seed=args.seed) if needs_clusters(variant) else None
+    result = run_unmixing(image, cfg, A0, S0, clusters)
 
     report = None
     if args.truth_a is not None or args.truth_s is not None:

@@ -1,22 +1,21 @@
-"""Monte-Carlo experiment harness and the unmixing pipeline it shares with the CLI.
-
-``run_pipeline`` is the one path from an image to a solver result: it
-initializes the signatures and abundances (``initial_estimates``), runs
-fuzzy c-means when the variant's preset gates the coupling by cluster
-(``needs_clusters``), and then solves. ``hsunmix unmix`` calls it once; every
-cell of an experiment runs the same two steps on its scene.
+"""Monte-Carlo experiment harness.
 
 An experiment sweeps algorithm variants over noise levels, cluster counts,
 and repeated runs on freshly generated synthetic scenes, then writes a tidy
 per-run CSV plus an aggregate CSV of per-cell means. Every random ingredient
 is derived from the master seed and the cell coordinates, so any cell can be
-reproduced in isolation with ``run_cell``. The scene and the starting point
-depend only on (snr, run) and the clustering only on (snr, run, cluster
-count), so ``run_experiment`` works one (snr, run) group at a time: the
-group's first cell synthesizes the scene and initializes, the first
-clustered cell of each cluster count runs FCM, and every other cell of the
-group reuses them, read-only. With ``jobs > 1`` the groups, not the cells,
-are spread over the worker processes.
+reproduced in isolation with ``run_cell``. A cell runs the same steps as
+``hsunmix unmix``: ``initial_estimates``, then fuzzy c-means when the
+variant's preset gates the coupling by cluster (``needs_clusters``), then
+the solver.
+
+The scene and the starting point depend only on (snr, run) and the
+clustering only on (snr, run, cluster count), so ``run_experiment`` works one
+(snr, run) group at a time and hands the group's cells one dict: the first
+cell synthesizes the scene and initializes, the first clustered cell of each
+cluster count runs FCM, and every other cell reuses them, read-only. The
+module keeps no state between calls. With ``jobs > 1`` the groups, not the
+cells, are spread over the worker processes.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from .types import (
     AbundanceMatrix, AlgorithmVariant, HyperspectralImage, SignatureMatrix, UnmixingConfig, as_matrix,
     resolve_variant,
 )
-from .unmix import PRESETS, UnmixingResult, run_unmixing
+from .unmix import PRESETS, run_unmixing
 
 RUN_COLUMNS = (
     "variant",
@@ -72,28 +71,6 @@ def initial_estimates(
 def needs_clusters(variant: str) -> bool:
     """Whether the preset of ``variant`` gates its coupling by FCM cluster."""
     return PRESETS[AlgorithmVariant(variant)].cluster_mask
-
-
-def run_pipeline(
-    Y: HyperspectralImage,
-    cfg: UnmixingConfig,
-    endmembers: int,
-    init: str,
-    init_seed: int,
-    fcm_seed: int,
-    **fcm_options,
-) -> UnmixingResult:
-    """Initialize, cluster if the preset of ``cfg.variant`` asks for it, and solve.
-
-    ``init`` is ``"vca"`` (VCA signatures, FCLS abundances) or ``"random"``.
-    The clustering uses ``cfg.clusters`` groups; ``fcm_options`` go to
-    :func:`~hsunmix.clustering.fcm`.
-    """
-    A0, S0 = initial_estimates(Y, endmembers, init, init_seed)
-    clusters = None
-    if needs_clusters(cfg.variant):
-        clusters = fcm(Y, cfg.clusters, seed=fcm_seed, **fcm_options)
-    return run_unmixing(Y, cfg, A0, S0, clusters)
 
 
 @dataclass(frozen=True)
@@ -143,12 +120,14 @@ class ExperimentSpec:
             raise ValueError("init must be 'vca' or 'random'")
         for snr in self.snr_levels:
             check_scene_settings(**self.scene_settings(snr))
+        pixels = f"the {self.width * self.height} pixels of a {self.width} x {self.height} scene"
         if any(needs_clusters(v) for v in self.variants):
             check_fcm_settings(self.fcm_m, self.fcm_tol, self.fcm_max_iter)
             for n_clusters in self.cluster_counts:
                 if n_clusters > self.width * self.height:
-                    raise ValueError(f"cluster count {n_clusters} exceeds the {self.width * self.height}"
-                                     f" pixels of a {self.width} x {self.height} scene")
+                    raise ValueError(f"cluster count {n_clusters} exceeds {pixels}")
+        if self.init == "vca" and self.endmembers > self.width * self.height:
+            raise ValueError(f"endmember count {self.endmembers} exceeds {pixels}")
         for variant in self.variants:
             for n_clusters in self.cluster_counts:
                 self.config(variant, n_clusters)
@@ -255,11 +234,6 @@ def _cell_library(spec: ExperimentSpec, library: np.ndarray) -> np.ndarray:
     return library[:, chosen]
 
 
-# While run_experiment works on one (snr, run) group, the inputs its cells
-# share, keyed by what they depend on; None outside a group.
-_group: Optional[dict] = None
-
-
 def _read_only(value):
     """``value`` with every array in it, through tuples and dataclasses, made read-only."""
     if isinstance(value, np.ndarray):
@@ -273,16 +247,6 @@ def _read_only(value):
     return value
 
 
-def _shared(key: tuple, make: Callable[[], object]):
-    """``make()`` made read-only; within a group, made once per ``key``."""
-    if _group is not None and key in _group:
-        return _group[key]
-    value = _read_only(make())
-    if _group is not None:
-        _group[key] = value
-    return value
-
-
 def run_cell(
     spec: ExperimentSpec,
     library: np.ndarray,
@@ -290,32 +254,44 @@ def run_cell(
     snr_idx: int,
     cluster_idx: int,
     run: int,
+    *,
+    group: Optional[dict] = None,
 ) -> dict:
     """Run a single (variant, snr, cluster count, run) cell and score it.
 
     The scene and initialization seeds depend only on (snr, run), and the
     FCM seed only on (snr, cluster count, run), so that all variants and
-    cluster counts see the same data and starting point. Within a group of
-    ``run_experiment`` the first cell that needs them makes them and the
-    others reuse them; called alone, the cell makes its own.
+    cluster counts see the same data and starting point. ``group`` holds what
+    the cells of one (snr, run) group share: the scene under ``"scene"``, the
+    start under ``"init"`` and each clustering under its cluster index. The
+    cell makes, read-only, what the dict lacks and leaves it there for the
+    next cell; without ``group`` it makes its own. The row does not depend
+    on ``group``.
     """
     variant = spec.variants[variant_idx]
     snr = spec.snr_levels[snr_idx]
     n_clusters = spec.cluster_counts[cluster_idx]
+    group = {} if group is None else group
 
-    scene = _shared(("scene", snr_idx, run), lambda: generate_synthetic(
-        _cell_library(spec, library), **spec.scene_settings(snr),
-        seed=derive_seed(spec.seed, _SCENE, snr_idx, run),
-    ))
-    A0, S0 = _shared(("init", snr_idx, run), lambda: initial_estimates(
-        scene.Y, spec.endmembers, spec.init, derive_seed(spec.seed, _INIT, snr_idx, run),
-    ))
+    if "scene" not in group:
+        group["scene"] = _read_only(generate_synthetic(
+            _cell_library(spec, library), **spec.scene_settings(snr),
+            seed=derive_seed(spec.seed, _SCENE, snr_idx, run),
+        ))
+    scene = group["scene"]
+    if "init" not in group:
+        group["init"] = _read_only(initial_estimates(
+            scene.Y, spec.endmembers, spec.init, derive_seed(spec.seed, _INIT, snr_idx, run),
+        ))
+    A0, S0 = group["init"]
     clusters = None
     if needs_clusters(variant):
-        clusters = _shared(("fcm", snr_idx, cluster_idx, run), lambda: fcm(
-            scene.Y, n_clusters, seed=derive_seed(spec.seed, _FCM, snr_idx, cluster_idx, run),
-            m=spec.fcm_m, tol=spec.fcm_tol, max_iter=spec.fcm_max_iter,
-        ))
+        if cluster_idx not in group:
+            group[cluster_idx] = _read_only(fcm(
+                scene.Y, n_clusters, seed=derive_seed(spec.seed, _FCM, snr_idx, cluster_idx, run),
+                m=spec.fcm_m, tol=spec.fcm_tol, max_iter=spec.fcm_max_iter,
+            ))
+        clusters = group[cluster_idx]
     result = run_unmixing(scene.Y, spec.config(variant, n_clusters), A0, S0, clusters)
     report = evaluate(scene.A_true, scene.S_true, result)
     return {
@@ -333,15 +309,11 @@ def run_cell(
 def _run_group(args) -> List[dict]:
     """Rows of every (variant, cluster count) cell of one (snr, run) group, in cell order."""
     spec, library, snr_idx, run = args
-    global _group
-    _group = {}
-    try:
-        return [
-            run_cell(spec, library, vi, snr_idx, ci, run)
-            for vi, ci in product(range(len(spec.variants)), range(len(spec.cluster_counts)))
-        ]
-    finally:
-        _group = None
+    group: dict = {}
+    return [
+        run_cell(spec, library, vi, snr_idx, ci, run, group=group)
+        for vi, ci in product(range(len(spec.variants)), range(len(spec.cluster_counts)))
+    ]
 
 
 def run_experiment(
@@ -380,14 +352,16 @@ def run_experiment(
                     progress(done, total, rows[done - 1])
 
     aggregates = []
-    for variant, snr, n_clusters in product(spec.variants, spec.snr_levels, spec.cluster_counts):
-        cell = {"variant": variant, "snr_db": snr, "clusters": n_clusters}
-        group = [r for r in rows if all(r[k] == v for k, v in cell.items())]
+    keys = product(spec.variants, spec.snr_levels, spec.cluster_counts)
+    for i, (variant, snr, n_clusters) in enumerate(keys):
+        runs = rows[i * spec.runs:(i + 1) * spec.runs]
         aggregates.append(
             {
-                **cell,
-                "rms_sad": sum(r["rms_sad"] for r in group) / len(group),
-                "rms_aad": sum(r["rms_aad"] for r in group) / len(group),
+                "variant": variant,
+                "snr_db": snr,
+                "clusters": n_clusters,
+                "rms_sad": sum(r["rms_sad"] for r in runs) / spec.runs,
+                "rms_aad": sum(r["rms_aad"] for r in runs) / spec.runs,
             }
         )
     return rows, aggregates

@@ -46,7 +46,7 @@ def estimate_sparsity_weight(Y) -> float:
     l1 = np.abs(arr).sum(axis=1)
     l2 = np.sqrt((arr * arr).sum(axis=1))
     if np.any(l2 == 0):
-        raise ValueError("image has an all-zero band row")
+        raise DegenerateDataError("image has an all-zero band row")
     terms = (np.sqrt(n_pixels) - l1 / l2) / np.sqrt(n_pixels - 1)
     return float(max(terms.sum() / np.sqrt(n_bands), 0.0))
 
@@ -108,7 +108,7 @@ def neighbor_weights(Y, adjacency, clusters: Optional[ClusterAssignment] = None)
         raise ValueError("clusters do not match the pixel count")
     norms = np.sqrt((arr * arr).sum(axis=0))
     if np.any(norms == 0):
-        raise ValueError("image contains a zero-spectrum pixel")
+        raise DegenerateDataError("image contains a zero-spectrum pixel")
     indptr, dst = adjacency.indptr, adjacency.indices
     degrees = np.diff(indptr)
     src = np.repeat(np.arange(n), degrees)

@@ -9,10 +9,10 @@ an experiment's cells share moves out of the cell spans that count it.
 """
 
 import importlib
-import sys
 from pathlib import Path
 
 import pytest
+from script_loader import load_script
 
 from hsunmix.experiment import ExperimentSpec, run_experiment
 from hsunmix.synth import bundled_library
@@ -22,15 +22,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 def load(name):
     """Execute perfbench/<name>.py as a fresh module, without bytecode files."""
-    path = PERFBENCH / f"{name}.py"
-    module = type(sys)(f"perfbench_{name}")
-    module.__file__ = str(path)
-    sys.modules[module.__name__] = module
-    try:
-        exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
-    finally:
-        del sys.modules[module.__name__]
-    return module
+    return load_script(PERFBENCH / f"{name}.py", f"perfbench_{name}")
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 
 import numpy as np
@@ -9,17 +12,19 @@ import pytest
 
 import hsunmix.experiment
 from hsunmix.cli import VARIANT_CHOICES, build_parser, main
-from hsunmix.clustering import FCM_M, FCM_MAX_ITER, FCM_TOL
+from hsunmix.clustering import FCM_M, FCM_MAX_ITER, FCM_TOL, fcm
 from hsunmix.experiment import (
-    _FCM, _INIT, _SCENE, ExperimentSpec, derive_seed, parse_experiment_spec, run_cell, run_experiment, run_pipeline,
+    _FCM, _INIT, _SCENE, ExperimentSpec, derive_seed, initial_estimates, needs_clusters, parse_experiment_spec,
+    run_cell, run_experiment,
 )
-from hsunmix.fileio import read_cube, read_spectral_library
+from hsunmix.fileio import read_cube, read_spectral_library, write_cube
 from hsunmix.metrics import evaluate
 from hsunmix.synth import (
     SCENE_ENDMEMBERS, SCENE_FILTER, SCENE_HEIGHT, SCENE_PATCH, SCENE_PURITY_CAP, SCENE_WIDTH, bundled_library,
     generate_synthetic,
 )
-from hsunmix.types import AlgorithmVariant, UnmixingConfig, resolve_variant
+from hsunmix.types import AlgorithmVariant, HyperspectralImage, UnmixingConfig, resolve_variant
+from hsunmix.unmix import run_unmixing
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +38,26 @@ def scene_dir(tmp_path_factory):
         ]
     )
     assert rc == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def degenerate_dir(tmp_path_factory):
+    """A 12 x 12 scene saved twice: with one zeroed pixel and with one zeroed band."""
+    out = tmp_path_factory.mktemp("degenerate")
+    rc = main(
+        [
+            "synth", "--c", "3", "--width", "12", "--height", "12",
+            "--patch", "4", "--filter", "3", "--seed", "1", "--out", str(out),
+        ]
+    )
+    assert rc == 0
+    Y = read_cube(out / "Y.cube")
+    pixel, band = Y.data.copy(), Y.data.copy()
+    pixel[:, 5] = 0.0
+    band[10, :] = 0.0
+    write_cube(out / "pixel.cube", HyperspectralImage(pixel, Y.width, Y.height))
+    write_cube(out / "band.cube", HyperspectralImage(band, Y.width, Y.height))
     return out
 
 
@@ -174,6 +199,25 @@ class TestUnmixCommand:
         )
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cube,variant,message",
+        [
+            ("pixel", "proposed", "image contains a zero-spectrum pixel"),
+            ("pixel", "distributed", "image contains a zero-spectrum pixel"),
+            ("band", "proposed", "image has an all-zero band row"),
+            ("band", "lq_nmf", "image has an all-zero band row"),
+        ],
+    )
+    def test_degenerate_data_is_an_algorithm_failure(self, degenerate_dir, tmp_path, capsys, cube, variant, message):
+        rc = main(
+            [
+                "unmix", str(degenerate_dir / f"{cube}.cube"), "--variant", variant,
+                "--endmembers", "3", "--max-iter", "3", "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_truth_flags_must_come_in_pairs(self, scene_dir, tmp_path, capsys):
         rc = main(
@@ -391,6 +435,10 @@ class TestSpecParsing:
             ("runs = 1\nsnr_levels = 25, nan", 2, "snr_db must be a finite value or +inf"),
             ("variants = nmf, proposed\nwidth = 2\nheight = 2", 3,
              "cluster count 6 exceeds the 4 pixels of a 2 x 2 scene"),
+            ("variants = nmf\nwidth = 2\nheight = 2\nendmembers = 6", 3,
+             "endmember count 6 exceeds the 4 pixels of a 2 x 2 scene"),
+            ("variants = nmf\nwidth = 2\nheight = 2\nendmembers = 5", 4,
+             "endmember count 5 exceeds the 4 pixels of a 2 x 2 scene"),
         ],
     )
     def test_spec_level_errors_name_the_line_that_made_them(self, text, line, message):
@@ -412,7 +460,17 @@ class TestSpecParsing:
 
     def test_fcm_settings_are_checked_only_when_a_variant_clusters(self):
         assert parse_experiment_spec("variants = nmf\nfcm_m = 1.0\n").fcm_m == 1.0
-        assert parse_experiment_spec("variants = nmf\nwidth = 2\nheight = 2\n").cluster_counts == (6,)
+        assert parse_experiment_spec("variants = nmf\nendmembers = 3\nwidth = 2\nheight = 2\n").cluster_counts == (6,)
+
+    def test_endmembers_are_checked_against_the_pixels_only_under_vca(self):
+        # a random start needs no pixel per endmember: the spec runs to the end
+        spec = parse_experiment_spec(
+            "variants = nmf\ninit = random\nwidth = 2\nheight = 2\nendmembers = 6\n"
+            "snr_levels = 25\nruns = 1\nmax_iter = 3\n"
+        )
+        rows, _ = run_experiment(spec, bundled_library().data)
+        assert [row["iterations"] for row in rows] == [3]
+        assert parse_experiment_spec("width = 2\nheight = 2\nendmembers = 4\ncluster_counts = 4\n").endmembers == 4
 
     def test_scene_defaults_are_the_synth_defaults(self):
         scene = (SCENE_ENDMEMBERS, SCENE_WIDTH, SCENE_HEIGHT, SCENE_PATCH, SCENE_FILTER, SCENE_PURITY_CAP)
@@ -488,11 +546,15 @@ class TestRunExperiment:
             scene = generate_synthetic(
                 library, **spec.scene_settings(spec.snr_levels[si]), seed=derive_seed(spec.seed, _SCENE, si, run)
             )
-            result = run_pipeline(
-                scene.Y, spec.config(spec.variants[vi], spec.cluster_counts[ci]), spec.endmembers, init,
-                init_seed=derive_seed(spec.seed, _INIT, si, run),
-                fcm_seed=derive_seed(spec.seed, _FCM, si, ci, run),
-                m=spec.fcm_m, tol=spec.fcm_tol, max_iter=spec.fcm_max_iter,
+            A0, S0 = initial_estimates(scene.Y, spec.endmembers, init, derive_seed(spec.seed, _INIT, si, run))
+            clusters = None
+            if needs_clusters(spec.variants[vi]):
+                clusters = fcm(
+                    scene.Y, spec.cluster_counts[ci], seed=derive_seed(spec.seed, _FCM, si, ci, run),
+                    m=spec.fcm_m, tol=spec.fcm_tol, max_iter=spec.fcm_max_iter,
+                )
+            result = run_unmixing(
+                scene.Y, spec.config(spec.variants[vi], spec.cluster_counts[ci]), A0, S0, clusters
             )
             report = evaluate(scene.A_true, scene.S_true, result)
             assert row == {
@@ -529,6 +591,34 @@ class TestRunExperiment:
             assert len(calls[name]) == groups, name
         assert len(set(calls["generate_synthetic"])) == len(set(calls["vca"])) == groups
         assert len(set(calls["fcm"])) == len(calls["fcm"]) == (groups * len(spec.cluster_counts) if clusters else 0)
+
+    def test_concurrent_calls_in_threads_match_serial(self):
+        # Two sweeps that differ only in seed, started together in threads of
+        # one process, must not see each other's scenes, starts or clusterings.
+        library = bundled_library().data
+        specs = [parse_experiment_spec(TINY_SPEC + f"seed = {seed}\n") for seed in (1, 2)]
+        serial = [run_experiment(spec, library) for spec in specs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so the two sweeps interleave
+        try:
+            with ThreadPoolExecutor(max_workers=len(specs)) as pool:
+                for _ in range(5):
+                    barrier = threading.Barrier(len(specs), timeout=60)
+
+                    def together(spec):
+                        barrier.wait()
+                        return run_experiment(spec, library)
+
+                    assert list(pool.map(together, specs, timeout=300)) == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_aggregates_are_the_means_of_each_cell_even_for_a_repeated_level(self):
+        spec = ExperimentSpec(**{**MIXED_SPEC, "variants": ("nmf",), "snr_levels": (20, 20), "cluster_counts": (2,)})
+        rows, aggregates = run_experiment(spec, bundled_library().data)
+        assert rows[0]["rms_sad"] != rows[2]["rms_sad"]  # the two levels get their own scenes
+        assert [a["rms_sad"] for a in aggregates] == [(rows[0]["rms_sad"] + rows[1]["rms_sad"]) / 2,
+                                                       (rows[2]["rms_sad"] + rows[3]["rms_sad"]) / 2]
 
     def test_more_jobs_than_groups_match_serial(self):
         spec = ExperimentSpec(**{**MIXED_SPEC, "snr_levels": (25,), "runs": 1})

@@ -54,7 +54,7 @@ class TestEstimateSparsityWeight:
         assert estimate_sparsity_weight(np.array([[3.0], [1.0]])) == 0.0
 
     def test_zero_row_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateDataError, match="all-zero band row"):
             estimate_sparsity_weight(np.array([[0.0, 0.0], [1.0, 2.0]]))
 
     @pytest.mark.parametrize("seed", range(5))
@@ -121,7 +121,7 @@ class TestNeighborWeights:
 
     def test_zero_pixel_rejected(self):
         Y = np.array([[1.0, 0.0], [1.0, 0.0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateDataError, match="zero-spectrum pixel"):
             neighbor_weights(Y, build_neighborhood(2, 1))
 
     def test_neighborless_last_pixel_keeps_an_empty_row(self):
