@@ -3,8 +3,9 @@
 The package estimates endmember signatures and per-pixel abundance maps from
 a hyperspectral image under the linear mixing model. Abundances live on the
 unit simplex; estimation couples neighboring pixels through spectral-
-similarity weights, optionally gated by a fuzzy clustering of the scene, and
-shrinks abundances with a data-driven sparsity penalty.
+similarity weights, optionally gated by a fuzzy clustering of the scene, and,
+for an exponent q < 1, shrinks abundances with a data-driven Lq sparsity
+penalty.
 """
 
 from .clustering import fcm, fcm_objective

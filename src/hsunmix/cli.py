@@ -115,16 +115,19 @@ def _cmd_unmix(args) -> int:
         seed=args.seed,
         variant=variant,
     )
+    truth = None
+    if args.truth_a is not None or args.truth_s is not None:
+        if args.truth_a is None or args.truth_s is None:
+            raise ValueError("--truth-a and --truth-s must be given together")
+        truth = read_spectral_library(args.truth_a), read_cube(args.truth_s)
+
     A0, S0 = initial_estimates(image, args.endmembers, args.init, args.seed)
     clusters = fcm(image, n_clusters, seed=args.seed) if needs_clusters(variant) else None
     result = run_unmixing(image, cfg, A0, S0, clusters)
 
     report = None
-    if args.truth_a is not None or args.truth_s is not None:
-        if args.truth_a is None or args.truth_s is None:
-            raise ValueError("--truth-a and --truth-s must be given together")
-        A_true = read_spectral_library(args.truth_a)
-        S_true = read_cube(args.truth_s)
+    if truth is not None:
+        A_true, S_true = truth
         report = evaluate_matrices(A_true.data, S_true.data, result.A.data, result.S.data)
 
     out = Path(args.out)
@@ -224,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, default=UnmixingConfig.eta, help="neighborhood coupling strength")
     p.add_argument("--q", type=float, default=UnmixingConfig.q, help="sparsity norm exponent in (0, 1]")
     p.add_argument("--sparsity-weight", type=float, default=UnmixingConfig.sparsity_weight,
-                   help="override the data-driven sparsity weight")
+                   help="override the data-driven sparsity weight (read only when q < 1)")
     p.add_argument("--max-iter", type=int, default=UnmixingConfig.max_iter)
     p.add_argument("--eps", type=float, default=UnmixingConfig.eps, help="cost-change stopping threshold")
     p.add_argument("--seed", type=int, default=0)

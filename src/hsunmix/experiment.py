@@ -80,7 +80,7 @@ class ExperimentSpec:
     The solver settings default to those of :class:`UnmixingConfig`. The
     scenes, the FCM settings and cluster counts (if a variant clusters) and
     every config are checked on construction, so a bad setting fails before
-    any cell runs.
+    any cell runs. No list may name an entry twice, aliases resolved.
     """
 
     variants: Tuple[str, ...] = (UnmixingConfig.variant,)
@@ -114,6 +114,12 @@ class ExperimentSpec:
         object.__setattr__(self, "cluster_counts", tuple(int(c) for c in self.cluster_counts))
         if not self.variants or not self.snr_levels or not self.cluster_counts:
             raise ValueError("variants, snr_levels, and cluster_counts must be nonempty")
+        for name in ("variants", "snr_levels", "cluster_counts"):
+            entries = getattr(self, name)
+            for i, entry in enumerate(entries):
+                if entry in entries[:i]:
+                    # the repeated cells would get rows no reader can tell apart
+                    raise ValueError(f"{name} lists {entry} twice")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
         if self.init not in ("vca", "random"):

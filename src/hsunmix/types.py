@@ -199,7 +199,8 @@ class UnmixingConfig:
     """Solver settings shared by every algorithm variant.
 
     ``sparsity_weight`` overrides the data-driven sparsity weight when set;
-    leave it ``None`` to estimate the weight from the image. ``clusters`` is
+    leave it ``None`` to estimate the weight from the image. It is ignored at
+    ``q = 1``, where the solver leaves the inert l1 penalty out. ``clusters`` is
     the cluster count handed to the fuzzy clustering step by the CLI; the
     solver itself receives an explicit :class:`ClusterAssignment`.
     """

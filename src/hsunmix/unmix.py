@@ -19,8 +19,9 @@ variant                           coupled  cluster mask  sparse  multiplicative 
 *coupled* pulls each pixel toward its neighbors with strength ``cfg.eta``;
 the *cluster mask* keeps only neighbors in the pixel's own cluster; *sparse*
 adds the q-norm penalty with weight ``cfg.sparsity_weight`` (estimated from
-the image when unset); *multiplicative* replaces the gradient abundance step
-by the multiplicative rule; *update A* turns the signature update on.
+the image when unset) when ``cfg.q < 1``; *multiplicative* replaces the
+gradient abundance step by the multiplicative rule; *update A* turns the
+signature update on.
 
 The gradient abundance step is diffusion LMS: pixel k steps down the
 gradient of its own local cost, residual plus weighted squared differences
@@ -30,8 +31,12 @@ the gradient of the summed objective. The sweep is synchronous: every
 pixel reads its neighbors from the previous iterate.
 
 The sparsity penalty promotes sparsity only for q < 1. At q = 1 it is the l1
-norm, constant on the simplex, and the projection cancels its step up to
-rounding.
+norm, constant on the simplex, and the projection would cancel its step, so
+the solver leaves the term out: no weight is estimated, no gradient taken
+and no constant lam N added to the recorded cost. At q = 1
+``sparse_distributed`` therefore runs ``distributed``,
+``clustered_sparse_distributed`` a cluster-gated ``distributed``, and
+``lq_nmf`` ``distributed`` at eta = 0, bit for bit.
 
 The loop never forms the L x N residual. The image enters the abundance
 kernels only through the products of ``signature_products``, by the Gram
@@ -349,7 +354,7 @@ def run_unmixing(
 
     eta = cfg.eta if preset.coupled else 0.0
     lam = 0.0
-    if preset.sparse:
+    if preset.sparse and cfg.q < 1:
         lam = cfg.sparsity_weight
         if lam is None:
             lam = estimate_sparsity_weight(Yd)

@@ -10,6 +10,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import hsunmix.cli
 import hsunmix.experiment
 from hsunmix.cli import VARIANT_CHOICES, build_parser, main
 from hsunmix.clustering import FCM_M, FCM_MAX_ITER, FCM_TOL, fcm
@@ -23,7 +24,7 @@ from hsunmix.synth import (
     SCENE_ENDMEMBERS, SCENE_FILTER, SCENE_HEIGHT, SCENE_PATCH, SCENE_PURITY_CAP, SCENE_WIDTH, bundled_library,
     generate_synthetic,
 )
-from hsunmix.types import AlgorithmVariant, HyperspectralImage, UnmixingConfig, resolve_variant
+from hsunmix.types import AlgorithmVariant, HyperspectralImage, UnmixingConfig, resolve_variant, validate_abundances
 from hsunmix.unmix import run_unmixing
 
 
@@ -210,26 +211,57 @@ class TestUnmixCommand:
         ],
     )
     def test_degenerate_data_is_an_algorithm_failure(self, degenerate_dir, tmp_path, capsys, cube, variant, message):
+        # the all-zero band breaks the sparsity weight's l1/l2 ratio, which
+        # only a q < 1 run estimates
+        q = ["--q", "0.5"] if cube == "band" else []
         rc = main(
             [
-                "unmix", str(degenerate_dir / f"{cube}.cube"), "--variant", variant,
+                "unmix", str(degenerate_dir / f"{cube}.cube"), "--variant", variant, *q,
                 "--endmembers", "3", "--max-iter", "3", "--out", str(tmp_path / "o"),
             ]
         )
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    def test_truth_flags_must_come_in_pairs(self, scene_dir, tmp_path, capsys):
+    def test_an_all_zero_band_unmixes_at_q_1(self, degenerate_dir, tmp_path):
+        out = tmp_path / "o"
         rc = main(
             [
-                "unmix", str(scene_dir / "Y.cube"),
-                "--variant", "nmf", "--endmembers", "3", "--max-iter", "2",
-                "--truth-a", str(scene_dir / "A_true.csv"),
-                "--out", str(tmp_path / "half"),
+                "unmix", str(degenerate_dir / "band.cube"), "--variant", "proposed",
+                "--endmembers", "3", "--max-iter", "3", "--out", str(out),
             ]
+        )
+        assert rc == 0
+        assert validate_abundances(read_cube(out / "S_est.cube").data)
+
+    @staticmethod
+    def _unmix_without_initialization(monkeypatch, scene_dir, out, *truth):
+        def no_start(*args, **kwargs):
+            raise AssertionError("initialization ran")
+
+        monkeypatch.setattr(hsunmix.cli, "initial_estimates", no_start)
+        return main(
+            [
+                "unmix", str(scene_dir / "Y.cube"),
+                "--variant", "nmf", "--endmembers", "3", "--max-iter", "2", *truth, "--out", str(out),
+            ]
+        )
+
+    def test_truth_flags_must_come_in_pairs(self, scene_dir, tmp_path, capsys, monkeypatch):
+        rc = self._unmix_without_initialization(
+            monkeypatch, scene_dir, tmp_path / "half", "--truth-a", str(scene_dir / "A_true.csv")
         )
         assert rc == 2
         assert "together" in capsys.readouterr().err
+
+    def test_a_missing_truth_file_fails_before_initialization(self, scene_dir, tmp_path, capsys, monkeypatch):
+        rc = self._unmix_without_initialization(
+            monkeypatch, scene_dir, tmp_path / "o",
+            "--truth-a", str(scene_dir / "A_true.csv"), "--truth-s", str(tmp_path / "absent.cube"),
+        )
+        assert rc == 2
+        assert "absent.cube" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestEvalCommand:
@@ -439,6 +471,10 @@ class TestSpecParsing:
              "endmember count 6 exceeds the 4 pixels of a 2 x 2 scene"),
             ("variants = nmf\nwidth = 2\nheight = 2\nendmembers = 5", 4,
              "endmember count 5 exceeds the 4 pixels of a 2 x 2 scene"),
+            ("runs = 1\nvariants = proposed, clustered_sparse_distributed", 2,
+             "variants lists clustered_sparse_distributed twice"),
+            ("snr_levels = 20, 25, 20\nruns = 1", 1, "snr_levels lists 20.0 twice"),
+            ("cluster_counts = 6, 6", 1, "cluster_counts lists 6 twice"),
         ],
     )
     def test_spec_level_errors_name_the_line_that_made_them(self, text, line, message):
@@ -613,10 +649,9 @@ class TestRunExperiment:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_aggregates_are_the_means_of_each_cell_even_for_a_repeated_level(self):
-        spec = ExperimentSpec(**{**MIXED_SPEC, "variants": ("nmf",), "snr_levels": (20, 20), "cluster_counts": (2,)})
+    def test_aggregates_are_the_means_of_each_cell(self):
+        spec = ExperimentSpec(**{**MIXED_SPEC, "variants": ("nmf",), "cluster_counts": (2,)})
         rows, aggregates = run_experiment(spec, bundled_library().data)
-        assert rows[0]["rms_sad"] != rows[2]["rms_sad"]  # the two levels get their own scenes
         assert [a["rms_sad"] for a in aggregates] == [(rows[0]["rms_sad"] + rows[1]["rms_sad"]) / 2,
                                                        (rows[2]["rms_sad"] + rows[3]["rms_sad"]) / 2]
 

@@ -1,0 +1,28 @@
+"""The README's quick start runs as written and prints the summary it shows."""
+
+import re
+import shlex
+from pathlib import Path
+
+from hsunmix.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def quick_start():
+    """The commands of the quick-start ``sh`` block and the output block after it."""
+    section = README.read_text().split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```(\w*)\n(.*?)```", section, flags=re.S)
+    (lang, commands), (_, output) = blocks[:2]
+    assert lang == "sh"
+    return [shlex.split(line) for line in commands.replace("\\\n", " ").splitlines()], output.strip()
+
+
+def test_quick_start_prints_the_documented_summary(tmp_path, monkeypatch, capsys):
+    commands, expected = quick_start()
+    assert [argv[:2] for argv in commands] == [["hsunmix", "synth"], ["hsunmix", "unmix"]]
+    monkeypatch.chdir(tmp_path)  # the commands write to relative paths
+    for argv in commands:
+        capsys.readouterr()
+        assert main(argv[1:]) == 0
+    assert capsys.readouterr().out.strip() == expected

@@ -465,26 +465,41 @@ class TestRunUnmixing:
         assert np.array_equal(masked.A.data, plain.A.data)
 
     def test_q1_sparsity_step_changes_nothing(self):
-        # on the simplex the l1 norm is constant, so a q = 1 sparsity step
-        # must leave the coupled solver where the unsparse one goes
+        # on the simplex the l1 norm is constant, so at q = 1 the solver leaves
+        # the penalty out and a sparse preset runs its unsparse counterpart
         scene = generate_synthetic(
             bundled_library().data, 3, width=8, height=8, patch=4,
             filter_size=3, snr_db=25.0, seed=14,
         )
-        A0 = vca(scene.Y, 3, seed=1)
-        S0 = fcls_abundances(scene.Y, A0)
-        sparse = run_unmixing(
-            scene.Y, UnmixingConfig(variant="sparse_distributed", q=1.0, max_iter=40),
-            A0, S0,
-        )
-        plain = run_unmixing(
-            scene.Y, UnmixingConfig(variant="distributed", max_iter=40), A0, S0
-        )
-        assert sparse.iterations_run == plain.iterations_run == 40
-        assert np.max(np.abs(sparse.A.data - plain.A.data)) < 1e-12
-        assert np.max(np.abs(sparse.S.data - plain.S.data)) < 1e-12
-        assert np.array_equal(sparse.S.data == 0, plain.S.data == 0)
-        assert np.array_equal(sparse.A.data == 0, plain.A.data == 0)
+        Y = scene.Y
+        A0 = vca(Y, 3, seed=1)
+        S0 = fcls_abundances(Y, A0)
+        pairs = [
+            (dict(variant="sparse_distributed"), dict(variant="distributed")),
+            (dict(variant="lq_nmf"), dict(variant="distributed", eta=0.0)),
+        ]
+        for sparse_cfg, plain_cfg in pairs:
+            sparse = run_unmixing(Y, UnmixingConfig(q=1.0, max_iter=40, **sparse_cfg), A0, S0)
+            plain = run_unmixing(Y, UnmixingConfig(max_iter=40, **plain_cfg), A0, S0)
+            assert sparse.iterations_run == plain.iterations_run == 40
+            assert np.array_equal(sparse.A.data, plain.A.data)
+            assert np.array_equal(sparse.S.data, plain.S.data)
+            assert sparse.cost_trace == plain.cost_trace
+
+    @pytest.mark.parametrize("variant", ["lq_nmf", "sparse_distributed", "clustered_sparse_distributed"])
+    @pytest.mark.parametrize("q", [1.0, 0.5])
+    def test_the_sparsity_kernels_run_only_below_q_1(self, monkeypatch, variant, q):
+        Y, A0, S0 = self._setup(seed=10)
+        counts = {}
+        for name in ("estimate_sparsity_weight", "sparsity_gradient", "sparsity_norm"):
+            def counted(*args, _name=name, _kernel=getattr(unmix, name), **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _kernel(*args, **kwargs)
+
+            monkeypatch.setattr(unmix, name, counted)
+        result = run_unmixing(Y, UnmixingConfig(variant=variant, q=q, max_iter=5), A0, S0, fcm(Y, 2, seed=0))
+        n = result.iterations_run
+        assert counts == ({} if q == 1 else {"estimate_sparsity_weight": 1, "sparsity_gradient": n, "sparsity_norm": n})
 
     def test_fcls_keeps_signatures_fixed(self):
         image, A0, S0 = self._setup(seed=7)
