@@ -121,8 +121,9 @@ def _cmd_unmix(args) -> int:
             raise ValueError("--truth-a and --truth-s must be given together")
         truth = read_spectral_library(args.truth_a), read_cube(args.truth_s)
 
-    A0, S0 = initial_estimates(image, args.endmembers, args.init, args.seed)
+    # clustering checks --clusters against the pixel count, so it runs before the costlier start
     clusters = fcm(image, n_clusters, seed=args.seed) if needs_clusters(variant) else None
+    A0, S0 = initial_estimates(image, args.endmembers, args.init, args.seed)
     result = run_unmixing(image, cfg, A0, S0, clusters)
 
     report = None

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import struct
 from dataclasses import asdict
 from pathlib import Path
@@ -122,6 +123,10 @@ def read_spectral_library(path) -> SignatureMatrix:
                 values = [float(x) for x in row]
             except ValueError as exc:
                 raise LibraryParseError(f"non-numeric value: {exc}", line=lineno) from None
+            if not all(map(math.isfinite, values)):
+                raise LibraryParseError("wavelength and reflectance must be finite", line=lineno)
+            if min(values[1:]) < 0:
+                raise LibraryParseError("reflectance must be nonnegative", line=lineno)
             wavelengths.append(values[0])
             rows.append(values[1:])
     if not rows:

@@ -22,8 +22,6 @@ from .types import (
     as_matrix,
 )
 
-_SNR_BISECT_TOL_DB = 1e-9
-
 # scene defaults, read by the experiment spec and the ``synth`` and ``unmix`` commands
 SCENE_ENDMEMBERS = 6
 SCENE_WIDTH = 40
@@ -82,7 +80,9 @@ def generate_synthetic(
 
         10*log10(||A S||_F^2 / ||noise||_F^2) == snr_db
 
-    holds to within 1e-9 dB. ``snr_db=inf`` produces a noise-free scene.
+    holds exactly up to rounding: the scale is solved in closed form for
+    the truncated entries and solved again while that set keeps growing.
+    ``snr_db=inf`` produces a noise-free scene.
     All randomness comes from ``seed``.
     """
     lib = as_matrix(library, "library")
@@ -181,48 +181,30 @@ def _scaled_truncated_noise(product: np.ndarray, draw: np.ndarray, snr_db: float
     """Scale ``draw`` so the realized SNR after truncation matches ``snr_db``.
 
     Entries that would push ``product + noise`` below zero are replaced by
-    ``-product`` (the observed entry becomes exactly zero). Truncation only
-    shrinks the noise, so the scale is found by growing it and bisecting on
-    the realized noise energy, which increases monotonically with the scale.
+    ``-product`` (the observed entry becomes exactly zero). For a fixed set T
+    of truncated entries the noise energy is a^2 sum_{not T} d^2 + sum_T p^2,
+    so the scale a has a closed form. Starting from T empty, the scale is
+    solved, the entries it truncates join T, and the step repeats until T
+    stops growing; T only grows, so this ends, and the scale never shrinks,
+    so every entry of T stays truncated at the final scale.
     """
     signal_energy = float(np.sum(product * product))
     if signal_energy == 0:
         raise ValueError("cannot scale noise against an all-zero scene")
     target = signal_energy / 10.0 ** (snr_db / 10.0)
 
-    def realized(alpha: float) -> tuple[np.ndarray, float]:
-        scaled = alpha * draw
-        noise = np.where(product + scaled < 0, -product, scaled)
-        return noise, float(np.sum(noise * noise))
-
-    draw_energy = float(np.sum(draw * draw))
-    if draw_energy == 0:
-        raise ValueError("noise draw is all zero")
-    lo = float(np.sqrt(target / draw_energy))
-    noise, energy = realized(lo)
-    if _db_error(signal_energy, energy, snr_db) <= _SNR_BISECT_TOL_DB:
-        return noise
-    hi = lo
-    for _ in range(200):
-        hi *= 2.0
-        _, energy = realized(hi)
-        if energy >= target:
+    truncated = np.zeros(product.shape, dtype=bool)
+    truncated_energy, free_energy = 0.0, float(np.sum(draw * draw))
+    while True:
+        if free_energy == 0:
+            raise ValueError("no untruncated noise entry is left to scale")
+        scale = np.sqrt((target - truncated_energy) / free_energy)
+        grown = truncated | (scale * draw < -product)
+        if np.array_equal(grown, truncated):
             break
-    else:
-        raise ValueError("failed to bracket the noise scale")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        noise, energy = realized(mid)
-        if _db_error(signal_energy, energy, snr_db) <= _SNR_BISECT_TOL_DB:
-            return noise
-        if energy < target:
-            lo = mid
-        else:
-            hi = mid
-    return noise
-
-
-def _db_error(signal_energy: float, noise_energy: float, snr_db: float) -> float:
-    if noise_energy == 0:
-        return np.inf
-    return abs(10.0 * np.log10(signal_energy / noise_energy) - snr_db)
+        truncated = grown
+        truncated_energy = float(np.sum(product[truncated] ** 2))
+        free_energy = float(np.sum(np.square(draw), where=~truncated))
+    # p + s < 0 exactly when s < -p, so this is the truncation rule above
+    noise = scale * draw
+    return np.maximum(noise, -product, out=noise)

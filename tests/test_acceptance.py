@@ -187,6 +187,7 @@ def test_criterion_04_every_iterate_feasible_for_every_variant():
         assert not violations, f"constraint violations: {violations[:5]}"
 
 
+@pytest.mark.slow
 def test_criterion_05_proposed_variant_wins_the_synthetic_ordering():
     library = bundled_library()
     spec = ExperimentSpec(

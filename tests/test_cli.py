@@ -235,7 +235,7 @@ class TestUnmixCommand:
         assert validate_abundances(read_cube(out / "S_est.cube").data)
 
     @staticmethod
-    def _unmix_without_initialization(monkeypatch, scene_dir, out, *truth):
+    def _unmix_without_initialization(monkeypatch, scene_dir, out, *flags):
         def no_start(*args, **kwargs):
             raise AssertionError("initialization ran")
 
@@ -243,7 +243,7 @@ class TestUnmixCommand:
         return main(
             [
                 "unmix", str(scene_dir / "Y.cube"),
-                "--variant", "nmf", "--endmembers", "3", "--max-iter", "2", *truth, "--out", str(out),
+                "--variant", "nmf", "--endmembers", "3", "--max-iter", "2", *flags, "--out", str(out),
             ]
         )
 
@@ -261,6 +261,16 @@ class TestUnmixCommand:
         )
         assert rc == 2
         assert "absent.cube" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_a_cluster_count_beyond_the_pixels_fails_before_initialization(
+        self, scene_dir, tmp_path, capsys, monkeypatch
+    ):
+        rc = self._unmix_without_initialization(
+            monkeypatch, scene_dir, tmp_path / "o", "--variant", "proposed", "--clusters", "5000"
+        )
+        assert rc == 2
+        assert "n_clusters must lie in [1, pixel count]" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
 

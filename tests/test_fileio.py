@@ -156,6 +156,22 @@ class TestSpectralLibraryCsv:
         with pytest.raises(LibraryParseError):
             read_spectral_library(path)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("2.0,nan,0.2", "finite"),
+            ("2.0,0.1,inf", "finite"),
+            ("-inf,0.1,0.2", "finite"),
+            ("2.0,-0.1,0.2", "nonnegative"),
+        ],
+    )
+    def test_bad_values_rejected_with_their_line(self, tmp_path, row, message):
+        path = tmp_path / "values.csv"
+        path.write_text(f"wavelength,a,b\n1.0,0.1,0.2\n{row}\n3.0,0.5,0.6\n")
+        with pytest.raises(LibraryParseError, match=message) as err:
+            read_spectral_library(path)
+        assert err.value.line == 3
+
 
 class TestReportJson:
     def _report(self):

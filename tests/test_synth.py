@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hsunmix.metrics import sad
-from hsunmix.synth import bundled_library, generate_synthetic
+from hsunmix.synth import _scaled_truncated_noise, bundled_library, generate_synthetic
 from hsunmix.types import validate_abundances
 
 
@@ -44,14 +44,13 @@ class TestGenerateSynthetic:
         assert np.array_equal(scene.noise, np.zeros_like(scene.noise))
         assert np.array_equal(scene.Y.data, scene.A_true.data @ scene.S_true.data)
 
-    @pytest.mark.parametrize("snr", [5.0, 15.0, 25.0, 40.0])
+    @pytest.mark.parametrize("snr", [3.0, 5.0, 15.0, 25.0, 40.0])
     def test_realized_snr_matches_target(self, library, snr):
         scene = generate_synthetic(library.data, 4, width=10, height=10, snr_db=snr, seed=2)
         product = scene.A_true.data @ scene.S_true.data
         realized = 10 * np.log10(np.sum(product**2) / np.sum(scene.noise**2))
-        assert abs(realized - snr) < 0.05
-        # construction is much tighter than the documented tolerance
-        assert abs(realized - snr) < 1e-9
+        # the scale is solved in closed form, so only rounding is left
+        assert abs(realized - snr) < 1e-12
 
     def test_abundances_feasible(self, library):
         scene = generate_synthetic(library.data, 6, width=40, height=40, snr_db=25.0, seed=4)
@@ -102,3 +101,36 @@ class TestGenerateSynthetic:
     def test_nan_snr_rejected(self, library):
         with pytest.raises(ValueError):
             generate_synthetic(library.data, 3, width=8, height=8, snr_db=np.nan)
+
+
+class TestScaledTruncatedNoise:
+    def test_untruncated_draw_is_scaled_exactly_once(self):
+        rng = np.random.default_rng(0)
+        product = rng.random((5, 30)) + 10.0
+        draw = rng.standard_normal(product.shape)
+        target = np.sum(product**2) / 10.0**2.5
+        noise = _scaled_truncated_noise(product, draw, 25.0)
+        assert np.array_equal(noise, np.sqrt(target / np.sum(draw**2)) * draw)
+
+    def test_truncated_entries_zero_the_image_and_the_rest_share_one_scale(self):
+        rng = np.random.default_rng(1)
+        product = rng.random((8, 50))
+        draw = rng.standard_normal(product.shape)
+        noise = _scaled_truncated_noise(product, draw, 3.0)
+        assert np.all(product + noise >= 0)
+        truncated = product + noise == 0
+        assert 0 < truncated.sum() < truncated.size
+        free = ~truncated & (draw != 0)
+        ratio = noise[free] / draw[free]
+        assert np.ptp(ratio) <= 1e-15 * ratio[0]
+        assert np.all(ratio[0] * draw[truncated] < -product[truncated])
+        realized = 10 * np.log10(np.sum(product**2) / np.sum(noise**2))
+        assert abs(realized - 3.0) < 1e-12
+
+    def test_all_negative_draw_beyond_the_truncated_energy_is_rejected(self):
+        product = np.full((2, 3), 0.5)
+        draw = -np.ones_like(product)
+        # truncating every entry leaves noise energy sum(p^2) = 1.5, short of the
+        # -1 dB target 1.5 * 10**0.1
+        with pytest.raises(ValueError, match="no untruncated"):
+            _scaled_truncated_noise(product, draw, -1.0)
