@@ -55,7 +55,6 @@ from .types import (
 from .unmix import (
     StopReason,
     UnmixingResult,
-    abundance_step,
     global_cost,
     run_unmixing,
     update_abundance_multiplicative,
@@ -81,7 +80,6 @@ __all__ = [
     "UnmixingConfig",
     "UnmixingResult",
     "aad",
-    "abundance_step",
     "build_neighborhood",
     "bundled_library",
     "estimate_sparsity_weight",

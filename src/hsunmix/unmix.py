@@ -69,6 +69,9 @@ eta <W 1 + W^T 1, |s|^2>, not times the coupling term itself. Rows of W
 sum to at most 1 and abundance columns on the simplex have |s|^2 <= 1, so
 that scale is at most 2 eta N: about 7e-14 at the default eta = 0.1 on a
 40 x 40 scene.
+
+``global_cost`` and ``update_abundance_multiplicative`` keep an image-level
+form: the first is the Gram form's reference, and perfbench replays both.
 """
 
 from __future__ import annotations
@@ -156,11 +159,8 @@ def _factors(Y, A, S):
 
 
 def global_cost(Y, A, S) -> float:
-    """Summed squared reconstruction error over all pixels, from the residual.
-
-    The solver records the same term in Gram form (``gram_objective``); this
-    direct definition is the reference it is checked against.
-    """
+    """Summed squared reconstruction error over all pixels, from the residual:
+    the direct reference for the Gram form that ``gram_objective`` records."""
     Yd, Ad, Sd = _factors(Y, A, S)
     resid = Yd - Ad @ Sd
     return float(np.sum(resid * resid))
@@ -223,13 +223,11 @@ def gram_step(
 
     with every pixel read from ``S``. The first two terms are minus half the
     gradient of pixel k's local cost in s_k. The residual part is
-    ``AtY - AtA S``; the neighbor sum is ``S W^T - S diag(W 1)``, with
-    S W^T taken from ``pull`` when given (``coupling_pull(graph, S)``).
+    ``AtY - AtA S``; the neighbor sum is ``S W^T - S diag(W 1)``. With a
+    ``graph``, ``pull`` must be S W^T (``coupling_pull(graph, S)``).
     """
     step = mu * (P.AtY - P.AtA @ S)
-    if graph is not None and eta > 0:
-        if pull is None:
-            pull = coupling_pull(graph, S)
+    if graph is not None:
         step += (mu * eta) * (pull - S * graph.degree)
     if lam > 0:
         step -= (mu * lam) * sparsity_gradient(S, q)
@@ -245,14 +243,12 @@ def gram_objective(
     The residual term is |Y|^2 - 2 <AtY, S> + <AtA, S S^T> with
     ``y_energy`` = |Y|^2; to it come eta sum_kj W[k, j] |s_k - s_j|^2 and
     lam times the summed guarded q-norms of the abundance columns; the
-    coupling term comes from one sparse product, S W^T (see ``Coupling``),
-    taken from ``pull`` when given. On an exact fit the residual term can
-    round to a tiny negative value.
+    coupling term comes from one sparse product, S W^T (see ``Coupling``).
+    With a ``graph``, ``pull`` must be S W^T (``coupling_pull(graph, S)``).
+    On an exact fit the residual term can round to a tiny negative value.
     """
     value = y_energy - 2.0 * float(np.vdot(P.AtY, S)) + float(np.vdot(P.AtA, S @ S.T))
-    if graph is not None and eta > 0:
-        if pull is None:
-            pull = coupling_pull(graph, S)
+    if graph is not None:
         # np.vdot, not a full einsum reduction: that one sums sequentially
         # and rounds about ten times worse on 40 x 40 scenes
         value += eta * (
@@ -266,32 +262,6 @@ def gram_objective(
 def gram_multiplicative(P: Products, S) -> np.ndarray:
     """Multiplicative abundance update S * AtY / (AtA S + guard)."""
     return S * P.AtY / (P.AtA @ S + MULT_GUARD)
-
-
-def abundance_step(
-    Y, A, S, mu: float, W: Optional[csr_matrix] = None,
-    eta: float = 0.0, lam: float = 0.0, q: float = 1.0,
-) -> np.ndarray:
-    """``gram_step`` for an image, signatures and neighbor operator W."""
-    Yd, Ad, Sd = _factors(Y, A, S)
-    graph = None if W is None else coupling(W)
-    return gram_step(signature_products(Yd, Ad), Sd, mu, graph, eta, lam, q)
-
-
-def objective(
-    Y, A, S, W: Optional[csr_matrix] = None,
-    eta: float = 0.0, lam: float = 0.0, q: float = 1.0,
-) -> float:
-    """``gram_objective`` for an image, signatures and neighbor operator W.
-
-    That is ``global_cost`` plus eta sum_kj W[k, j] |s_k - s_j|^2 plus lam
-    times the summed guarded q-norms of the abundance columns.
-    """
-    Yd, Ad, Sd = _factors(Y, A, S)
-    graph = None if W is None else coupling(W)
-    return gram_objective(
-        image_energy(Yd), signature_products(Yd, Ad), Sd, graph, eta, lam, q
-    )
 
 
 def update_signatures(Y, A, S) -> np.ndarray:
@@ -309,13 +279,6 @@ def update_abundance_multiplicative(Y, A, S) -> np.ndarray:
     """Multiplicative abundance update S * (A^T Y) / (A^T A S + guard)."""
     Yd, Ad, Sd = _factors(Y, A, S)
     return gram_multiplicative(signature_products(Yd, Ad), Sd)
-
-
-def converged(j_new: float, j_old: float, eps: float) -> bool:
-    """Stopping rule: the absolute objective change fell below ``eps``."""
-    if not (np.isfinite(j_new) and np.isfinite(j_old)):
-        raise ValueError("objective values must be finite")
-    return bool(abs(j_new - j_old) < eps)
 
 
 def run_unmixing(
@@ -395,7 +358,7 @@ def run_unmixing(
         trace.append(j)
         if on_iteration is not None:
             on_iteration(iteration, A, S, j)
-        if j_prev is not None and converged(j, j_prev, cfg.eps):
+        if j_prev is not None and abs(j - j_prev) < cfg.eps:
             reason = StopReason.CONVERGED
             break
         j_prev = j

@@ -43,8 +43,11 @@ from hsunmix.types import (
 )
 from hsunmix.unmix import (
     StopReason,
-    abundance_step,
+    coupling,
+    coupling_pull,
+    gram_step,
     run_unmixing,
+    signature_products,
     update_abundance_multiplicative,
     update_signatures,
 )
@@ -93,6 +96,7 @@ def test_criterion_02_gradients_match_finite_differences():
     Y = rng.random((L, width * height)) + 0.1
     A = rng.random((L, c)) + 0.1
     nbhd = neighbor_weights(Y, build_neighborhood(width, height))
+    P, graph = signature_products(Y, A), coupling(nbhd)
     eta = 0.3
     h = 1e-6
     worst = 0.0
@@ -100,7 +104,7 @@ def test_criterion_02_gradients_match_finite_differences():
         S = rng.dirichlet(np.ones(c), size=width * height).T
         k = int(rng.integers(width * height))
         # the solver's step at mu = 1 is minus half the local-cost gradient
-        g = -2.0 * abundance_step(Y, A, S, 1.0, nbhd, eta)[:, k]
+        g = -2.0 * gram_step(P, S, 1.0, graph, eta, pull=coupling_pull(graph, S))[:, k]
         fd = np.zeros(c)
         for i in range(c):
             Sp, Sm = S.copy(), S.copy()
