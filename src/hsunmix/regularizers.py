@@ -24,8 +24,8 @@ SPARSITY_GUARD = 1e-12  # keeps the q-norm gradient finite at exact zeros
 # floating point. The slack is far below every consumer tolerance.
 _FEASIBLE_SLACK = 64 * np.finfo(np.float64).eps
 
-# Below this size (2^52), x + (1 - x) rounds to about 1 for every float x;
-# from 2^53 on it can round to 0.
+# 2^52: the simplex projection measures a column whose largest entry reaches
+# this size, divided by 2 c^2, from that entry (see project_simplex_columns).
 _SHIFT_BOUND = 1.0 / np.finfo(np.float64).eps
 
 
@@ -132,34 +132,87 @@ def neighbor_weights(Y, adjacency, clusters: Optional[ClusterAssignment] = None)
 def project_simplex_columns(V) -> np.ndarray:
     """Euclidean projection of every column of V onto the unit simplex.
 
-    Sort-based thresholding, O(c log c) per column. Columns that already
-    satisfy the constraints (nonnegative, sum within a few ulps of 1) are
-    returned unchanged, so the projection is exactly idempotent.
+    Michelot's active-set iteration (Math. Programming 1986; see Condat,
+    Math. Programming 2016), on all columns at once: column v projects to
+    max(v - tau, 0), with tau the mean excess over 1 of the entries above
+    tau. No sort; each pass is a few c x N operations, and at most c passes
+    run (``_michelot_threshold``). Columns that already satisfy the
+    constraints (nonnegative, sum within a few ulps of 1) are returned
+    unchanged, so the projection is exactly idempotent. A column holding NaN
+    or an infinity raises ``ValueError``.
     """
     V = np.asarray(V, dtype=np.float64)
     if V.ndim != 2:
         raise ValueError("expected a 2-D array of column vectors")
-    c, n = V.shape
-    feasible = (V >= 0).all(axis=0) & (np.abs(V.sum(axis=0) - 1.0) <= _FEASIBLE_SLACK)
+    c = V.shape[0]
+    top = V.max(axis=0)
+    bottom = V.min(axis=0)
+    # max and min propagate NaN, so between them they see every non-finite entry
+    bad = ~(np.isfinite(top) & np.isfinite(bottom))
+    if bad.any():
+        columns = np.flatnonzero(bad)
+        raise ValueError(
+            f"cannot project onto the simplex: {columns.size} column(s) hold NaN or inf, "
+            f"the first at index {columns[0]}"
+        )
+    total = V.sum(axis=0)
+    feasible = (bottom >= 0) & (np.abs(total - 1.0) <= _FEASIBLE_SLACK)
     if feasible.all():
         return V.copy()
-    # The projection commutes with shifts along the ones vector. A column
-    # whose largest entry reaches _SHIFT_BOUND in size is measured from that
-    # entry, so its top entry is exactly 0 and the first rank qualifies;
-    # unshifted, u + (1 - u) can round to 0 there. Smaller columns stay in
-    # place, bit for bit, because the first rank always qualifies for them.
-    top = V.max(axis=0)
-    X = V - np.where(np.abs(top) < _SHIFT_BOUND, 0.0, top)
-    u = np.sort(X, axis=0)[::-1]
-    css = np.cumsum(u, axis=0)
-    ranks = np.arange(1, c + 1, dtype=np.float64)[:, None]
-    # the indices where this holds form a prefix of the sorted column
-    positive = u + (1.0 - css) / ranks > 0
-    rho = positive.sum(axis=0) - 1
-    tau = (1.0 - css[rho, np.arange(n)]) / (rho + 1.0)
-    out = np.maximum(X + tau, 0.0)
-    out[:, feasible] = V[:, feasible]
+    # The projection commutes with shifts along the ones vector. tau is a
+    # mean of up to c entries near the column's top entry: in place it rounds
+    # by up to about c eps |top| / 2, while in exact arithmetic it lies at
+    # least 1/c below the top entry. A column whose top entry reaches
+    # 2^52 / (2 c^2) in size could so lose every active entry; it is measured
+    # from that entry instead, which becomes exactly 0 and stays active.
+    # Smaller columns stay in place, bit for bit.
+    shift = np.abs(top) >= _SHIFT_BOUND / (2 * c * c)
+    if shift.any():
+        # every top left in X is below 2^51 in size, so no entry below -2^52
+        # is in a support and the clamp changes no result; it keeps an entry
+        # that overflowed to -inf out of the masked sums (0 * -inf is NaN)
+        with np.errstate(over="ignore"):
+            X = V - np.where(shift, top, 0.0)
+        np.maximum(X, -_SHIFT_BOUND, out=X)
+        top = np.where(shift, 0.0, top)
+        total = X.sum(axis=0)
+    else:
+        X = V
+    tau, _ = _michelot_threshold(X, top, total)
+    out = np.subtract(X, tau)
+    np.maximum(out, 0.0, out=out)
+    if feasible.any():
+        out[:, feasible] = V[:, feasible]
     return out
+
+
+def _michelot_threshold(X, top, total):
+    """The threshold tau of every column of X, and the passes it took.
+
+    ``top`` and ``total`` hold the column maxima and sums. For every set of
+    entries that holds the support, the mean excess over 1 of its entries is
+    at most tau; the whole column and top - 1 give two such lower bounds, and
+    the first active set is the entries above the larger. Each pass sets tau
+    to the mean excess of the active entries and drops the entries at or
+    below it; tau only rises, so the active set only shrinks, and the
+    iteration stops at the first pass that leaves every set as it was. A set
+    of two or more entries, all above top - 1, never shrinks to the top entry
+    alone, so a column runs through at most c - 1 sets of two or more and one
+    pass confirms the last: the loop is capped at c passes.
+    """
+    c, n = X.shape
+    mask = np.empty_like(X)  # the active entries as 0/1, then those entries
+    # top - 1 still bounds tau where the column sum overflowed
+    tau = np.maximum((total - 1.0) / c, top - 1.0)
+    count = np.zeros(n)  # every active set holds the top entry, so no count is 0
+    for passes in range(1, c + 1):
+        np.greater(X, tau, out=mask, casting="unsafe")
+        active = mask.sum(axis=0)
+        if np.array_equal(active, count):
+            break
+        count = active
+        tau = (np.multiply(mask, X, out=mask).sum(axis=0) - 1.0) / count
+    return tau, passes
 
 
 def project_simplex(v) -> np.ndarray:

@@ -207,8 +207,13 @@ def image_energy(Y) -> float:
 
 
 def coupling_pull(graph: Coupling, S) -> np.ndarray:
-    """S W^T: column k is the weighted sum of pixel k's neighbor columns."""
-    return (graph.W @ S.T).T
+    """S W^T: column k is the weighted sum of pixel k's neighbor columns.
+
+    scipy's sparse product is faster on a C-ordered dense operand than on
+    the F-ordered view S.T, so S^T goes in as a C-ordered copy (c x N, the
+    same bits).
+    """
+    return (graph.W @ np.ascontiguousarray(S.T)).T
 
 
 def gram_step(
@@ -268,11 +273,13 @@ def update_signatures(Y, A, S) -> np.ndarray:
     """Multiplicative signature update A * (Y S^T) / (A S S^T + guard).
 
     Keeps nonnegativity and never increases the reconstruction error; the
-    additive guard only protects against zero denominators.
+    additive guard only protects against zero denominators. Y S^T is formed
+    as (S Y^T)^T, the operand layout BLAS is fast on for a C-ordered Y; it
+    rounds differently from Y @ S.T, by a few ulps.
     """
     Yd, Ad, Sd = _factors(Y, A, S)
     gram = Sd @ Sd.T
-    return Ad * (Yd @ Sd.T) / (Ad @ gram + MULT_GUARD)
+    return Ad * (Sd @ Yd.T).T / (Ad @ gram + MULT_GUARD)
 
 
 def update_abundance_multiplicative(Y, A, S) -> np.ndarray:

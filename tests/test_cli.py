@@ -2,10 +2,13 @@
 
 import csv
 import json
+import os
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -683,3 +686,13 @@ MIXED_SPEC = dict(
     variants=("proposed", "distributed", "fcls"), snr_levels=(20, 30), cluster_counts=(2, 3), runs=2,
     width=8, height=8, endmembers=3, patch=4, filter_size=3, max_iter=4, fcm_max_iter=10,
 )
+
+
+def test_python_dash_m_runs_from_a_checkout():
+    src = Path(hsunmix.cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "hsunmix", "--help"], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: hsunmix")

@@ -1,15 +1,19 @@
 """Sparsity weighting, similarity weights, simplex projection, penalty terms."""
 
 import itertools
+import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
+from sort_projection import sort_projection
 
 from hsunmix.errors import DegenerateDataError
 from hsunmix.regularizers import (
+    _SHIFT_BOUND,
+    _michelot_threshold,
     build_neighborhood,
     estimate_sparsity_weight,
     neighbor_weights,
@@ -200,6 +204,98 @@ class TestProjectSimplex:
             got = project_simplex(v)
             want = simplex_projection_oracle(v)
             assert np.max(np.abs(got - want)) < 1e-9
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_column_raises(self, bad):
+        V = np.full((3, 5), 0.2)
+        V[1, 3] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="1 column.*NaN or inf.*index 3"):
+                project_simplex_columns(V)
+
+
+def one_drop_per_pass(c):
+    """A column from which Michelot's iteration drops one entry per pass.
+
+    Entry k sits just below the threshold of the k - 1 entries above it, and
+    the slack grows with k so that dropping entry k leaves entry k - 1 above
+    the next threshold.
+    """
+    excess = [1.0, 0.5]
+    for k in range(3, c + 1):
+        excess.append(sum(excess[1:]) / (k - 1) * (1.0 - 1e-8 * math.factorial(k)))
+    return np.array(excess[:c]) - 1.0
+
+
+class TestMichelotProjection:
+    """``project_simplex_columns`` against the sort-based projection it replaced."""
+
+    @pytest.mark.parametrize("c", range(1, 11))
+    def test_matches_sort_oracle_on_unit_scale_columns(self, c):
+        rng = np.random.default_rng(100 + c)
+        S = rng.dirichlet(np.ones(c), size=2000).T
+        V = np.hstack([rng.uniform(-1.0, 1.0, size=(c, 2000)), S + 0.05 * rng.normal(size=S.shape)])
+        assert np.max(np.abs(project_simplex_columns(V) - sort_projection(V))) <= 4e-16
+
+    @pytest.mark.parametrize("c", range(1, 11))
+    def test_matches_sort_oracle_within_two_ulps_of_the_column_scale(self, c):
+        rng = np.random.default_rng(200 + c)
+        V = rng.normal(size=(c, 3000)) * 10.0 ** rng.integers(-2, 4, size=3000)
+        diff = np.abs(project_simplex_columns(V) - sort_projection(V))
+        scale = np.maximum(1.0, np.abs(V).max(axis=0))
+        assert np.all(diff <= 2 * np.spacing(scale))
+
+    @pytest.mark.parametrize("c", range(1, 11))
+    def test_matches_sort_oracle_on_ties_one_hots_and_shift_bound_columns(self, c):
+        columns = [np.full(c, value) for value in (-2.0, 0.0, 0.3, 1.0 / c, 5.0)]
+        for top, rest in ((0.7, 0.1), (0.4, -0.3), (2.0, 1.0)):
+            duplicated = np.full(c, rest)
+            duplicated[: max(c // 2, 1)] = top
+            columns.append(duplicated)
+        for height in (0.5, 1.0, 3.0):
+            columns += list(height * np.eye(c))
+        for bound in (_SHIFT_BOUND, -_SHIFT_BOUND):
+            columns += [np.full(c, bound), np.r_[bound, np.linspace(-1.0, 1.0, c - 1)]]
+        V = np.column_stack(columns)
+        P = project_simplex_columns(V)
+        assert np.max(np.abs(P - sort_projection(V))) <= 4e-16
+        # a feasible column may miss the unit sum by the feasibility slack
+        assert np.all(P >= 0.0) and np.allclose(P.sum(axis=0), 1.0, rtol=0, atol=64 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("c", range(1, 11))
+    def test_worst_case_stays_within_c_passes(self, c):
+        # the first active set comes free from the column sum, so one entry
+        # dropped per pass takes c - 1 passes, the last one confirming
+        V = one_drop_per_pass(c)[:, None]
+        _, passes = _michelot_threshold(V, V.max(axis=0), V.sum(axis=0))
+        assert c - 1 <= passes <= c
+        assert np.max(np.abs(project_simplex_columns(V) - sort_projection(V))) <= 4e-16
+        rng = np.random.default_rng(c)
+        W = rng.normal(size=(c, 4000)) * rng.uniform(0.1, 3.0, size=4000)
+        assert _michelot_threshold(W, W.max(axis=0), W.sum(axis=0))[1] <= c
+
+    @pytest.mark.parametrize("c", [2, 6, 10])
+    def test_large_columns_never_lose_their_active_set(self, c):
+        # in place, the mean of c nearly equal entries near 1e15 can round
+        # above all of them; such columns are measured from their top entry
+        rng = np.random.default_rng(c)
+        tops = np.array([1e15, 4e15, -1e15, 0.9 * _SHIFT_BOUND / (2 * c * c)])
+        V = np.hstack(list(np.round(tops)[:, None, None] + rng.integers(0, 4, size=(tops.size, c, 50))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            P = project_simplex_columns(V)
+        assert np.all(P >= 0.0) and np.all(P.max(axis=0) > 0.0)
+        shifted = P[:, :150]
+        assert np.allclose(shifted.sum(axis=0), 1.0, rtol=0, atol=1e-15)
+
+    def test_column_spanning_the_float_range(self):
+        # measured from its top entry, the bottom entry overflows to -inf
+        V = np.array([[1.7e308, 0.25], [-1.7e308, -1.7e308], [0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            P = project_simplex_columns(V)
+        assert np.array_equal(P, [[1.0, 0.625], [0.0, 0.0], [0.0, 0.375]])
 
 
 class TestSparsityTerms:

@@ -26,6 +26,7 @@ from hsunmix.types import (
     validate_abundances,
 )
 from hsunmix.unmix import (
+    MULT_GUARD,
     PRESETS,
     AlgorithmVariant,
     StopReason,
@@ -403,6 +404,25 @@ class TestUpdateSignatures:
         A = rng.random((6, 2)) + 0.01
         S = rng.random((2, 10)) + 0.01
         assert np.all(update_signatures(Y, A, S) >= 0.0)
+
+    def test_transposed_product_matches_the_direct_form(self):
+        # Y S^T is formed as (S Y^T)^T; the two round apart by a few ulps
+        rng = np.random.default_rng(14)
+        Y = rng.random((224, 1600))
+        A = rng.random((224, 6)) + 0.01
+        S = rng.dirichlet(np.ones(6), size=1600).T
+        want = A * (Y @ S.T) / (A @ S @ S.T + MULT_GUARD)
+        got = update_signatures(Y, A, S)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
+
+class TestCouplingPull:
+    def test_contiguous_operand_gives_the_same_bits(self):
+        rng = np.random.default_rng(15)
+        Y = rng.random((20, 40 * 40)) + 0.05
+        graph = coupling(neighbor_weights(Y, build_neighborhood(40, 40)))
+        S = rng.dirichlet(np.ones(6), size=40 * 40).T
+        assert np.array_equal(coupling_pull(graph, S), (graph.W @ S.T).T)
 
 
 class TestRunUnmixing:
