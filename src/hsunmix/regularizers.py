@@ -24,10 +24,6 @@ SPARSITY_GUARD = 1e-12  # keeps the q-norm gradient finite at exact zeros
 # floating point. The slack is far below every consumer tolerance.
 _FEASIBLE_SLACK = 64 * np.finfo(np.float64).eps
 
-# 2^52: the simplex projection measures a column whose largest entry reaches
-# this size, divided by 2 c^2, from that entry (see project_simplex_columns).
-_SHIFT_BOUND = 1.0 / np.finfo(np.float64).eps
-
 
 def estimate_sparsity_weight(Y) -> float:
     """Data-driven weight for the sparsity penalty.
@@ -136,15 +132,17 @@ def project_simplex_columns(V) -> np.ndarray:
     Math. Programming 2016), on all columns at once: column v projects to
     max(v - tau, 0), with tau the mean excess over 1 of the entries above
     tau. No sort; each pass is a few c x N operations, and at most c passes
-    run (``_michelot_threshold``). Columns that already satisfy the
-    constraints (nonnegative, sum within a few ulps of 1) are returned
-    unchanged, so the projection is exactly idempotent. A column holding NaN
-    or an infinity raises ``ValueError``.
+    run (``_michelot_threshold``). The projection commutes with shifts along
+    the ones vector, so every column is measured from its top entry, which
+    keeps the threshold's rounding at the scale of the simplex whatever the
+    column's size. Columns that already satisfy the constraints
+    (nonnegative, sum within a few ulps of 1) are returned unchanged, so the
+    projection is exactly idempotent. A column holding NaN or an infinity
+    raises ``ValueError``.
     """
     V = np.asarray(V, dtype=np.float64)
     if V.ndim != 2:
         raise ValueError("expected a 2-D array of column vectors")
-    c = V.shape[0]
     top = V.max(axis=0)
     bottom = V.min(axis=0)
     # max and min propagate NaN, so between them they see every non-finite entry
@@ -155,60 +153,48 @@ def project_simplex_columns(V) -> np.ndarray:
             f"cannot project onto the simplex: {columns.size} column(s) hold NaN or inf, "
             f"the first at index {columns[0]}"
         )
-    total = V.sum(axis=0)
-    feasible = (bottom >= 0) & (np.abs(total - 1.0) <= _FEASIBLE_SLACK)
-    if feasible.all():
-        return V.copy()
-    # The projection commutes with shifts along the ones vector. tau is a
-    # mean of up to c entries near the column's top entry: in place it rounds
-    # by up to about c eps |top| / 2, while in exact arithmetic it lies at
-    # least 1/c below the top entry. A column whose top entry reaches
-    # 2^52 / (2 c^2) in size could so lose every active entry; it is measured
-    # from that entry instead, which becomes exactly 0 and stays active.
-    # Smaller columns stay in place, bit for bit.
-    shift = np.abs(top) >= _SHIFT_BOUND / (2 * c * c)
-    if shift.any():
-        # every top left in X is below 2^51 in size, so no entry below -2^52
-        # is in a support and the clamp changes no result; it keeps an entry
-        # that overflowed to -inf out of the masked sums (0 * -inf is NaN)
-        with np.errstate(over="ignore"):
-            X = V - np.where(shift, top, 0.0)
-        np.maximum(X, -_SHIFT_BOUND, out=X)
-        top = np.where(shift, 0.0, top)
-        total = X.sum(axis=0)
-    else:
-        X = V
-    tau, _ = _michelot_threshold(X, top, total)
-    out = np.subtract(X, tau)
-    np.maximum(out, 0.0, out=out)
+    # a finite column can still sum past the float range; it is not feasible
+    with np.errstate(over="ignore"):
+        total = V.sum(axis=0)
+        feasible = (bottom >= 0) & (np.abs(total - 1.0) <= _FEASIBLE_SLACK)
+        if feasible.all():
+            return V.copy()
+        X = V - top
+    # The top entry is now exactly 0, so tau >= -1 and no entry at or below
+    # -1 is in a support: the clamp changes no result, and it keeps an entry
+    # that overflowed to -inf out of the masked sums (0 * -inf is NaN).
+    np.maximum(X, -1.0, out=X)
+    tau, _ = _michelot_threshold(X)
+    np.subtract(X, tau, out=X)
+    np.maximum(X, 0.0, out=X)
     if feasible.any():
-        out[:, feasible] = V[:, feasible]
-    return out
+        X[:, feasible] = V[:, feasible]
+    return X
 
 
-def _michelot_threshold(X, top, total):
+def _michelot_threshold(X):
     """The threshold tau of every column of X, and the passes it took.
 
-    ``top`` and ``total`` hold the column maxima and sums. For every set of
-    entries that holds the support, the mean excess over 1 of its entries is
-    at most tau; the whole column and top - 1 give two such lower bounds, and
-    the first active set is the entries above the larger. Each pass sets tau
-    to the mean excess of the active entries and drops the entries at or
-    below it; tau only rises, so the active set only shrinks, and the
-    iteration stops at the first pass that leaves every set as it was. A set
-    of two or more entries, all above top - 1, never shrinks to the top entry
-    alone, so a column runs through at most c - 1 sets of two or more and one
-    pass confirms the last: the loop is capped at c passes.
+    Every column of X is measured from its top entry, so that entry is 0,
+    and clamped at -1. For every set of entries that holds the support, the
+    mean excess over 1 of its entries is at most tau; the whole column gives
+    one such bound, at least -1 = top - 1 after the clamp, and the first
+    active set is the entries above it. Each pass sets tau to the mean excess
+    of the active entries and drops the entries at or below it; tau only
+    rises, so the active set only shrinks, and the iteration stops at the
+    first pass that leaves every set as it was. A set of two or more
+    entries, all above top - 1, never shrinks to the top entry alone, so a
+    column runs through at most c - 1 sets of two or more and one pass
+    confirms the last: the loop is capped at c passes.
     """
     c, n = X.shape
     mask = np.empty_like(X)  # the active entries as 0/1, then those entries
-    # top - 1 still bounds tau where the column sum overflowed
-    tau = np.maximum((total - 1.0) / c, top - 1.0)
+    tau = (X.sum(axis=0) - 1.0) / c
     count = np.zeros(n)  # every active set holds the top entry, so no count is 0
     for passes in range(1, c + 1):
         np.greater(X, tau, out=mask, casting="unsafe")
         active = mask.sum(axis=0)
-        if np.array_equal(active, count):
+        if (active == count).all():
             break
         count = active
         tau = (np.multiply(mask, X, out=mask).sum(axis=0) - 1.0) / count

@@ -103,8 +103,8 @@ from .types import (
 )
 
 MULT_GUARD = 1e-12  # added to multiplicative-update denominators
-# Abundances this large (or non-finite) leave the unit column sum below
-# rounding, so the simplex projection can no longer resolve it.
+# An abundance update this large (or non-finite) has diverged. The simplex
+# projection handles any finite column; this bound only marks the step.
 DIVERGENCE_BOUND = 1.0 / np.finfo(np.float64).eps
 
 
@@ -303,8 +303,8 @@ def run_unmixing(
     the simplex, and records the objective. The run stops when two
     consecutive objectives differ by less than ``cfg.eps`` or after
     ``cfg.max_iter`` iterations. An abundance update that is non-finite or
-    too large to project raises :class:`NumericalFailureError` before the
-    projection sees it.
+    reaches ``DIVERGENCE_BOUND`` in size has diverged and raises
+    :class:`NumericalFailureError` before the projection sees it.
 
     ``clusters`` is required by the clustered variant and ignored elsewhere.
     ``on_iteration`` receives (iteration, A, S, objective) after each pass;

@@ -8,11 +8,10 @@ import warnings
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
-from sort_projection import sort_projection
+from sort_projection import SHIFT_BOUND, sort_projection
 
 from hsunmix.errors import DegenerateDataError
 from hsunmix.regularizers import (
-    _SHIFT_BOUND,
     _michelot_threshold,
     build_neighborhood,
     estimate_sparsity_weight,
@@ -228,6 +227,11 @@ def one_drop_per_pass(c):
     return np.array(excess[:c]) - 1.0
 
 
+def shifted_and_clamped(V):
+    """Columns of V measured from their top entry and clamped at -1, as projected."""
+    return np.maximum(V - V.max(axis=0), -1.0)
+
+
 class TestMichelotProjection:
     """``project_simplex_columns`` against the sort-based projection it replaced."""
 
@@ -255,7 +259,7 @@ class TestMichelotProjection:
             columns.append(duplicated)
         for height in (0.5, 1.0, 3.0):
             columns += list(height * np.eye(c))
-        for bound in (_SHIFT_BOUND, -_SHIFT_BOUND):
+        for bound in (SHIFT_BOUND, -SHIFT_BOUND):
             columns += [np.full(c, bound), np.r_[bound, np.linspace(-1.0, 1.0, c - 1)]]
         V = np.column_stack(columns)
         P = project_simplex_columns(V)
@@ -268,34 +272,35 @@ class TestMichelotProjection:
         # the first active set comes free from the column sum, so one entry
         # dropped per pass takes c - 1 passes, the last one confirming
         V = one_drop_per_pass(c)[:, None]
-        _, passes = _michelot_threshold(V, V.max(axis=0), V.sum(axis=0))
+        _, passes = _michelot_threshold(shifted_and_clamped(V))
         assert c - 1 <= passes <= c
         assert np.max(np.abs(project_simplex_columns(V) - sort_projection(V))) <= 4e-16
         rng = np.random.default_rng(c)
         W = rng.normal(size=(c, 4000)) * rng.uniform(0.1, 3.0, size=4000)
-        assert _michelot_threshold(W, W.max(axis=0), W.sum(axis=0))[1] <= c
+        assert _michelot_threshold(shifted_and_clamped(W))[1] <= c
 
     @pytest.mark.parametrize("c", [2, 6, 10])
     def test_large_columns_never_lose_their_active_set(self, c):
         # in place, the mean of c nearly equal entries near 1e15 can round
-        # above all of them; such columns are measured from their top entry
+        # above all of them, and near 1e12 it misses the unit sum; measured
+        # from their top entry, such columns lose neither
         rng = np.random.default_rng(c)
-        tops = np.array([1e15, 4e15, -1e15, 0.9 * _SHIFT_BOUND / (2 * c * c)])
+        tops = np.array([1e12, 1e13, 1e15, 4e15, -1e15, 0.9 * SHIFT_BOUND / (2 * c * c)])
         V = np.hstack(list(np.round(tops)[:, None, None] + rng.integers(0, 4, size=(tops.size, c, 50))))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             P = project_simplex_columns(V)
         assert np.all(P >= 0.0) and np.all(P.max(axis=0) > 0.0)
-        shifted = P[:, :150]
-        assert np.allclose(shifted.sum(axis=0), 1.0, rtol=0, atol=1e-15)
+        assert np.allclose(P.sum(axis=0), 1.0, rtol=0, atol=1e-15)
 
     def test_column_spanning_the_float_range(self):
-        # measured from its top entry, the bottom entry overflows to -inf
-        V = np.array([[1.7e308, 0.25], [-1.7e308, -1.7e308], [0.0, 0.0]])
+        # measured from its top entry, the bottom entry overflows to -inf;
+        # the last column's sum overflows to -inf as well
+        V = np.array([[1.7e308, 0.25, 0.25], [-1.7e308, -1.7e308, -1.7e308], [0.0, 0.0, -1.7e308]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             P = project_simplex_columns(V)
-        assert np.array_equal(P, [[1.0, 0.625], [0.0, 0.0], [0.0, 0.375]])
+        assert np.array_equal(P, [[1.0, 0.625, 1.0], [0.0, 0.0, 0.0], [0.0, 0.375, 0.0]])
 
 
 class TestSparsityTerms:
