@@ -16,11 +16,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .clustering import FCM_M, FCM_MAX_ITER, FCM_TOL, fcm
+from .clustering import FCM_CLUSTERS, FCM_M, FCM_MAX_ITER, FCM_TOL, fcm
 from .errors import CubeFormatError, DegenerateDataError, LibraryParseError, NumericalFailureError
 from .experiment import (
     initial_estimates, needs_clusters, parse_experiment_spec, run_experiment, write_aggregate_csv, write_rows_csv,
@@ -100,7 +101,9 @@ def _cmd_unmix(args) -> int:
     variant = resolve_variant(args.variant)
     n_clusters = args.clusters
     if n_clusters is None:
-        n_clusters = UnmixingConfig.clusters
+        n_clusters = FCM_CLUSTERS
+    elif n_clusters < 1:
+        raise ValueError("clusters must be at least 1")
     elif not needs_clusters(variant):
         print(f"warning: --clusters has no effect for variant {variant}", file=sys.stderr)
 
@@ -111,8 +114,6 @@ def _cmd_unmix(args) -> int:
         sparsity_weight=args.sparsity_weight,
         max_iter=args.max_iter,
         eps=args.eps,
-        clusters=n_clusters,
-        seed=args.seed,
         variant=variant,
     )
     truth = None
@@ -135,7 +136,8 @@ def _cmd_unmix(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_spectral_library(out / "A_est.csv", result.A)
     write_cube(out / "S_est.cube", HyperspectralImage(result.S.data, image.width, image.height))
-    write_report(out / "report.json", report, result.cost_trace, cfg)
+    write_report(out / "report.json", report, result.cost_trace,
+                 dict(asdict(cfg), clusters=n_clusters, seed=args.seed))
     line = (
         f"{variant}: {result.iterations_run} iterations "
         f"({result.stop_reason.value}), final cost {result.cost_trace[-1]:.6g}"
@@ -209,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="fuzzy-cluster the pixels of a cube")
     p.add_argument("cube", help="input data cube")
-    p.add_argument("--clusters", type=int, default=UnmixingConfig.clusters)
+    p.add_argument("--clusters", type=int, default=FCM_CLUSTERS)
     p.add_argument("--m", type=float, default=FCM_M, help="fuzziness exponent")
     p.add_argument("--tol", type=float, default=FCM_TOL)
     p.add_argument("--max-iter", type=int, default=FCM_MAX_ITER)

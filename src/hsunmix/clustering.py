@@ -16,7 +16,9 @@ from scipy.spatial.distance import cdist
 
 from .types import ClusterAssignment, as_matrix
 
-# defaults of fcm, read by the experiment spec and the ``cluster`` command
+# defaults of fcm's settings, read by the experiment spec and the ``cluster``
+# and ``unmix`` commands; fcm itself takes the cluster count explicitly
+FCM_CLUSTERS = 6
 FCM_M = 2.0  # fuzzifier
 FCM_TOL = 1e-6  # largest membership change that stops the iteration
 FCM_MAX_ITER = 300

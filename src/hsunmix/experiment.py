@@ -29,7 +29,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union, get_args, g
 
 import numpy as np
 
-from .clustering import FCM_M, FCM_MAX_ITER, FCM_TOL, check_fcm_settings, fcm
+from .clustering import FCM_CLUSTERS, FCM_M, FCM_MAX_ITER, FCM_TOL, check_fcm_settings, fcm
 from .initialize import fcls_abundances, random_init, vca
 from .metrics import evaluate
 from .synth import (
@@ -77,15 +77,17 @@ def needs_clusters(variant: str) -> bool:
 class ExperimentSpec:
     """Full description of one experiment sweep.
 
-    The solver settings default to those of :class:`UnmixingConfig`. The
-    scenes, the FCM settings and cluster counts (if a variant clusters) and
-    every config are checked on construction, so a bad setting fails before
-    any cell runs. No list may name an entry twice, aliases resolved.
+    The solver settings default to those of :class:`UnmixingConfig`, the
+    FCM settings and the cluster count to the ``FCM_*`` constants of
+    :mod:`hsunmix.clustering`. The scenes, the cluster counts, the FCM
+    settings (if a variant clusters) and every config are checked on
+    construction, so a bad setting fails before any cell runs. No list may
+    name an entry twice, aliases resolved.
     """
 
     variants: Tuple[str, ...] = (UnmixingConfig.variant,)
     snr_levels: Tuple[float, ...] = (15.0, 20.0, 25.0, 30.0, 35.0)
-    cluster_counts: Tuple[int, ...] = (UnmixingConfig.clusters,)
+    cluster_counts: Tuple[int, ...] = (FCM_CLUSTERS,)
     runs: int = 20
     width: int = SCENE_WIDTH
     height: int = SCENE_HEIGHT
@@ -120,6 +122,8 @@ class ExperimentSpec:
                 if entry in entries[:i]:
                     # the repeated cells would get rows no reader can tell apart
                     raise ValueError(f"{name} lists {entry} twice")
+        if min(self.cluster_counts) < 1:
+            raise ValueError("clusters must be at least 1")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
         if self.init not in ("vca", "random"):
@@ -135,10 +139,9 @@ class ExperimentSpec:
         if self.init == "vca" and self.endmembers > self.width * self.height:
             raise ValueError(f"endmember count {self.endmembers} exceeds {pixels}")
         for variant in self.variants:
-            for n_clusters in self.cluster_counts:
-                self.config(variant, n_clusters)
+            self.config(variant)
 
-    def config(self, variant: str, n_clusters: int) -> UnmixingConfig:
+    def config(self, variant: str) -> UnmixingConfig:
         """Solver settings of one cell; ``lq_nmf`` runs at ``q_lq``, the rest at ``q``."""
         return UnmixingConfig(
             mu=self.mu,
@@ -147,8 +150,6 @@ class ExperimentSpec:
             sparsity_weight=self.sparsity_weight,
             max_iter=self.max_iter,
             eps=self.eps,
-            clusters=n_clusters,
-            seed=self.seed,
             variant=variant,
         )
 
@@ -298,7 +299,7 @@ def run_cell(
                 m=spec.fcm_m, tol=spec.fcm_tol, max_iter=spec.fcm_max_iter,
             ))
         clusters = group[cluster_idx]
-    result = run_unmixing(scene.Y, spec.config(variant, n_clusters), A0, S0, clusters)
+    result = run_unmixing(scene.Y, spec.config(variant), A0, S0, clusters)
     report = evaluate(scene.A_true, scene.S_true, result)
     return {
         "variant": variant,
@@ -337,11 +338,17 @@ def run_experiment(
     (variants, then snr levels, then cluster counts, then runs) regardless
     of ``jobs``, and ``progress`` is called with (done, total, row) in that
     order as soon as every earlier row has arrived. Aggregates hold the
-    per-cell means of rms_sad and rms_aad over the Monte-Carlo runs.
+    per-cell means of rms_sad and rms_aad over the Monte-Carlo runs. A spec
+    with more endmembers than ``library`` has columns fails before any cell.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     library = as_matrix(library, "library")
+    if spec.endmembers > library.shape[1]:
+        # checked before the pool starts: a cell would fail only inside its worker
+        raise ValueError(
+            f"endmembers = {spec.endmembers} exceeds the {library.shape[1]} signatures of the library"
+        )
     n_snr, n_clusters, total = len(spec.snr_levels), len(spec.cluster_counts), spec.n_cells
     groups = [(spec, library, si, run) for si in range(n_snr) for run in range(spec.runs)]
     rows: List[Optional[dict]] = [None] * total
@@ -388,10 +395,5 @@ def _write_csv(path, columns, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_format_cell(row[c]) for c in columns])
-
-
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+            # csv writes floats with repr, so every value reads back exactly
+            writer.writerow([row[c] for c in columns])

@@ -156,10 +156,13 @@ def write_report(path, report, cost_trace: Sequence[float], config) -> None:
     """Write an evaluation report as JSON with a fixed key order.
 
     Keys: config, per_endmember_sad, rms_sad, rms_aad, matching, cost_trace.
-    ``report`` may be ``None`` (for runs without ground truth), in which case
-    the metric fields are null. Floats are emitted with 17 significant
-    digits, so parsing the file recovers them exactly and identical runs
-    produce byte-identical files.
+    ``config`` is an :class:`UnmixingConfig` or a mapping; ``hsunmix unmix``
+    passes the solver settings plus its ``clusters`` and ``seed``. ``report``
+    may be ``None`` (for runs without ground truth), in which case the
+    metric fields are null. Floats are written by the standard JSON encoder
+    as their shortest round-trip repr, so parsing the file recovers them
+    exactly, as floats, and identical runs produce byte-identical files.
+    Non-finite numbers raise ``ValueError``.
     """
     if isinstance(config, UnmixingConfig):
         config = asdict(config)
@@ -170,33 +173,9 @@ def write_report(path, report, cost_trace: Sequence[float], config) -> None:
         "per_endmember_sad": None if report is None else list(report.per_endmember_sad),
         "rms_sad": None if report is None else report.rms_sad,
         "rms_aad": None if report is None else report.rms_aad,
-        "matching": None if report is None else [int(i) for i in report.matching],
+        "matching": None if report is None else list(report.matching),
         "cost_trace": list(cost_trace),
     }
-    text = _to_json(doc)
     with open(path, "w", newline="") as fh:
-        fh.write(text)
+        fh.write(json.dumps(doc, allow_nan=False))
         fh.write("\n")
-
-
-def _to_json(value) -> str:
-    """JSON serialization with floats at 17 significant digits."""
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if not np.isfinite(value):
-            raise ValueError("reports cannot contain non-finite numbers")
-        return format(value, ".17g")
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_to_json(v) for v in value) + "]"
-    if isinstance(value, Mapping):
-        parts = (f"{json.dumps(str(k))}: {_to_json(v)}" for k, v in value.items())
-        return "{" + ", ".join(parts) + "}"
-    raise ValueError(f"cannot serialize {type(value).__name__}")

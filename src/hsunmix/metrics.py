@@ -22,11 +22,11 @@ class EvaluationReport:
     """Alignment and error summary for one unmixing run.
 
     ``matching[j]`` is the index of the true column assigned to estimated
-    column j. ``per_endmember_sad`` is indexed by true column.
+    column j. ``per_endmember_sad`` is indexed by true column, and
+    ``rms_sad`` is its root mean square.
     """
 
     per_endmember_sad: List[float]
-    rms_sad: float
     rms_aad: float
     matching: List[int]
 
@@ -39,9 +39,10 @@ class EvaluationReport:
             raise ValueError("matching must be a permutation")
         if len(sads) != len(matching):
             raise ValueError("one spectral angle per endmember is required")
-        expected = float(np.sqrt(np.mean(np.square(sads)))) if sads else 0.0
-        if not np.isclose(self.rms_sad, expected, rtol=1e-12, atol=1e-12):
-            raise ValueError("rms_sad is inconsistent with per_endmember_sad")
+
+    @property
+    def rms_sad(self) -> float:
+        return float(np.sqrt(np.mean(np.square(self.per_endmember_sad))))
 
 
 def sad(a, b) -> float:
@@ -95,7 +96,6 @@ def evaluate_matrices(A_true, S_true, A_est, S_est) -> EvaluationReport:
     true_to_est[est_to_true] = np.arange(c)
 
     per_sad = [sad(At[:, t], Ae[:, true_to_est[t]]) for t in range(c)]
-    rms_sad = float(np.sqrt(np.mean(np.square(per_sad))))
 
     aligned = Se[true_to_est, :]
     nt2 = (St * St).sum(axis=0)
@@ -109,7 +109,6 @@ def evaluate_matrices(A_true, S_true, A_est, S_est) -> EvaluationReport:
 
     return EvaluationReport(
         per_endmember_sad=per_sad,
-        rms_sad=rms_sad,
         rms_aad=rms_aad,
         matching=[int(i) for i in est_to_true],
     )

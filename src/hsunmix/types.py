@@ -196,13 +196,13 @@ def resolve_variant(name: str) -> str:
 
 @dataclass(frozen=True)
 class UnmixingConfig:
-    """Solver settings shared by every algorithm variant.
+    """Settings of :func:`~hsunmix.unmix.run_unmixing`, every one of them read by it.
 
     ``sparsity_weight`` overrides the data-driven sparsity weight when set;
     leave it ``None`` to estimate the weight from the image. It is ignored at
-    ``q = 1``, where the solver leaves the inert l1 penalty out. ``clusters`` is
-    the cluster count handed to the fuzzy clustering step by the CLI; the
-    solver itself receives an explicit :class:`ClusterAssignment`.
+    ``q = 1``, where the solver leaves the inert l1 penalty out. The solver
+    receives a clustering as an explicit :class:`ClusterAssignment`, so the
+    cluster count and the FCM seed are not solver settings.
     """
 
     mu: float = 0.02
@@ -211,8 +211,6 @@ class UnmixingConfig:
     sparsity_weight: Optional[float] = None
     max_iter: int = 1000
     eps: float = 1e-8
-    clusters: int = 6
-    seed: int = 0
     variant: str = AlgorithmVariant.CLUSTERED_SPARSE_DISTRIBUTED.value
 
     def __post_init__(self):
@@ -230,8 +228,6 @@ class UnmixingConfig:
             raise ValueError("max_iter must be at least 1")
         if not (self.eps > 0):
             raise ValueError("eps must be positive")
-        if self.clusters < 1:
-            raise ValueError("clusters must be at least 1")
         object.__setattr__(self, "variant", AlgorithmVariant(self.variant).value)
 
 

@@ -140,12 +140,11 @@ class UnmixingResult:
     A: SignatureMatrix
     S: AbundanceMatrix
     cost_trace: List[float]
-    iterations_run: int
     stop_reason: StopReason
 
-    def __post_init__(self):
-        if len(self.cost_trace) != self.iterations_run:
-            raise ValueError("cost_trace length must equal iterations_run")
+    @property
+    def iterations_run(self) -> int:
+        return len(self.cost_trace)
 
 
 def _factors(Y, A, S):
@@ -374,6 +373,5 @@ def run_unmixing(
         A=SignatureMatrix(A),
         S=AbundanceMatrix(S),
         cost_trace=trace,
-        iterations_run=len(trace),
         stop_reason=reason,
     )

@@ -186,7 +186,7 @@ def test_criterion_04_every_iterate_feasible_for_every_variant():
             if A.min() < 0:
                 violations.append((variant, iteration, "signatures"))
 
-        cfg = UnmixingConfig(variant=variant, max_iter=25, clusters=2)
+        cfg = UnmixingConfig(variant=variant, max_iter=25)
         run_unmixing(scene.Y, cfg, A0, S0, clusters, on_iteration=check)
         assert not violations, f"constraint violations: {violations[:5]}"
 
@@ -238,7 +238,7 @@ def test_criterion_06_single_cluster_run_is_bitwise_identical_to_unclustered():
     kw = dict(mu=0.02, eta=0.1, q=1.0, max_iter=40, eps=1e-12)
     clustered = run_unmixing(
         scene.Y,
-        UnmixingConfig(variant="clustered_sparse_distributed", clusters=1, **kw),
+        UnmixingConfig(variant="clustered_sparse_distributed", **kw),
         A0, S0, one_cluster,
     )
     plain = run_unmixing(

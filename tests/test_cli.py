@@ -16,7 +16,7 @@ import pytest
 import hsunmix.cli
 import hsunmix.experiment
 from hsunmix.cli import VARIANT_CHOICES, build_parser, main
-from hsunmix.clustering import FCM_M, FCM_MAX_ITER, FCM_TOL, fcm
+from hsunmix.clustering import FCM_CLUSTERS, FCM_M, FCM_MAX_ITER, FCM_TOL, fcm
 from hsunmix.experiment import (
     _FCM, _INIT, _SCENE, ExperimentSpec, derive_seed, initial_estimates, needs_clusters, parse_experiment_spec,
     run_cell, run_experiment,
@@ -266,6 +266,17 @@ class TestUnmixCommand:
         assert "absent.cube" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("variant", ["nmf", "proposed"])
+    def test_a_cluster_count_below_one_fails_before_initialization(
+        self, scene_dir, tmp_path, capsys, monkeypatch, variant
+    ):
+        rc = self._unmix_without_initialization(
+            monkeypatch, scene_dir, tmp_path / "o", "--variant", variant, "--clusters", "0"
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == "error: clusters must be at least 1\n"
+        assert not (tmp_path / "o").exists()
+
     def test_a_cluster_count_beyond_the_pixels_fails_before_initialization(
         self, scene_dir, tmp_path, capsys, monkeypatch
     ):
@@ -394,6 +405,18 @@ class TestExperimentCommand:
         assert rc == 2
         assert "error: line 2: fuzzifier m must exceed 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fix", ["false", "true"])
+    def test_more_endmembers_than_the_library_fails_before_the_pool(self, tmp_path, capsys, monkeypatch, fix):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the worker pool started")
+
+        monkeypatch.setattr(hsunmix.experiment, "ProcessPoolExecutor", no_pool)
+        spec_path = tmp_path / "wide.spec"
+        spec_path.write_text(f"variants = nmf\nruns = 1\nendmembers = 9\nfix_signatures = {fix}\n")
+        rc = main(["experiment", str(spec_path), "--jobs", "2", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: endmembers = 9 exceeds the 8 signatures of the library\n"
+
     @pytest.mark.parametrize("jobs", ["0", "-4"])
     def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys, jobs):
         spec_path = tmp_path / "sweep.spec"
@@ -488,6 +511,9 @@ class TestSpecParsing:
              "variants lists clustered_sparse_distributed twice"),
             ("snr_levels = 20, 25, 20\nruns = 1", 1, "snr_levels lists 20.0 twice"),
             ("cluster_counts = 6, 6", 1, "cluster_counts lists 6 twice"),
+            # checked for every variant: a count below 1 has no meaning anywhere
+            ("variants = nmf\ncluster_counts = 0", 2, "clusters must be at least 1"),
+            ("runs = 1\ncluster_counts = 6, 0\nvariants = proposed", 2, "clusters must be at least 1"),
         ],
     )
     def test_spec_level_errors_name_the_line_that_made_them(self, text, line, message):
@@ -497,9 +523,9 @@ class TestSpecParsing:
 
     def test_solver_defaults_are_the_config_defaults(self):
         spec = parse_experiment_spec("")
-        cfg = spec.config(spec.variants[0], spec.cluster_counts[0])
+        cfg = spec.config(spec.variants[0])
         assert cfg == UnmixingConfig()
-        assert spec.config("lq_nmf", 6).q == spec.q_lq
+        assert spec.config("lq_nmf").q == spec.q_lq
 
     def test_fcm_defaults_are_the_clustering_defaults(self):
         spec = parse_experiment_spec("")
@@ -530,7 +556,7 @@ class TestSpecParsing:
         args = build_parser().parse_args(["unmix", "Y.cube", "--out", "out"])
         assert args.endmembers == SCENE_ENDMEMBERS
         args = build_parser().parse_args(["cluster", "Y.cube", "--out", "out"])
-        assert args.clusters == UnmixingConfig.clusters
+        assert args.clusters == FCM_CLUSTERS
 
 
 TINY_SPEC = """\
@@ -603,7 +629,7 @@ class TestRunExperiment:
                     m=spec.fcm_m, tol=spec.fcm_tol, max_iter=spec.fcm_max_iter,
                 )
             result = run_unmixing(
-                scene.Y, spec.config(spec.variants[vi], spec.cluster_counts[ci]), A0, S0, clusters
+                scene.Y, spec.config(spec.variants[vi]), A0, S0, clusters
             )
             report = evaluate(scene.A_true, scene.S_true, result)
             assert row == {

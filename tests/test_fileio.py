@@ -222,10 +222,24 @@ class TestReportJson:
 
     def test_floats_survive_roundtrip_exactly(self, tmp_path):
         path = tmp_path / "exact.json"
-        values = [1 / 3, 2.0 ** -40, 1e300, 0.1 + 0.2]
-        write_report(path, None, values, UnmixingConfig())
+        values = [1 / 3, 2.0 ** -40, 1e300, 0.1 + 0.2, 2.0, 0.0]
+        write_report(path, self._report(), values, UnmixingConfig())
         doc = json.loads(path.read_text())
         assert doc["cost_trace"] == values
+        # integer-valued floats such as the default q = 1.0 must not come back as ints
+        floats = [doc["config"][key] for key in ("mu", "eta", "q", "eps")]
+        floats += [doc["rms_sad"], *doc["per_endmember_sad"], *doc["cost_trace"]]
+        assert all(type(v) is float for v in floats)
+
+    def test_perfect_recovery_scores_parse_as_float_zero(self, tmp_path):
+        rng = np.random.default_rng(5)
+        A = rng.random((6, 3)) + 0.1
+        S = rng.dirichlet(np.ones(3), size=8).T
+        path = tmp_path / "perfect.json"
+        write_report(path, evaluate_matrices(A, S, A, S), [1.0], UnmixingConfig())
+        doc = json.loads(path.read_text())
+        for v in (doc["rms_sad"], doc["rms_aad"], *doc["per_endmember_sad"]):
+            assert type(v) is float and v == 0.0
 
     def test_nonfinite_rejected(self, tmp_path):
         with pytest.raises(ValueError):

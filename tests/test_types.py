@@ -194,7 +194,6 @@ class TestUnmixingConfig:
             {"q": 1.5},
             {"max_iter": 0},
             {"eps": -1e-8},
-            {"clusters": 0},
             {"variant": "unknown"},
             {"sparsity_weight": -0.1},
         ],

@@ -1,5 +1,6 @@
 """Cost functions, update rules, and the unmixing driver."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -442,7 +443,7 @@ class TestRunUnmixing:
     @pytest.mark.parametrize("variant", [v.value for v in AlgorithmVariant])
     def test_every_iterate_feasible(self, variant):
         image, A0, S0 = self._setup(seed=3)
-        cfg = UnmixingConfig(variant=variant, max_iter=25, clusters=2)
+        cfg = UnmixingConfig(variant=variant, max_iter=25)
         clusters = fcm(image, 2, seed=0) if variant == "clustered_sparse_distributed" else None
         seen = []
 
@@ -454,6 +455,26 @@ class TestRunUnmixing:
         result = run_unmixing(image, cfg, A0, S0, clusters, on_iteration=check)
         assert validate_abundances(result.S.data, 1e-9)
         assert len(seen) == result.iterations_run
+
+    def test_the_solver_reads_every_config_field(self):
+        # a field no preset reads would be a setting that changes nothing
+        read = set()
+
+        class RecordingConfig(UnmixingConfig):
+            def __getattribute__(self, name):
+                read.add(name)
+                return super().__getattribute__(name)
+
+        image, A0, S0 = self._setup(seed=7)
+        clusters = fcm(image, 2, seed=0)
+        seen = set()
+        # at q = 0.5 a coupled sparse preset reads sparsity_weight
+        for variant, q in [(v.value, 1.0) for v in AlgorithmVariant] + [("sparse_distributed", 0.5)]:
+            cfg = RecordingConfig(variant=variant, q=q, max_iter=3)
+            read.clear()
+            run_unmixing(image, cfg, A0, S0, clusters)
+            seen |= read
+        assert seen == {field.name for field in dataclasses.fields(UnmixingConfig)}
 
     def test_cost_trace_matches_iterations(self):
         image, A0, S0 = self._setup(seed=4)
@@ -485,7 +506,7 @@ class TestRunUnmixing:
         image, A0, S0 = self._setup(seed=6)
         clusters = fcm(image, 1, seed=0)
         cfg_masked = UnmixingConfig(
-            variant="clustered_sparse_distributed", max_iter=35, clusters=1
+            variant="clustered_sparse_distributed", max_iter=35
         )
         cfg_plain = UnmixingConfig(variant="sparse_distributed", max_iter=35)
         masked = run_unmixing(image, cfg_masked, A0, S0, clusters)
