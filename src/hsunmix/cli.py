@@ -14,7 +14,6 @@ breakdown or degenerate input data), 2 for usage, IO, and format errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -24,7 +23,8 @@ import numpy as np
 from .clustering import FCM_CLUSTERS, FCM_M, FCM_MAX_ITER, FCM_TOL, fcm
 from .errors import CubeFormatError, DegenerateDataError, LibraryParseError, NumericalFailureError
 from .experiment import (
-    initial_estimates, needs_clusters, parse_experiment_spec, run_experiment, write_aggregate_csv, write_rows_csv,
+    INIT_METHODS, initial_estimates, needs_clusters, parse_experiment_spec, run_experiment,
+    write_aggregate_csv, write_rows_csv,
 )
 from .fileio import read_cube, read_spectral_library, write_cube, write_report, write_spectral_library
 from .metrics import evaluate_matrices
@@ -149,21 +149,11 @@ def _cmd_unmix(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    A_true = read_spectral_library(args.truth_a)
-    S_true = read_cube(args.truth_s)
-    A_est = read_spectral_library(args.est_a)
-    S_est = read_cube(args.est_s)
+    A_true, S_true = read_spectral_library(args.truth_a), read_cube(args.truth_s)
+    A_est, S_est = read_spectral_library(args.est_a), read_cube(args.est_s)
     report = evaluate_matrices(A_true.data, S_true.data, A_est.data, S_est.data)
-    payload = {
-        "per_endmember_sad": list(report.per_endmember_sad),
-        "rms_sad": report.rms_sad,
-        "rms_aad": report.rms_aad,
-        "matching": list(report.matching),
-    }
     if args.out is not None:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        write_report(args.out, report, [], {})
     print(f"rms_sad {report.rms_sad:.6g}, rms_aad {report.rms_aad:.6g}")
     return 0
 
@@ -172,17 +162,12 @@ def _cmd_experiment(args) -> int:
     with open(args.spec) as fh:
         spec = parse_experiment_spec(fh.read())
     library = _load_library(spec.library)
-    if args.quiet:
-        progress = None
-    else:
-        def progress(done, total, row):
-            print(
-                f"[{done}/{total}] {row['variant']} snr={row['snr_db']:g} "
-                f"clusters={row['clusters']} run={row['run']} "
-                f"rms_sad={row['rms_sad']:.4g}",
-                flush=True,
-            )
-    rows, aggregates = run_experiment(spec, library.data, jobs=args.jobs, progress=progress)
+
+    def progress(done, total, row):
+        print(f"[{done}/{total}] {row['variant']} snr={row['snr_db']:g} clusters={row['clusters']} "
+              f"run={row['run']} rms_sad={row['rms_sad']:.4g}", flush=True)
+
+    rows, aggregates = run_experiment(spec, library.data, args.jobs, None if args.quiet else progress)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_rows_csv(out / "runs.csv", rows)
@@ -222,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("unmix", help="estimate signatures and abundances")
     p.add_argument("cube", help="input data cube")
     p.add_argument("--variant", choices=VARIANT_CHOICES, default="proposed")
-    p.add_argument("--init", choices=("vca", "random"), default="vca")
+    p.add_argument("--init", choices=INIT_METHODS, default="vca")
     p.add_argument("--endmembers", type=int, default=SCENE_ENDMEMBERS)
     p.add_argument("--clusters", type=int, default=None,
                    help="cluster count for the clustered variant")

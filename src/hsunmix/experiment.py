@@ -37,8 +37,8 @@ from .synth import (
     check_scene_settings, generate_synthetic,
 )
 from .types import (
-    AbundanceMatrix, AlgorithmVariant, HyperspectralImage, SignatureMatrix, UnmixingConfig, as_matrix,
-    resolve_variant,
+    AbundanceMatrix, AlgorithmVariant, HyperspectralImage, SignatureMatrix, UnmixingConfig, as_integer,
+    as_matrix, resolve_variant,
 )
 from .unmix import PRESETS, run_unmixing
 
@@ -57,11 +57,20 @@ AGGREGATE_COLUMNS = ("variant", "snr_db", "clusters", "rms_sad", "rms_aad")
 # seed stream tags
 _SCENE, _FCM, _INIT, _SIGNATURES = 0, 1, 2, 3
 
+INIT_METHODS = ("vca", "random")
+
+
+def check_init(init: str) -> None:
+    """Raise ``ValueError`` unless ``init`` names one of ``INIT_METHODS``."""
+    if init not in INIT_METHODS:
+        raise ValueError("init must be " + " or ".join(map(repr, INIT_METHODS)))
+
 
 def initial_estimates(
     Y: HyperspectralImage, endmembers: int, init: str, seed: int
 ) -> Tuple[SignatureMatrix, AbundanceMatrix]:
     """Starting signatures and abundances: ``"vca"`` (VCA signatures, FCLS abundances) or ``"random"``."""
+    check_init(init)
     if init == "vca":
         A0 = vca(Y, endmembers, seed=seed)
         return A0, fcls_abundances(Y, A0)
@@ -113,7 +122,11 @@ class ExperimentSpec:
     def __post_init__(self):
         object.__setattr__(self, "variants", tuple(resolve_variant(v) for v in self.variants))
         object.__setattr__(self, "snr_levels", tuple(float(s) for s in self.snr_levels))
-        object.__setattr__(self, "cluster_counts", tuple(int(c) for c in self.cluster_counts))
+        counts = tuple(as_integer(c, "cluster_counts") for c in self.cluster_counts)
+        object.__setattr__(self, "cluster_counts", counts)
+        for name, kind in _SPEC_TYPES.items():
+            if kind is int:
+                object.__setattr__(self, name, as_integer(getattr(self, name), name))
         if not self.variants or not self.snr_levels or not self.cluster_counts:
             raise ValueError("variants, snr_levels, and cluster_counts must be nonempty")
         for name in ("variants", "snr_levels", "cluster_counts"):
@@ -126,8 +139,7 @@ class ExperimentSpec:
             raise ValueError("clusters must be at least 1")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
-        if self.init not in ("vca", "random"):
-            raise ValueError("init must be 'vca' or 'random'")
+        check_init(self.init)
         for snr in self.snr_levels:
             check_scene_settings(**self.scene_settings(snr))
         pixels = f"the {self.width * self.height} pixels of a {self.width} x {self.height} scene"
@@ -334,12 +346,12 @@ def run_experiment(
     The work is split into one task per (snr, run) group, whose cells share
     the scene, the starting point and the clusterings; with ``jobs > 1`` the
     tasks go to a pool of that many processes, so more jobs than groups
-    leave workers idle. Rows come back in deterministic cell order
-    (variants, then snr levels, then cluster counts, then runs) regardless
-    of ``jobs``, and ``progress`` is called with (done, total, row) in that
-    order as soon as every earlier row has arrived. Aggregates hold the
-    per-cell means of rms_sad and rms_aad over the Monte-Carlo runs. A spec
-    with more endmembers than ``library`` has columns fails before any cell.
+    leave workers idle. Rows come back in cell order (variants, snr levels,
+    cluster counts, runs); ``progress(done, total, row)`` gets each row as
+    soon as its group returns, in group order, the same for every ``jobs``.
+    Aggregates hold the per-cell means of rms_sad and rms_aad over the
+    Monte-Carlo runs. A spec with more endmembers than ``library`` has
+    columns fails before any cell.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
@@ -359,10 +371,9 @@ def run_experiment(
             cells = product(range(len(spec.variants)), range(n_clusters))
             for (vi, ci), row in zip(cells, group_rows):
                 rows[((vi * n_snr + si) * n_clusters + ci) * spec.runs + run] = row
-            while done < total and rows[done] is not None:
                 done += 1
                 if progress is not None:
-                    progress(done, total, rows[done - 1])
+                    progress(done, total, row)
 
     aggregates = []
     keys = product(spec.variants, spec.snr_levels, spec.cluster_counts)

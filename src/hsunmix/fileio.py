@@ -20,14 +20,13 @@ import csv
 import json
 import math
 import struct
-from dataclasses import asdict
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import CubeFormatError, LibraryParseError
-from .types import HyperspectralImage, SignatureMatrix, UnmixingConfig
+from .types import HyperspectralImage, SignatureMatrix
 
 MAGIC = b"HSCUBE01"
 DTYPE_FLOAT64_LE = 1
@@ -152,22 +151,17 @@ def write_spectral_library(path, signatures: SignatureMatrix) -> None:
             writer.writerow([repr(float(wavelengths[i]))] + [repr(float(v)) for v in data[i]])
 
 
-def write_report(path, report, cost_trace: Sequence[float], config) -> None:
+def write_report(path, report, cost_trace: Sequence[float], config: Mapping) -> None:
     """Write an evaluation report as JSON with a fixed key order.
 
     Keys: config, per_endmember_sad, rms_sad, rms_aad, matching, cost_trace.
-    ``config`` is an :class:`UnmixingConfig` or a mapping; ``hsunmix unmix``
-    passes the solver settings plus its ``clusters`` and ``seed``. ``report``
-    may be ``None`` (for runs without ground truth), in which case the
-    metric fields are null. Floats are written by the standard JSON encoder
-    as their shortest round-trip repr, so parsing the file recovers them
-    exactly, as floats, and identical runs produce byte-identical files.
-    Non-finite numbers raise ``ValueError``.
+    ``config`` is a mapping: ``hsunmix unmix`` passes the solver settings
+    plus its ``clusters`` and ``seed``, ``hsunmix eval`` an empty one (and no
+    cost trace). ``report`` is ``None`` for runs without ground truth, whose
+    metric fields are null. Floats are written as their shortest round-trip
+    repr, so parsing recovers them exactly, as floats, and identical runs
+    give byte-identical files. Non-finite numbers raise ``ValueError``.
     """
-    if isinstance(config, UnmixingConfig):
-        config = asdict(config)
-    elif not isinstance(config, Mapping):
-        raise ValueError("config must be an UnmixingConfig or a mapping")
     doc = {
         "config": dict(config),
         "per_endmember_sad": None if report is None else list(report.per_endmember_sad),

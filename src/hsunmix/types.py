@@ -36,6 +36,13 @@ def as_matrix(x, name: str = "array") -> np.ndarray:
     return arr
 
 
+def as_integer(value, name: str) -> int:
+    """``value`` as an ``int``; numpy integers pass, and anything non-integral raises ``ValueError``."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class HyperspectralImage:
     """A reflectance cube flattened to an L x N band-by-pixel matrix.
@@ -224,6 +231,7 @@ class UnmixingConfig:
             self.sparsity_weight >= 0 and np.isfinite(self.sparsity_weight)
         ):
             raise ValueError("sparsity_weight must be nonnegative and finite")
+        object.__setattr__(self, "max_iter", as_integer(self.max_iter, "max_iter"))
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if not (self.eps > 0):

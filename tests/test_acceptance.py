@@ -10,6 +10,7 @@ in seconds.
 import itertools
 import json
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -336,7 +337,7 @@ def test_criterion_10_io_round_trips_and_typed_errors(tmp_path):
     # report round-trip recovers every float exactly and is deterministic
     report_path = tmp_path / "report.json"
     trace = [1.0 / 3.0, 2.0**-40, 0.1 + 0.2]
-    cfg = UnmixingConfig(variant="nmf")
+    cfg = asdict(UnmixingConfig(variant="nmf"))
     write_report(report_path, None, trace, cfg)
     first = report_path.read_bytes()
     with open(report_path) as fh:

@@ -309,6 +309,21 @@ class TestEvalCommand:
         assert payload["rms_aad"] == 0.0
         assert payload["matching"] == [0, 1, 2]
 
+    def test_out_is_a_report_with_the_scores_of_unmix(self, scene_dir, tmp_path):
+        truth = ["--truth-a", str(scene_dir / "A_true.csv"), "--truth-s", str(scene_dir / "S_true.cube")]
+        fit = tmp_path / "fit"
+        assert main(["unmix", str(scene_dir / "Y.cube"), "--variant", "nmf", "--endmembers", "3",
+                     "--max-iter", "5", *truth, "--out", str(fit)]) == 0
+        assert main(["eval", *truth, "--est-a", str(fit / "A_est.csv"), "--est-s", str(fit / "S_est.cube"),
+                     "--out", str(tmp_path / "scores.json")]) == 0
+        scores = json.loads((tmp_path / "scores.json").read_text())
+        assert list(scores) == ["config", "per_endmember_sad", "rms_sad", "rms_aad", "matching", "cost_trace"]
+        assert scores["config"] == {} and scores["cost_trace"] == []
+        unmix_report = json.loads((fit / "report.json").read_text())
+        for key in ("per_endmember_sad", "rms_sad", "rms_aad", "matching"):
+            assert scores[key] == unmix_report[key], key
+        assert scores["rms_sad"] > 0
+
 
 SPEC_TEXT = """\
 # tiny sweep for tests
@@ -521,6 +536,27 @@ class TestSpecParsing:
             parse_experiment_spec(text + "\n")
         assert str(info.value) == f"line {line}: {message}"
 
+    @pytest.mark.parametrize("field", ["runs", "width", "endmembers", "max_iter", "fcm_max_iter", "seed"])
+    def test_a_fractional_count_fails_at_construction(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got 2.5$"):
+            ExperimentSpec(**{field: 2.5})
+
+    def test_a_fractional_cluster_count_is_not_truncated(self):
+        with pytest.raises(ValueError, match="^cluster_counts must be an integer, got 2.5$"):
+            ExperimentSpec(cluster_counts=(2.5,))
+
+    def test_numpy_integers_are_stored_as_int(self):
+        spec = ExperimentSpec(runs=np.int64(2), cluster_counts=(np.int64(3),), max_iter=np.int32(7))
+        assert (spec.runs, spec.cluster_counts, spec.max_iter) == (2, (3,), 7)
+        assert type(spec.runs) is type(spec.cluster_counts[0]) is type(spec.max_iter) is int
+
+    @pytest.mark.parametrize("init", ["VCA", "bogus"])
+    def test_an_unknown_init_is_rejected_by_the_spec_and_the_initializer(self, scene_dir, init):
+        with pytest.raises(ValueError, match=r"^init must be 'vca' or 'random'$"):
+            ExperimentSpec(init=init)
+        with pytest.raises(ValueError, match=r"^init must be 'vca' or 'random'$"):
+            initial_estimates(read_cube(scene_dir / "Y.cube"), 3, init, 0)
+
     def test_solver_defaults_are_the_config_defaults(self):
         spec = parse_experiment_spec("")
         cfg = spec.config(spec.variants[0])
@@ -574,11 +610,17 @@ fcm_max_iter = 10
 """
 
 
+def in_group_order(spec, rows):
+    """``rows`` in the order their groups return: (snr, run), then (variant, cluster count)."""
+    return sorted(rows, key=lambda r: (spec.snr_levels.index(r["snr_db"]), r["run"],
+                                       spec.variants.index(r["variant"]), spec.cluster_counts.index(r["clusters"])))
+
+
 class TestRunExperiment:
     def test_parallel_rows_and_progress_match_serial(self):
         spec = parse_experiment_spec(TINY_SPEC)
         library = bundled_library().data
-        results = {}
+        results, progress = {}, {}
         for jobs in (1, 2):
             calls = []
             rows, aggregates = run_experiment(
@@ -587,9 +629,29 @@ class TestRunExperiment:
             )
             n = spec.n_cells
             assert [(done, total) for done, total, _ in calls] == [(i, n) for i in range(1, n + 1)]
-            assert [row for _, _, row in calls] == rows
-            results[jobs] = (rows, aggregates)
+            assert [row for _, _, row in calls] == in_group_order(spec, rows)
+            results[jobs], progress[jobs] = (rows, aggregates), calls
         assert results[2] == results[1]
+        assert progress[2] == progress[1]
+
+    def test_each_group_is_reported_before_the_next_one_starts(self, monkeypatch):
+        events = []
+        real_synth = hsunmix.experiment.generate_synthetic
+
+        def logged_synth(*args, **kwargs):
+            events.append(("synth", kwargs["snr_db"]))
+            return real_synth(*args, **kwargs)
+
+        monkeypatch.setattr(hsunmix.experiment, "generate_synthetic", logged_synth)
+        spec = ExperimentSpec(**MIXED_SPEC)
+        run_experiment(spec, bundled_library().data,
+                       progress=lambda done, total, row: events.append(("row", row["snr_db"], row["run"])))
+        per_group = len(spec.variants) * len(spec.cluster_counts)
+        assert events == [
+            event
+            for snr in spec.snr_levels for run in range(spec.runs)
+            for event in [("synth", snr)] + [("row", snr, run)] * per_group
+        ]
 
     def test_clustering_follows_the_preset(self, monkeypatch):
         clustered = []
@@ -703,7 +765,8 @@ class TestRunExperiment:
             results[jobs] = run_experiment(
                 spec, library, jobs=jobs, progress=lambda done, total, row: calls.append((done, total, row)),
             )
-            assert calls == [(i, spec.n_cells, row) for i, row in enumerate(results[jobs][0], start=1)]
+            rows = in_group_order(spec, results[jobs][0])
+            assert calls == [(i, spec.n_cells, row) for i, row in enumerate(rows, start=1)]
         assert results[2] == results[1]
 
 

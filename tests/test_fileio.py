@@ -1,6 +1,7 @@
 """Binary cube format, spectral library CSV, and JSON run reports."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -183,7 +184,7 @@ class TestReportJson:
     def test_roundtrip_values(self, tmp_path):
         report = self._report()
         path = tmp_path / "report.json"
-        write_report(path, report, [3.5, 2.25, 2.0], UnmixingConfig())
+        write_report(path, report, [3.5, 2.25, 2.0], asdict(UnmixingConfig()))
         doc = json.loads(path.read_text())
         assert doc["rms_sad"] == report.rms_sad
         assert doc["rms_aad"] == report.rms_aad
@@ -195,7 +196,7 @@ class TestReportJson:
 
     def test_empty_trace_is_valid_document(self, tmp_path):
         path = tmp_path / "empty.json"
-        write_report(path, None, [], UnmixingConfig())
+        write_report(path, None, [], asdict(UnmixingConfig()))
         doc = json.loads(path.read_text())
         assert doc["cost_trace"] == []
         assert doc["rms_sad"] is None
@@ -203,13 +204,13 @@ class TestReportJson:
     def test_deterministic_bytes(self, tmp_path):
         report = self._report()
         p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        write_report(p1, report, [1.0, 0.5], UnmixingConfig())
-        write_report(p2, report, [1.0, 0.5], UnmixingConfig())
+        write_report(p1, report, [1.0, 0.5], asdict(UnmixingConfig()))
+        write_report(p2, report, [1.0, 0.5], asdict(UnmixingConfig()))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_key_order_fixed(self, tmp_path):
         path = tmp_path / "order.json"
-        write_report(path, self._report(), [1.0], UnmixingConfig())
+        write_report(path, self._report(), [1.0], asdict(UnmixingConfig()))
         doc = json.loads(path.read_text())
         assert list(doc.keys()) == [
             "config",
@@ -223,7 +224,7 @@ class TestReportJson:
     def test_floats_survive_roundtrip_exactly(self, tmp_path):
         path = tmp_path / "exact.json"
         values = [1 / 3, 2.0 ** -40, 1e300, 0.1 + 0.2, 2.0, 0.0]
-        write_report(path, self._report(), values, UnmixingConfig())
+        write_report(path, self._report(), values, asdict(UnmixingConfig()))
         doc = json.loads(path.read_text())
         assert doc["cost_trace"] == values
         # integer-valued floats such as the default q = 1.0 must not come back as ints
@@ -236,11 +237,17 @@ class TestReportJson:
         A = rng.random((6, 3)) + 0.1
         S = rng.dirichlet(np.ones(3), size=8).T
         path = tmp_path / "perfect.json"
-        write_report(path, evaluate_matrices(A, S, A, S), [1.0], UnmixingConfig())
+        write_report(path, evaluate_matrices(A, S, A, S), [1.0], asdict(UnmixingConfig()))
         doc = json.loads(path.read_text())
         for v in (doc["rms_sad"], doc["rms_aad"], *doc["per_endmember_sad"]):
             assert type(v) is float and v == 0.0
 
+    def test_a_numpy_integer_setting_round_trips(self, tmp_path):
+        path = tmp_path / "int.json"
+        write_report(path, None, [1.0], asdict(UnmixingConfig(max_iter=np.int64(5))))
+        doc = json.loads(path.read_text())
+        assert doc["config"]["max_iter"] == 5 and type(doc["config"]["max_iter"]) is int
+
     def test_nonfinite_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            write_report(tmp_path / "bad.json", None, [np.inf], UnmixingConfig())
+            write_report(tmp_path / "bad.json", None, [np.inf], asdict(UnmixingConfig()))

@@ -1,10 +1,13 @@
-"""The README's quick start runs as written and prints the summary it shows."""
+"""The README's quick start runs as written and prints the summary it shows, and its spec-key
+table names every experiment spec field."""
 
 import re
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
 from hsunmix.cli import main
+from hsunmix.experiment import ExperimentSpec
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -26,3 +29,10 @@ def test_quick_start_prints_the_documented_summary(tmp_path, monkeypatch, capsys
         capsys.readouterr()
         assert main(argv[1:]) == 0
     assert capsys.readouterr().out.strip() == expected
+
+
+def test_the_spec_key_table_lists_every_spec_field():
+    section = README.read_text().split("## Experiment spec files", 1)[1].split("\n## ", 1)[0]
+    first_cells = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+    keys = [key for cell in first_cells for key in re.findall(r"`(\w+)`", cell)]
+    assert keys == [field.name for field in fields(ExperimentSpec)]

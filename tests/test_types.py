@@ -193,6 +193,7 @@ class TestUnmixingConfig:
             {"q": 0.0},
             {"q": 1.5},
             {"max_iter": 0},
+            {"max_iter": 2.5},
             {"eps": -1e-8},
             {"variant": "unknown"},
             {"sparsity_weight": -0.1},
