@@ -121,6 +121,14 @@ def _cmd_unmix(args) -> int:
         if args.truth_a is None or args.truth_s is None:
             raise ValueError("--truth-a and --truth-s must be given together")
         truth = read_spectral_library(args.truth_a), read_cube(args.truth_s)
+        # checked here: a mismatch would otherwise surface only when scoring, after the solve
+        for flag, path, matrix, (rows, cols), axes in (
+            ("--truth-a", args.truth_a, truth[0], (image.n_bands, args.endmembers), "bands x endmembers"),
+            ("--truth-s", args.truth_s, truth[1], (args.endmembers, image.n_pixels), "endmembers x pixels"),
+        ):
+            if matrix.data.shape != (rows, cols):
+                found = " x ".join(map(str, matrix.data.shape))
+                raise ValueError(f"{flag} {path} is {found}, expected {rows} x {cols} ({axes})")
 
     # clustering checks --clusters against the pixel count, so it runs before the costlier start
     clusters = fcm(image, n_clusters, seed=args.seed) if needs_clusters(variant) else None

@@ -9,13 +9,13 @@ reproduced in isolation with ``run_cell``. A cell runs the same steps as
 variant's preset gates the coupling by cluster (``needs_clusters``), then
 the solver.
 
-The scene and the starting point depend only on (snr, run) and the
-clustering only on (snr, run, cluster count), so ``run_experiment`` works one
-(snr, run) group at a time and hands the group's cells one dict: the first
-cell synthesizes the scene and initializes, the first clustered cell of each
-cluster count runs FCM, and every other cell reuses them, read-only. The
-module keeps no state between calls. With ``jobs > 1`` the groups, not the
-cells, are spread over the worker processes.
+The scene and the starting point depend only on (snr, run), a clustering also
+on the cluster count, and a solve on the variant too, so ``run_experiment``
+works one (snr, run) group at a time and hands its cells one memo, keyed as
+``run_cell`` says: the first cell that needs a scene, start, clustering or
+solve makes it, read-only, and the others reuse it. The module keeps no state
+between calls. With ``jobs > 1`` the groups, not the cells, are spread over
+the worker processes.
 """
 
 from __future__ import annotations
@@ -139,6 +139,8 @@ class ExperimentSpec:
             raise ValueError("clusters must be at least 1")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be at least 0")
         check_init(self.init)
         for snr in self.snr_levels:
             check_scene_settings(**self.scene_settings(snr))
@@ -280,39 +282,40 @@ def run_cell(
 
     The scene and initialization seeds depend only on (snr, run), and the
     FCM seed only on (snr, cluster count, run), so that all variants and
-    cluster counts see the same data and starting point. ``group`` holds what
-    the cells of one (snr, run) group share: the scene under ``"scene"``, the
-    start under ``"init"`` and each clustering under its cluster index. The
-    cell makes, read-only, what the dict lacks and leaves it there for the
-    next cell; without ``group`` it makes its own. The row does not depend
-    on ``group``.
+    cluster counts see the same data and starting point. ``group`` is the
+    memo of one (snr, run) group: the scene under ``"scene"``, the start
+    under ``"init"``, each clustering under its cluster index, and each solve
+    with its scores under ``(variant, cluster index)``, the index ``None`` if
+    the variant does not cluster. The cell makes, read-only, what the memo
+    lacks and leaves it there for the next cell; without ``group`` it makes
+    its own. The row does not depend on ``group``.
     """
     variant = spec.variants[variant_idx]
     snr = spec.snr_levels[snr_idx]
     n_clusters = spec.cluster_counts[cluster_idx]
     group = {} if group is None else group
 
-    if "scene" not in group:
-        group["scene"] = _read_only(generate_synthetic(
-            _cell_library(spec, library), **spec.scene_settings(snr),
-            seed=derive_seed(spec.seed, _SCENE, snr_idx, run),
-        ))
-    scene = group["scene"]
-    if "init" not in group:
-        group["init"] = _read_only(initial_estimates(
-            scene.Y, spec.endmembers, spec.init, derive_seed(spec.seed, _INIT, snr_idx, run),
-        ))
-    A0, S0 = group["init"]
-    clusters = None
-    if needs_clusters(variant):
-        if cluster_idx not in group:
-            group[cluster_idx] = _read_only(fcm(
-                scene.Y, n_clusters, seed=derive_seed(spec.seed, _FCM, snr_idx, cluster_idx, run),
-                m=spec.fcm_m, tol=spec.fcm_tol, max_iter=spec.fcm_max_iter,
-            ))
-        clusters = group[cluster_idx]
-    result = run_unmixing(scene.Y, spec.config(variant), A0, S0, clusters)
-    report = evaluate(scene.A_true, scene.S_true, result)
+    def shared(key, make):
+        if key not in group:
+            group[key] = _read_only(make())
+        return group[key]
+
+    scene = shared("scene", lambda: generate_synthetic(
+        _cell_library(spec, library), **spec.scene_settings(snr),
+        seed=derive_seed(spec.seed, _SCENE, snr_idx, run),
+    ))
+    A0, S0 = shared("init", lambda: initial_estimates(
+        scene.Y, spec.endmembers, spec.init, derive_seed(spec.seed, _INIT, snr_idx, run),
+    ))
+    clusters = shared(cluster_idx, lambda: fcm(
+        scene.Y, n_clusters, seed=derive_seed(spec.seed, _FCM, snr_idx, cluster_idx, run),
+        m=spec.fcm_m, tol=spec.fcm_tol, max_iter=spec.fcm_max_iter,
+    )) if needs_clusters(variant) else None
+
+    def solve():
+        result = run_unmixing(scene.Y, spec.config(variant), A0, S0, clusters)
+        return result, evaluate(scene.A_true, scene.S_true, result)
+    result, report = shared((variant, None if clusters is None else cluster_idx), solve)
     return {
         "variant": variant,
         "snr_db": snr,
@@ -344,14 +347,14 @@ def run_experiment(
     """Run all cells of ``spec`` and return (per-run rows, aggregate rows).
 
     The work is split into one task per (snr, run) group, whose cells share
-    the scene, the starting point and the clusterings; with ``jobs > 1`` the
-    tasks go to a pool of that many processes, so more jobs than groups
-    leave workers idle. Rows come back in cell order (variants, snr levels,
-    cluster counts, runs); ``progress(done, total, row)`` gets each row as
-    soon as its group returns, in group order, the same for every ``jobs``.
-    Aggregates hold the per-cell means of rms_sad and rms_aad over the
-    Monte-Carlo runs. A spec with more endmembers than ``library`` has
-    columns fails before any cell.
+    the scene, the starting point, the clusterings and the solves; with
+    ``jobs > 1`` the tasks go to a pool of that many processes, so more jobs
+    than groups leave workers idle. Rows come back in cell order (variants,
+    snr levels, cluster counts, runs); ``progress(done, total, row)`` gets
+    each row as soon as its group returns, in group order, the same for
+    every ``jobs``. Aggregates hold the per-cell means of rms_sad and
+    rms_aad over the Monte-Carlo runs. A spec with more endmembers than
+    ``library`` has columns fails before any cell.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")

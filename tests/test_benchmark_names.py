@@ -59,10 +59,11 @@ def test_replay_imports_resolve():
     assert callable(replay.replay_kernels)
 
 
+@pytest.mark.parametrize("cluster_counts", [(2,), (2, 3)], ids=["one-count", "two-counts"])
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_shared_experiment_work_is_counted_inside_cells(tracing, tmp_path, jobs):
+def test_shared_experiment_work_is_counted_inside_cells(tracing, tmp_path, jobs, cluster_counts):
     spec = ExperimentSpec(
-        variants=("proposed", "nmf"), snr_levels=(20, 30), cluster_counts=(2,), runs=2,
+        variants=("proposed", "nmf"), snr_levels=(20, 30), cluster_counts=cluster_counts, runs=2,
         width=8, height=8, endmembers=3, patch=4, filter_size=3, max_iter=3, fcm_max_iter=10,
     )
     tracer = tracing.Tracer(tmp_path / "trace")
@@ -74,9 +75,10 @@ def test_shared_experiment_work_is_counted_inside_cells(tracing, tmp_path, jobs)
     spans = tracer.collect()
     cells = {span["id"] for span in spans if span["name"] == "experiment.cell"}
     assert len(cells) == spec.n_cells
-    groups = len(spec.snr_levels) * spec.runs
-    for name, calls in (("synth.generate", groups), ("initialize.vca", groups),
-                        ("initialize.fcls", groups), ("clustering.fcm", groups)):
+    groups, counts = len(spec.snr_levels) * spec.runs, len(spec.cluster_counts)
+    # one solve per distinct problem: proposed once per cluster count, nmf once
+    for name, calls in (("synth.generate", groups), ("initialize.vca", groups), ("initialize.fcls", groups),
+                        ("clustering.fcm", groups * counts), ("unmix.solve", groups * (counts + 1))):
         named = [span for span in spans if span["name"] == name]
         assert len(named) == calls, name
         assert all(span["parent"] in cells for span in named), name

@@ -266,6 +266,25 @@ class TestUnmixCommand:
         assert "absent.cube" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--truth-a", "A_true.csv", "--truth-s", "S_true.cube", "--endmembers", "2"],
+             "--truth-a {dir}/A_true.csv is 224 x 3, expected 224 x 2 (bands x endmembers)"),
+            (["--truth-a", "A_true.csv", "--truth-s", "Y.cube"],
+             "--truth-s {dir}/Y.cube is 224 x 64, expected 3 x 64 (endmembers x pixels)"),
+        ],
+        ids=["signatures", "abundances"],
+    )
+    def test_truth_of_the_wrong_shape_fails_before_initialization(
+        self, scene_dir, tmp_path, capsys, monkeypatch, flags, message
+    ):
+        flags = [str(scene_dir / f) if f.endswith((".csv", ".cube")) else f for f in flags]
+        rc = self._unmix_without_initialization(monkeypatch, scene_dir, tmp_path / "o", *flags)
+        assert rc == 2
+        assert capsys.readouterr().err == "error: " + message.format(dir=scene_dir) + "\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("variant", ["nmf", "proposed"])
     def test_a_cluster_count_below_one_fails_before_initialization(
         self, scene_dir, tmp_path, capsys, monkeypatch, variant
@@ -529,6 +548,8 @@ class TestSpecParsing:
             # checked for every variant: a count below 1 has no meaning anywhere
             ("variants = nmf\ncluster_counts = 0", 2, "clusters must be at least 1"),
             ("runs = 1\ncluster_counts = 6, 0\nvariants = proposed", 2, "clusters must be at least 1"),
+            # numpy refuses a negative seed only when the first cell derives its seeds
+            ("runs = 1\nseed = -3", 2, "seed must be at least 0"),
         ],
     )
     def test_spec_level_errors_name_the_line_that_made_them(self, text, line, message):
@@ -728,6 +749,35 @@ class TestRunExperiment:
             assert len(calls[name]) == groups, name
         assert len(set(calls["generate_synthetic"])) == len(set(calls["vca"])) == groups
         assert len(set(calls["fcm"])) == len(calls["fcm"]) == (groups * len(spec.cluster_counts) if clusters else 0)
+
+    def test_each_distinct_problem_is_solved_once_per_group(self, monkeypatch):
+        solved = []
+        real_solve = hsunmix.experiment.run_unmixing
+
+        def counting_solve(Y, cfg, A0, S0, clusters=None, **kwargs):
+            solved.append((cfg.variant, None if clusters is None else clusters.n_clusters))
+            return real_solve(Y, cfg, A0, S0, clusters, **kwargs)
+
+        monkeypatch.setattr(hsunmix.experiment, "run_unmixing", counting_solve)
+        spec = ExperimentSpec(**MIXED_SPEC)
+        rows, _ = run_experiment(spec, bundled_library().data)
+        assert len(rows) == spec.n_cells
+        # the clustered variant once per cluster count, the others once
+        per_group = [("clustered_sparse_distributed", 2), ("clustered_sparse_distributed", 3),
+                     ("distributed", None), ("fcls", None)]
+        assert solved == per_group * (len(spec.snr_levels) * spec.runs)
+
+    def test_a_shared_solve_is_read_only(self):
+        spec = ExperimentSpec(**MIXED_SPEC)
+        library = bundled_library().data
+        vi = spec.variants.index("distributed")
+        group = {}
+        first = run_cell(spec, library, vi, 0, 0, 0, group=group)
+        result, _ = group[("distributed", None)]
+        for array in (result.A.data, result.S.data):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0.0
+        assert run_cell(spec, library, vi, 0, 1, 0, group=group) == {**first, "clusters": spec.cluster_counts[1]}
 
     def test_concurrent_calls_in_threads_match_serial(self):
         # Two sweeps that differ only in seed, started together in threads of
