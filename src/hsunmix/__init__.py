@@ -39,7 +39,6 @@ from .regularizers import (
     project_simplex_columns,
     sparsity_gradient,
     sparsity_norm,
-    spectral_angle_cos,
 )
 from .synth import SyntheticScene, bundled_library, generate_synthetic
 from .types import (
@@ -104,7 +103,6 @@ __all__ = [
     "sad",
     "sparsity_gradient",
     "sparsity_norm",
-    "spectral_angle_cos",
     "update_abundance_multiplicative",
     "update_signatures",
     "validate_abundances",

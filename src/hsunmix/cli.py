@@ -38,6 +38,17 @@ from .unmix import run_unmixing
 VARIANT_CHOICES = tuple(v.value for v in AlgorithmVariant) + tuple(VARIANT_ALIASES)
 
 
+def _seed(text: str) -> int:
+    """Parse a ``--seed`` value: an integer of at least 0, which numpy's generators require."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _load_library(path):
     if path is None:
         return bundled_library()
@@ -198,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--purity-cap", type=float, default=SCENE_PURITY_CAP,
                    help="maximum abundance of any pixel")
     p.add_argument("--library", default=None, help="spectral library CSV (default: bundled)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_synth)
 
@@ -208,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=float, default=FCM_M, help="fuzziness exponent")
     p.add_argument("--tol", type=float, default=FCM_TOL)
     p.add_argument("--max-iter", type=int, default=FCM_MAX_ITER)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_cluster)
 
@@ -226,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the data-driven sparsity weight (read only when q < 1)")
     p.add_argument("--max-iter", type=int, default=UnmixingConfig.max_iter)
     p.add_argument("--eps", type=float, default=UnmixingConfig.eps, help="cost-change stopping threshold")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--truth-a", default=None, help="true signatures CSV for scoring")
     p.add_argument("--truth-s", default=None, help="true abundance cube for scoring")
     p.add_argument("--out", required=True, help="output directory")

@@ -1,8 +1,10 @@
 """Recovery metrics: spectral and abundance angles, endmember matching.
 
-Estimated endmembers come back in arbitrary order, so evaluation first finds
-the assignment between true and estimated columns that minimizes the total
-spectral angle, then scores signatures and abundances under that alignment.
+Every angle (SAD, AAD and the matching's costs) comes from one kernel,
+``_column_angles``. Estimated endmembers come back in arbitrary order, so
+evaluation first finds the assignment between true and estimated columns
+that minimizes the total spectral angle, then scores signatures and
+abundances under that alignment.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from typing import List
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .regularizers import spectral_angle_cos
 from .types import as_matrix
 
 
@@ -45,10 +46,31 @@ class EvaluationReport:
         return float(np.sqrt(np.mean(np.square(self.per_endmember_sad))))
 
 
+def _column_angles(X, Z) -> np.ndarray:
+    """Angle, in radians, between column k of X and column k of Z, for every k.
+
+    Columns are reduced as contiguous rows, so a pair gets the same bits in
+    any layout and in any call; a zero column raises ``ValueError``.
+    """
+    P = np.ascontiguousarray(np.transpose(X), dtype=np.float64)
+    Q = np.ascontiguousarray(np.transpose(Z), dtype=np.float64)
+    p2 = (P * P).sum(axis=1)
+    q2 = (Q * Q).sum(axis=1)
+    if np.any(p2 == 0) or np.any(q2 == 0):
+        raise ValueError("the angle of a zero vector is undefined")
+    # sqrt of the product (not product of sqrts) makes identical inputs
+    # yield cosine exactly 1, so the angles of self-pairs are exactly 0
+    cos = (P * Q).sum(axis=1) / np.sqrt(p2 * q2)
+    return np.arccos(np.clip(cos, -1.0, 1.0))
+
+
 def sad(a, b) -> float:
     """Spectral angle between two signatures, in radians."""
-    cos = spectral_angle_cos(a, b)
-    return float(np.arccos(np.clip(cos, -1.0, 1.0)))
+    a = np.asarray(a, dtype=np.float64).ravel()
+    b = np.asarray(b, dtype=np.float64).ravel()
+    if a.shape != b.shape:
+        raise ValueError("spectra must have equal length")
+    return float(_column_angles(a[:, None], b[:, None])[0])
 
 
 def aad(a, b) -> float:
@@ -67,10 +89,8 @@ def match_endmembers(A_true, A_est) -> np.ndarray:
     if true.shape != est.shape:
         raise ValueError("signature matrices must have equal shapes")
     c = true.shape[1]
-    cost = np.empty((c, c))
-    for i in range(c):
-        for j in range(c):
-            cost[i, j] = sad(true[:, i], est[:, j])
+    i, j = np.divmod(np.arange(c * c), c)
+    cost = _column_angles(true[:, i], est[:, j]).reshape(c, c)
     rows, cols = linear_sum_assignment(cost)
     perm = np.empty(c, dtype=np.int64)
     perm[cols] = rows
@@ -92,25 +112,13 @@ def evaluate_matrices(A_true, S_true, A_est, S_est) -> EvaluationReport:
     if St.shape[0] != c or Se.shape[0] != c or St.shape[1] != Se.shape[1]:
         raise ValueError("matrix shapes are inconsistent")
     est_to_true = match_endmembers(At, Ae)
-    true_to_est = np.empty(c, dtype=np.int64)
-    true_to_est[est_to_true] = np.arange(c)
+    true_to_est = np.argsort(est_to_true)
 
-    per_sad = [sad(At[:, t], Ae[:, true_to_est[t]]) for t in range(c)]
-
-    aligned = Se[true_to_est, :]
-    nt2 = (St * St).sum(axis=0)
-    ne2 = (aligned * aligned).sum(axis=0)
-    if np.any(nt2 == 0) or np.any(ne2 == 0):
-        raise ValueError("abundance angle of a zero vector is undefined")
-    # sqrt of the product keeps self-pairs at cosine exactly 1
-    cos = np.clip(np.einsum("ij,ij->j", St, aligned) / np.sqrt(nt2 * ne2), -1.0, 1.0)
-    angles = np.arccos(cos)
-    rms_aad = float(np.sqrt(np.mean(angles * angles)))
-
+    aad_angles = _column_angles(St, Se[true_to_est, :])
     return EvaluationReport(
-        per_endmember_sad=per_sad,
-        rms_aad=rms_aad,
-        matching=[int(i) for i in est_to_true],
+        per_endmember_sad=_column_angles(At, Ae[:, true_to_est]),
+        rms_aad=float(np.sqrt(np.mean(aad_angles * aad_angles))),
+        matching=est_to_true,
     )
 
 

@@ -4,7 +4,8 @@ These are the small numerical kernels the solver composes: the pixel graph
 (the 8-connected grid adjacency and its cosine-similarity weights, gated by
 cluster when asked), a data-driven estimate of the sparsity penalty weight,
 the Euclidean projection onto the unit simplex, and the (sub)gradient of
-the q-norm sparsity penalty.
+the q-norm sparsity penalty. The angles used for scoring (SAD, AAD) are
+computed in :mod:`hsunmix.metrics`.
 """
 
 from __future__ import annotations
@@ -45,21 +46,6 @@ def estimate_sparsity_weight(Y) -> float:
         raise DegenerateDataError("image has an all-zero band row")
     terms = (np.sqrt(n_pixels) - l1 / l2) / np.sqrt(n_pixels - 1)
     return float(max(terms.sum() / np.sqrt(n_bands), 0.0))
-
-
-def spectral_angle_cos(a, b) -> float:
-    """Cosine similarity of two spectra; both must be nonzero."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ValueError("spectra must have equal length")
-    na2 = float(a @ a)
-    nb2 = float(b @ b)
-    if na2 == 0 or nb2 == 0:
-        raise ValueError("cosine similarity of a zero vector is undefined")
-    # sqrt of the product (not product of sqrts) makes identical inputs
-    # yield exactly 1, so downstream angles of self-pairs are exactly 0
-    return float(a @ b) / float(np.sqrt(na2 * nb2))
 
 
 def build_neighborhood(width: int, height: int) -> csr_matrix:

@@ -35,8 +35,9 @@ SCENE_PURITY_CAP = 0.8
 class SyntheticScene:
     """A generated scene together with its ground truth.
 
-    ``noise`` is the realized additive noise; the observed image satisfies
-    Y = A_true @ S_true + noise bit for bit.
+    ``noise`` is the realized additive noise; :func:`generate_synthetic`
+    forms the observed image as Y = A_true @ S_true + noise, so the two
+    agree bit for bit.
     """
 
     Y: HyperspectralImage
@@ -44,13 +45,6 @@ class SyntheticScene:
     S_true: AbundanceMatrix
     snr_db: float
     noise: np.ndarray
-
-    def __post_init__(self):
-        noise = np.asarray(self.noise, dtype=np.float64)
-        object.__setattr__(self, "noise", noise)
-        product = self.A_true.data @ self.S_true.data
-        if not np.array_equal(self.Y.data, product + noise):
-            raise ValueError("Y must equal A_true @ S_true + noise exactly")
 
 
 def generate_synthetic(

@@ -102,6 +102,17 @@ class TestSynthCommand:
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["synth", "cluster", "unmix"])
+def test_negative_seed_is_a_named_usage_error(scene_dir, tmp_path, capsys, command):
+    cube = [] if command == "synth" else [str(scene_dir / "Y.cube")]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, *cube, "--seed", "-1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --seed: must be at least 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestClusterCommand:
     def test_writes_memberships_and_labels(self, scene_dir, tmp_path):
         out = tmp_path / "fcm"

@@ -6,6 +6,15 @@ import numpy as np
 import pytest
 
 from hsunmix.metrics import aad, evaluate_matrices, match_endmembers, sad
+from hsunmix.synth import bundled_library
+
+
+@pytest.fixture(scope="module")
+def library_truth():
+    """The bundled library's first six signatures and a random 6 x 50 abundance matrix."""
+    A = bundled_library().data[:, :6]
+    S = np.random.default_rng(8).dirichlet(np.ones(6), size=50).T
+    return A, S
 
 
 class TestSad:
@@ -93,6 +102,24 @@ class TestEvaluateMatrices:
         report = evaluate_matrices(A, S, A[:, order], S[order, :])
         assert report.rms_sad == pytest.approx(0.0, abs=1e-12)
         assert report.rms_aad == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("order", [[0, 1, 2, 3, 4, 5], [3, 5, 0, 4, 1, 2]])
+    def test_truth_in_another_layout_scores_exactly_zero(self, library_truth, order):
+        # A[:, order] is an F-ordered copy of the truth's C-ordered view: the
+        # sums of a self-pair must still run in one order, or cosine misses 1
+        A, S = library_truth
+        report = evaluate_matrices(A, S, A[:, order], np.asfortranarray(S[order, :]))
+        assert report.per_endmember_sad == [0.0] * 6
+        assert report.rms_aad == 0.0
+        assert report.matching == order
+
+    def test_per_endmember_sad_is_sad_of_the_matched_pair(self, library_truth):
+        A, S = library_truth
+        rng = np.random.default_rng(9)
+        A_est = (A + 0.05 * rng.random(A.shape))[:, [2, 0, 1, 5, 3, 4]]
+        report = evaluate_matrices(A, S, A_est, S[[2, 0, 1, 5, 3, 4], :])
+        for j, t in enumerate(report.matching):
+            assert report.per_endmember_sad[t] == sad(A[:, t], A_est[:, j])
 
     def test_two_endmember_hand_value(self):
         A_true = np.array([[1.0, 0.0], [0.0, 1.0]])

@@ -20,7 +20,6 @@ from hsunmix.regularizers import (
     project_simplex_columns,
     sparsity_gradient,
     sparsity_norm,
-    spectral_angle_cos,
 )
 from hsunmix.types import ClusterAssignment
 
@@ -72,23 +71,6 @@ class TestEstimateSparsityWeight:
         ratios = np.abs(Y).sum(axis=1) / np.linalg.norm(Y, axis=1)
         assert np.all(ratios >= 1.0 - 1e-12)
         assert np.all(ratios <= np.sqrt(N) + 1e-12)
-
-
-class TestSpectralAngleCos:
-    def test_self_similarity_is_one(self):
-        v = np.array([0.3, 1.2, 0.5])
-        assert spectral_angle_cos(v, v) == pytest.approx(1.0, abs=1e-15)
-
-    def test_orthogonal_is_zero(self):
-        assert spectral_angle_cos(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-    def test_45_degrees(self):
-        got = spectral_angle_cos(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
-        assert got == pytest.approx(1 / np.sqrt(2), abs=1e-15)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            spectral_angle_cos(np.zeros(3), np.ones(3))
 
 
 def row_weights(W, k):

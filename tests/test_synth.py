@@ -1,5 +1,7 @@
 """Synthetic scene generation and the bundled spectral library."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,18 @@ class TestGenerateSynthetic:
         assert np.array_equal(
             scene.Y.data, scene.A_true.data @ scene.S_true.data + scene.noise
         )
+
+    def test_peak_memory_stays_below_five_cubes(self, library):
+        # the peak is in the noise scaling, about 4.3 cubes; checking Y against
+        # a second A_true @ S_true + noise on the way out costs close to one more
+        tracemalloc.start()
+        try:
+            scene = generate_synthetic(library.data, 6, width=100, height=100, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cube = scene.Y.data.nbytes
+        assert peak < 5 * cube, f"peak {peak / cube:.2f} x the cube"
 
     def test_noiseless_limit(self, library):
         scene = generate_synthetic(library.data, 3, width=8, height=8, snr_db=np.inf, seed=1)
