@@ -78,8 +78,9 @@ def neighbor_weights(Y, adjacency, clusters: Optional[ClusterAssignment] = None)
     With ``clusters`` given, the weights to neighbors in another cluster are
     then set to zero, kept as explicit zeros so the pattern stays, and the
     coupling only sees same-cluster neighbors; the remaining weights are not
-    renormalized. The spectral dot products are formed N stored entries at
-    a time, so the gathered spectra never exceed two copies of the image.
+    renormalized. The spectral dot products are formed N / 8 stored entries
+    at a time, so the two gathered blocks of spectra hold a quarter of the
+    image between them.
     """
     arr = as_matrix(Y, "image")
     n = arr.shape[1]
@@ -95,8 +96,9 @@ def neighbor_weights(Y, adjacency, clusters: Optional[ClusterAssignment] = None)
     degrees = np.diff(indptr)
     src = np.repeat(np.arange(n), degrees)
     dots = np.empty(dst.size)
-    for start in range(0, dst.size, n):
-        part = slice(start, start + n)
+    chunk = max(1, n // 8)
+    for start in range(0, dst.size, chunk):
+        part = slice(start, start + chunk)
         dots[part] = np.einsum("ij,ij->j", arr[:, src[part]], arr[:, dst[part]])
     theta = dots / (norms[src] * norms[dst])
     # reduceat over the nonempty rows only: an empty row would read past theta

@@ -39,8 +39,7 @@ and no constant lam N added to the recorded cost. At q = 1
 ``lq_nmf`` ``distributed`` at eta = 0, bit for bit.
 
 The loop never forms the L x N residual. The image enters the abundance
-kernels only through the products of ``signature_products``, by the Gram
-identities
+kernels only through A^T Y and A^T A (``Products``), by the Gram identities
 
     A^T (Y - A S) = A^T Y - (A^T A) S
     |Y - A S|^2   = |Y|^2 - 2 <A^T Y, S> + <A^T A, S S^T>
@@ -53,12 +52,14 @@ grid, cluster-gated for the cluster mask), by
 
 with |s|^2 the squared norms of the abundance columns. |Y|^2 and W, with
 its row sums W 1 and its spread W 1 + W^T 1 (``coupling``), are formed once
-per run. A^T Y and A^T A are formed once per signature update: every
-iteration for the presets that update A, once per run for ``fcls``. The
-coupling pull S W^T (``coupling_pull``) is formed once per iteration, after
-the projection, and read by the objective and by the next step. The rest of
-an iteration is c x N work, products with the sparse W included, apart from
-the L x N products inside ``update_signatures``.
+per run. For the presets that update A, ``signature_step`` forms the new A
+and its A^T Y and A^T A in one pass over the image, every iteration; ``fcls``
+forms A^T Y and A^T A once per run (``signature_products``). The abundance
+Gram matrix S S^T and the coupling pull S W^T (``coupling_pull``) are formed
+once per iteration, after the projection, and read by the objective and by
+the next step. The rest of an iteration is c x N work, products with the
+sparse W included, apart from the one pass of ``signature_step`` over the
+L x N image.
 
 The Gram form of the residual rounds at about machine epsilon times |Y|^2,
 not times |Y - A S|^2. On 40 x 40 scenes with |Y|^2 of about 2e4, noiseless
@@ -78,7 +79,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, NamedTuple, Optional
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -106,6 +107,13 @@ MULT_GUARD = 1e-12  # added to multiplicative-update denominators
 # An abundance update this large (or non-finite) has diverged. The simplex
 # projection handles any finite column; this bound only marks the step.
 DIVERGENCE_BOUND = 1.0 / np.finfo(np.float64).eps
+# ``signature_step`` reads the image in blocks of whole band rows of about
+# this many bytes, so a block stays in a 2 MiB L2 cache between its two
+# products. Below _MIN_BLOCK_BANDS rows a block saves less than the extra
+# calls cost, and the image is read as one block. Both were chosen by timing
+# the kernel at 224 bands on 24 x 24 to 200 x 200 scenes (BENCH_21.json).
+_BLOCK_BYTES = 1024 * 1024
+_MIN_BLOCK_BANDS = 16
 
 
 class Preset(NamedTuple):
@@ -196,7 +204,7 @@ class Products(NamedTuple):
 
 
 def signature_products(Y, A) -> Products:
-    """A^T Y and A^T A: the only band-sized work of an abundance update."""
+    """A^T Y and A^T A for signatures that stay fixed, as in ``fcls``."""
     return Products(A.T @ Y, A.T @ A)
 
 
@@ -241,6 +249,7 @@ def gram_step(
 def gram_objective(
     y_energy: float, P: Products, S, graph: Optional[Coupling] = None,
     eta: float = 0.0, lam: float = 0.0, q: float = 1.0, pull: Optional[np.ndarray] = None,
+    gram: Optional[np.ndarray] = None,
 ) -> float:
     """The objective the solver records: the sum of every pixel's local cost.
 
@@ -249,9 +258,12 @@ def gram_objective(
     lam times the summed guarded q-norms of the abundance columns; the
     coupling term comes from one sparse product, S W^T (see ``Coupling``).
     With a ``graph``, ``pull`` must be S W^T (``coupling_pull(graph, S)``).
+    ``gram`` is S S^T when the caller has it; otherwise it is formed here.
     On an exact fit the residual term can round to a tiny negative value.
     """
-    value = y_energy - 2.0 * float(np.vdot(P.AtY, S)) + float(np.vdot(P.AtA, S @ S.T))
+    if gram is None:
+        gram = S @ S.T
+    value = y_energy - 2.0 * float(np.vdot(P.AtY, S)) + float(np.vdot(P.AtA, gram))
     if graph is not None:
         # np.vdot, not a full einsum reduction: that one sums sequentially
         # and rounds about ten times worse on 40 x 40 scenes
@@ -268,17 +280,48 @@ def gram_multiplicative(P: Products, S) -> np.ndarray:
     return S * P.AtY / (P.AtA @ S + MULT_GUARD)
 
 
+def signature_step(Y, A, S, gram) -> Tuple[np.ndarray, Products]:
+    """The multiplicative signature update and the products of its result, in one pass over Y.
+
+    Returns A_new = A * (Y S^T) / (A gram + guard), with ``gram`` = S S^T,
+    and ``Products(A_new^T Y, A_new^T A_new)``. Row l of A_new reads only
+    row l of Y, so Y is walked in blocks of whole band rows: each block of
+    A_new is formed and its share A_new[b]^T Y[b] of A_new^T Y added while
+    the block is still in cache, one trip through memory where two full
+    products take two (cache blocking as in Goto & van de Geijn, ACM TOMS
+    2008). A block holds ``_BLOCK_BYTES`` of Y; when that is fewer than
+    ``_MIN_BLOCK_BANDS`` rows, Y is one block and the kernel is exactly the
+    two full products. Summing A_new^T Y over blocks rounds differently from
+    one product, by a few ulps.
+
+    Y S^T is formed as (S Y^T)^T, the operand layout BLAS is fast on for a
+    C-ordered Y; it rounds differently from Y @ S.T, by a few ulps.
+    """
+    n_bands, n_pixels = Y.shape
+    rows = _BLOCK_BYTES // (Y.itemsize * max(n_pixels, 1))
+    if rows < _MIN_BLOCK_BANDS:
+        rows = n_bands
+    A_new = np.empty(A.shape)
+    AtY = None
+    for start in range(0, n_bands, rows):
+        b = slice(start, start + rows)
+        Yb = Y[b]
+        A_new[b] = A[b] * (S @ Yb.T).T / (A[b] @ gram + MULT_GUARD)
+        part = A_new[b].T @ Yb
+        AtY = part if AtY is None else np.add(AtY, part, out=AtY)
+    return A_new, Products(AtY, A_new.T @ A_new)
+
+
 def update_signatures(Y, A, S) -> np.ndarray:
     """Multiplicative signature update A * (Y S^T) / (A S S^T + guard).
 
     Keeps nonnegativity and never increases the reconstruction error; the
-    additive guard only protects against zero denominators. Y S^T is formed
-    as (S Y^T)^T, the operand layout BLAS is fast on for a C-ordered Y; it
-    rounds differently from Y @ S.T, by a few ulps.
+    additive guard only protects against zero denominators. The checked
+    entry point of ``signature_step``, which the solver runs; it returns the
+    new signatures and drops the products.
     """
     Yd, Ad, Sd = _factors(Y, A, S)
-    gram = Sd @ Sd.T
-    return Ad * (Sd @ Yd.T).T / (Ad @ gram + MULT_GUARD)
+    return signature_step(Yd, Ad, Sd, Sd @ Sd.T)[0]
 
 
 def update_abundance_multiplicative(Y, A, S) -> np.ndarray:
@@ -334,7 +377,8 @@ def run_unmixing(
             Y, build_neighborhood(Y.width, Y.height), clusters if preset.cluster_mask else None
         ))
     products = None if preset.update_a else signature_products(Yd, A)
-    # S W^T of the current iterate, read by the objective and the next step
+    # S S^T and S W^T of the current iterate, read by the objective and the next step
+    gram = S @ S.T
     pull = None if graph is None else coupling_pull(graph, S)
 
     trace: List[float] = []
@@ -342,8 +386,7 @@ def run_unmixing(
     reason = StopReason.MAX_ITER
     for iteration in range(1, cfg.max_iter + 1):
         if preset.update_a:
-            A = update_signatures(Yd, A, S)
-            products = signature_products(Yd, A)
+            A, products = signature_step(Yd, A, S, gram)
         if preset.multiplicative:
             S = gram_multiplicative(products, S)
         else:
@@ -353,10 +396,11 @@ def run_unmixing(
                 f"abundance update diverged at iteration {iteration}", iteration=iteration
             )
         S = project_simplex_columns(S)
+        gram = S @ S.T
         if graph is not None:
             pull = coupling_pull(graph, S)
 
-        j = gram_objective(y_energy, products, S, graph, eta, lam, cfg.q, pull)
+        j = gram_objective(y_energy, products, S, graph, eta, lam, cfg.q, pull, gram)
         if not np.isfinite(j):
             raise NumericalFailureError(
                 f"objective became non-finite at iteration {iteration}", iteration=iteration

@@ -130,8 +130,9 @@ class TestNeighborWeights:
         with pytest.raises(ValueError, match="clusters do not match"):
             neighbor_weights(Y, build_neighborhood(3, 1), clusters)
 
-    def test_peak_memory_stays_below_four_images(self):
-        # the dot products gather N stored entries at a time, never L x nnz
+    def test_peak_memory_stays_below_one_and_a_quarter_images(self):
+        # the dot products gather N / 8 stored entries at a time, never
+        # L x nnz; the peak is the image-sized square in the pixel norms
         rng = np.random.default_rng(8)
         Y = rng.random((100, 50 * 50)) + 0.05
         adjacency = build_neighborhood(50, 50)
@@ -141,7 +142,7 @@ class TestNeighborWeights:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * Y.nbytes, f"peak {peak / Y.nbytes:.1f} x the image"
+        assert peak < 1.25 * Y.nbytes, f"peak {peak / Y.nbytes:.2f} x the image"
 
 
 class TestProjectSimplex:

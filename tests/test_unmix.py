@@ -1,6 +1,7 @@
 """Cost functions, update rules, and the unmixing driver."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -40,6 +41,7 @@ from hsunmix.unmix import (
     image_energy,
     run_unmixing,
     signature_products,
+    signature_step,
     update_abundance_multiplicative,
     update_signatures,
 )
@@ -355,25 +357,123 @@ class TestGramForm:
         assert np.all(steps[:-1] >= cfg.eps) and steps[-1] < cfg.eps
 
     def test_products_once_per_signature_update(self, monkeypatch):
+        # A preset that updates A reads the image once per iteration, in
+        # signature_step; fcls forms its products once per run. Every matrix
+        # product the image enters outside those two kernels is counted, so
+        # a second pass over the image fails here.
         rng = np.random.default_rng(10)
         image, _, _ = random_problem(rng, L=8, width=5, height=4)
         A0 = rng.random((8, 3)) + 0.3
         S0 = rng.dirichlet(np.ones(3), size=20).T
-        calls = []
+        log = {"paused": False, "products": 0}
+        calls = {"signature_step": 0, "signature_products": 0}
 
-        def counting(Y, A):
-            calls.append(1)
-            return signature_products(Y, A)
+        def counted(name):
+            kernel = getattr(unmix, name)
 
-        monkeypatch.setattr(unmix, "signature_products", counting)
+            def run(*args):
+                calls[name] += 1
+                log["paused"] = True
+                try:
+                    return kernel(*args)
+                finally:
+                    log["paused"] = False
+            return run
+
+        for name in calls:
+            monkeypatch.setattr(unmix, name, counted(name))
+        object.__setattr__(image, "data", CountedImage.watch(image.data, log))
+        A0.T @ image.data
+        assert log["products"] == 1, "the probe must see a product outside the kernels"
+
         fcls_abundances(image, A0)
-        assert len(calls) == 1
+        assert calls == {"signature_step": 0, "signature_products": 1}
         for variant in AlgorithmVariant:
-            calls.clear()
+            calls.update(signature_step=0, signature_products=0)
+            log["products"] = 0
             cfg = UnmixingConfig(variant=variant.value, max_iter=7, eps=1e-300)
             result = run_unmixing(image, cfg, A0, S0, split_clusters(5, 4, 8))
-            want = result.iterations_run if PRESETS[variant].update_a else 1
-            assert result.iterations_run == 7 and len(calls) == want
+            assert result.iterations_run == 7
+            if PRESETS[variant].update_a:
+                assert calls == {"signature_step": 7, "signature_products": 0}
+            else:
+                assert calls == {"signature_step": 0, "signature_products": 1}
+            assert log["products"] == 0
+
+
+class CountedImage(np.ndarray):
+    """Image data that counts the matrix products it, or a view of it, enters.
+
+    The count goes to ``log["products"]``, a dict shared by every view, and
+    stops while ``log["paused"]`` is true.
+    """
+
+    @classmethod
+    def watch(cls, data, log):
+        view = data.view(cls)
+        view.log = log
+        return view
+
+    def __array_finalize__(self, obj):
+        self.log = getattr(obj, "log", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and not self.log["paused"]:
+            self.log["products"] += 1
+        inputs = tuple(np.asarray(x) if isinstance(x, CountedImage) else x for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+class TestSignatureStep:
+    """The one-pass kernel against the two full products."""
+
+    @staticmethod
+    def _problem(L, N):
+        rng = np.random.default_rng(16)
+        Y = rng.random((L, N)) + 0.05
+        A = rng.random((L, 4)) + 0.01
+        S = np.ascontiguousarray(rng.dirichlet(np.ones(4), size=N).T)
+        return Y, A, S
+
+    @pytest.mark.parametrize("L, N, block_rows, blocks", [
+        (50, 120, 17, 3),     # 17 + 17 + 16 rows: several blocks, the last one ragged
+        (50, 120, 50, 1),     # exactly one block
+        (50, 120, 15, 1),     # below 16 rows per block the image is one block
+        (20, 9000, None, 1),  # large N: the default block holds 14 rows
+        (1, 120, None, 1),    # one band
+    ])
+    def test_matches_the_two_full_products(self, monkeypatch, L, N, block_rows, blocks):
+        Y, A, S = self._problem(L, N)
+        if block_rows is not None:
+            monkeypatch.setattr(unmix, "_BLOCK_BYTES", block_rows * Y.itemsize * N)
+        gram = S @ S.T
+        log = {"paused": False, "products": 0}
+        A_new, P = signature_step(CountedImage.watch(Y, log), A, S, gram)
+        assert log["products"] == 2 * blocks
+        want = A * (Y @ S.T) / (A @ gram + MULT_GUARD)
+        for got, ref in ((A_new, want), (P.AtY, want.T @ Y), (P.AtA, want.T @ want)):
+            assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
+        if blocks == 1:
+            # one block is the two full products, bit for bit
+            A_one = A * (S @ Y.T).T / (A @ gram + MULT_GUARD)
+            assert np.array_equal(A_new, A_one)
+            assert np.array_equal(P.AtY, A_one.T @ Y)
+            assert np.array_equal(P.AtA, A_one.T @ A_one)
+
+    @pytest.mark.parametrize("block_rows", [None, 32])
+    def test_no_image_sized_temporary(self, monkeypatch, block_rows):
+        # 224 x 10 000 is one block at the default size, seven at 32 rows
+        Y, A, S = self._problem(224, 10_000)
+        if block_rows is not None:
+            monkeypatch.setattr(unmix, "_BLOCK_BYTES", block_rows * Y.itemsize * Y.shape[1])
+        gram = S @ S.T
+        tracemalloc.start()
+        try:
+            signature_step(Y, A, S, gram)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * Y.nbytes, f"peak {peak / Y.nbytes:.3f} x the image"
 
 
 class TestUpdateSignatures:
