@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .types import ClusterAssignment, as_matrix
+from .types import ClusterAssignment, as_integer, as_matrix
 
 # defaults of fcm's settings, read by the experiment spec and the ``cluster``
 # and ``unmix`` commands; fcm itself takes the cluster count explicitly
@@ -62,7 +62,7 @@ def fcm(
     else:
         rng = np.random.default_rng(seed)
         picks = rng.choice(n_pixels, size=n_clusters, replace=False)
-        centers = arr[:, picks].copy()
+        centers = arr[:, picks]
 
     memberships = None
     for iteration in range(1, max_iter + 1):
@@ -83,9 +83,11 @@ def check_fcm_settings(m: float, tol: float, max_iter: int) -> None:
     """Raise ``ValueError`` unless ``fcm`` accepts these m, tol and max_iter."""
     if not (m > 1):
         raise ValueError("fuzzifier m must exceed 1")
-    if not (tol > 0):
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
+    if not np.isfinite(m):
+        raise ValueError("fuzzifier m must be finite")
+    if not (tol > 0 and np.isfinite(tol)):
+        raise ValueError("tol must be positive and finite")
+    if as_integer(max_iter, "max_iter") < 1:
         raise ValueError("max_iter must be at least 1")
 
 

@@ -13,9 +13,9 @@ The scene and the starting point depend only on (snr, run), a clustering also
 on the cluster count, and a solve on the variant too, so ``run_experiment``
 works one (snr, run) group at a time and hands its cells one memo, keyed as
 ``run_cell`` says: the first cell that needs a scene, start, clustering or
-solve makes it, read-only, and the others reuse it. The module keeps no state
-between calls. With ``jobs > 1`` the groups, not the cells, are spread over
-the worker processes.
+solve makes it and the others reuse it, which is safe because the value types
+hold their arrays read-only. The module keeps no state between calls. With
+``jobs > 1`` the groups, not the cells, are spread over the worker processes.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass
 from itertools import product
 from typing import Callable, List, Optional, Sequence, Tuple, Union, get_args, get_origin, get_type_hints
 
@@ -52,7 +52,8 @@ RUN_COLUMNS = (
     "iterations",
     "stop_reason",
 )
-AGGREGATE_COLUMNS = ("variant", "snr_db", "clusters", "rms_sad", "rms_aad")
+_CELL_COLUMNS = ("variant", "snr_db", "clusters")
+AGGREGATE_COLUMNS = (*_CELL_COLUMNS, "rms_sad", "rms_aad")
 
 # seed stream tags
 _SCENE, _FCM, _INIT, _SIGNATURES = 0, 1, 2, 3
@@ -255,19 +256,6 @@ def _cell_library(spec: ExperimentSpec, library: np.ndarray) -> np.ndarray:
     return library[:, chosen]
 
 
-def _read_only(value):
-    """``value`` with every array in it, through tuples and dataclasses, made read-only."""
-    if isinstance(value, np.ndarray):
-        value.setflags(write=False)
-    elif isinstance(value, tuple):
-        for item in value:
-            _read_only(item)
-    elif is_dataclass(value):
-        for item in vars(value).values():
-            _read_only(item)
-    return value
-
-
 def run_cell(
     spec: ExperimentSpec,
     library: np.ndarray,
@@ -286,9 +274,9 @@ def run_cell(
     memo of one (snr, run) group: the scene under ``"scene"``, the start
     under ``"init"``, each clustering under its cluster index, and each solve
     with its scores under ``(variant, cluster index)``, the index ``None`` if
-    the variant does not cluster. The cell makes, read-only, what the memo
-    lacks and leaves it there for the next cell; without ``group`` it makes
-    its own. The row does not depend on ``group``.
+    the variant does not cluster. The cell makes what the memo lacks and
+    leaves it there, read-only as every value type is, for the next cell;
+    without ``group`` it makes its own. The row does not depend on ``group``.
     """
     variant = spec.variants[variant_idx]
     snr = spec.snr_levels[snr_idx]
@@ -297,7 +285,7 @@ def run_cell(
 
     def shared(key, make):
         if key not in group:
-            group[key] = _read_only(make())
+            group[key] = make()
         return group[key]
 
     scene = shared("scene", lambda: generate_synthetic(
@@ -364,29 +352,23 @@ def run_experiment(
         raise ValueError(
             f"endmembers = {spec.endmembers} exceeds the {library.shape[1]} signatures of the library"
         )
-    n_snr, n_clusters, total = len(spec.snr_levels), len(spec.cluster_counts), spec.n_cells
-    groups = [(spec, library, si, run) for si in range(n_snr) for run in range(spec.runs)]
-    rows: List[Optional[dict]] = [None] * total
-    done = 0
+    groups = [(spec, library, si, run) for si in range(len(spec.snr_levels)) for run in range(spec.runs)]
+    rows: List[dict] = []
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        mapped = map(_run_group, groups) if pool is None else pool.map(_run_group, groups)
-        for (_, _, si, run), group_rows in zip(groups, mapped):
-            cells = product(range(len(spec.variants)), range(n_clusters))
-            for (vi, ci), row in zip(cells, group_rows):
-                rows[((vi * n_snr + si) * n_clusters + ci) * spec.runs + run] = row
-                done += 1
+        for group_rows in map(_run_group, groups) if pool is None else pool.map(_run_group, groups):
+            for row in group_rows:
+                rows.append(row)
                 if progress is not None:
-                    progress(done, total, row)
+                    progress(len(rows), spec.n_cells, row)
 
+    axes = (spec.variants, spec.snr_levels, spec.cluster_counts)
+    rows.sort(key=lambda r: ([axis.index(r[c]) for axis, c in zip(axes, _CELL_COLUMNS)], r["run"]))
     aggregates = []
-    keys = product(spec.variants, spec.snr_levels, spec.cluster_counts)
-    for i, (variant, snr, n_clusters) in enumerate(keys):
-        runs = rows[i * spec.runs:(i + 1) * spec.runs]
+    for start in range(0, len(rows), spec.runs):
+        runs = rows[start:start + spec.runs]
         aggregates.append(
             {
-                "variant": variant,
-                "snr_db": snr,
-                "clusters": n_clusters,
+                **{c: runs[0][c] for c in _CELL_COLUMNS},
                 "rms_sad": sum(r["rms_sad"] for r in runs) / spec.runs,
                 "rms_aad": sum(r["rms_aad"] for r in runs) / spec.runs,
             }

@@ -170,6 +170,7 @@ def write_report(path, report, cost_trace: Sequence[float], config: Mapping) -> 
         "matching": None if report is None else list(report.matching),
         "cost_trace": list(cost_trace),
     }
+    text = json.dumps(doc, allow_nan=False)  # encoded first: a failure leaves no file
     with open(path, "w", newline="") as fh:
-        fh.write(json.dumps(doc, allow_nan=False))
+        fh.write(text)
         fh.write("\n")

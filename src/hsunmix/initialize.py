@@ -48,7 +48,7 @@ def vca(Y, c: int, seed: int = 0) -> SignatureMatrix:
             raise DegenerateDataError("data is identically zero")
         scores = np.abs((mean.T / norm) @ arr).ravel()
         idx = np.array([int(np.argmax(scores))])
-        return SignatureMatrix(arr[:, idx].copy(), wavelengths=wavelengths)
+        return SignatureMatrix(arr[:, idx], wavelengths=wavelengths)
 
     centered = arr - mean
     # The subspace comes from the Gram matrix so that duplicating pixels
@@ -88,7 +88,7 @@ def vca(Y, c: int, seed: int = 0) -> SignatureMatrix:
         indices[i] = int(np.argmax(np.abs(projections)))
         selected[:, i] = z[:, indices[i]]
 
-    return SignatureMatrix(arr[:, indices].copy(), wavelengths=wavelengths)
+    return SignatureMatrix(arr[:, indices], wavelengths=wavelengths)
 
 
 def random_init(

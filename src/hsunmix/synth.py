@@ -20,6 +20,7 @@ from .types import (
     HyperspectralImage,
     SignatureMatrix,
     as_matrix,
+    read_only,
 )
 
 # scene defaults, read by the experiment spec and the ``synth`` and ``unmix`` commands
@@ -37,7 +38,7 @@ class SyntheticScene:
 
     ``noise`` is the realized additive noise; :func:`generate_synthetic`
     forms the observed image as Y = A_true @ S_true + noise, so the two
-    agree bit for bit.
+    agree bit for bit. It is read-only, like the arrays of the value types.
     """
 
     Y: HyperspectralImage
@@ -88,7 +89,7 @@ def generate_synthetic(
 
     rng = np.random.default_rng(seed)
     chosen = np.sort(rng.choice(n_available, size=c, replace=False))
-    A = lib[:, chosen].copy()
+    A = lib[:, chosen]
 
     blocks_y = -(-height // patch)
     blocks_x = -(-width // patch)
@@ -137,7 +138,7 @@ def generate_synthetic(
         A_true=SignatureMatrix(A, wavelengths=wavelengths, names=names),
         S_true=AbundanceMatrix(S),
         snr_db=float(snr_db),
-        noise=noise,
+        noise=read_only(noise),
     )
 
 

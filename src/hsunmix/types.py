@@ -1,8 +1,8 @@
 """Core value types and the algorithm variant names.
 
 All matrix containers are frozen dataclasses that validate their invariants on
-construction. The stored arrays should be treated as read-only; operations
-never mutate them in place.
+construction. They store read-only views of their arrays, so writing through
+one raises ``ValueError``; the array a caller passed in keeps its flags.
 
 Shape conventions used throughout the package:
 
@@ -36,6 +36,13 @@ def as_matrix(x, name: str = "array") -> np.ndarray:
     return arr
 
 
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """A view of ``arr`` that refuses writes; ``arr`` itself keeps its flags."""
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
 def as_integer(value, name: str) -> int:
     """``value`` as an ``int``; numpy integers pass, and anything non-integral raises ``ValueError``."""
     if not isinstance(value, (int, np.integer)):
@@ -56,7 +63,7 @@ class HyperspectralImage:
     wavelengths: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        data = as_matrix(self.data, "image data")
+        data = read_only(as_matrix(self.data, "image data"))
         object.__setattr__(self, "data", data)
         n_bands, n_pixels = data.shape
         if self.width < 1 or self.height < 1:
@@ -70,7 +77,7 @@ class HyperspectralImage:
         if np.any(data < 0):
             raise ValueError("image entries must be nonnegative")
         if self.wavelengths is not None:
-            wl = np.asarray(self.wavelengths, dtype=np.float64)
+            wl = read_only(np.asarray(self.wavelengths, dtype=np.float64))
             if wl.shape != (n_bands,):
                 raise ValueError(f"wavelengths must have shape ({n_bands},), got {wl.shape}")
             object.__setattr__(self, "wavelengths", wl)
@@ -93,14 +100,14 @@ class SignatureMatrix:
     names: Optional[Sequence[str]] = None
 
     def __post_init__(self):
-        data = as_matrix(self.data, "signature data")
+        data = read_only(as_matrix(self.data, "signature data"))
         object.__setattr__(self, "data", data)
         if not np.all(np.isfinite(data)):
             raise ValueError("signatures must be finite")
         if np.any(data < 0):
             raise ValueError("signatures must be nonnegative")
         if self.wavelengths is not None:
-            wl = np.asarray(self.wavelengths, dtype=np.float64)
+            wl = read_only(np.asarray(self.wavelengths, dtype=np.float64))
             if wl.shape != (data.shape[0],):
                 raise ValueError("wavelengths length must equal the band count")
             object.__setattr__(self, "wavelengths", wl)
@@ -129,7 +136,7 @@ class AbundanceMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        data = as_matrix(self.data, "abundance data")
+        data = read_only(as_matrix(self.data, "abundance data"))
         object.__setattr__(self, "data", data)
         if not validate_abundances(data, ASC_TOL):
             raise ValueError(
@@ -159,9 +166,9 @@ class ClusterAssignment:
     centers: np.ndarray
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
-        memberships = as_matrix(self.memberships, "memberships")
-        centers = as_matrix(self.centers, "centers")
+        labels = read_only(np.asarray(self.labels, dtype=np.int64))
+        memberships = read_only(as_matrix(self.memberships, "memberships"))
+        centers = read_only(as_matrix(self.centers, "centers"))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "memberships", memberships)
         object.__setattr__(self, "centers", centers)
@@ -234,8 +241,8 @@ class UnmixingConfig:
         object.__setattr__(self, "max_iter", as_integer(self.max_iter, "max_iter"))
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not (self.eps > 0):
-            raise ValueError("eps must be positive")
+        if not (self.eps > 0 and np.isfinite(self.eps)):
+            raise ValueError("eps must be positive and finite")
         object.__setattr__(self, "variant", AlgorithmVariant(self.variant).value)
 
 

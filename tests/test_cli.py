@@ -307,6 +307,12 @@ class TestUnmixCommand:
         assert capsys.readouterr().err == "error: clusters must be at least 1\n"
         assert not (tmp_path / "o").exists()
 
+    def test_an_infinite_eps_fails_before_initialization(self, scene_dir, tmp_path, capsys, monkeypatch):
+        rc = self._unmix_without_initialization(monkeypatch, scene_dir, tmp_path / "o", "--eps", "inf")
+        assert rc == 2
+        assert capsys.readouterr().err == "error: eps must be positive and finite\n"
+        assert not (tmp_path / "o").exists()
+
     def test_a_cluster_count_beyond_the_pixels_fails_before_initialization(
         self, scene_dir, tmp_path, capsys, monkeypatch
     ):
@@ -539,6 +545,7 @@ class TestSpecParsing:
         "text,line,message",
         [
             ("runs = 1\nmu = -1", 2, "mu must be positive and finite"),
+            ("eps = inf", 1, "eps must be positive and finite"),
             ("variants = nmf, lq_nmf\nq_lq = 2", 2, "q must lie in (0, 1]"),
             ("q_lq = 2\n# the q_lq line is valid until lq_nmf runs\nvariants = lq_nmf", 3,
              "q must lie in (0, 1]"),

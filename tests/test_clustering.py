@@ -152,3 +152,16 @@ class TestFcmValidation:
         Y = np.random.default_rng(0).random((2, 6)) + 0.1
         with pytest.raises(ValueError):
             fcm(make_image(Y), 2, m=1.0)
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"max_iter": 2.5}, "max_iter must be an integer"),
+            ({"m": np.inf}, "fuzzifier m must be finite"),
+            ({"tol": np.inf}, "tol must be positive and finite"),
+        ],
+    )
+    def test_bad_settings_rejected(self, kwargs, message):
+        Y = np.random.default_rng(0).random((2, 6)) + 0.1
+        with pytest.raises(ValueError, match=message):
+            fcm(make_image(Y), 2, **kwargs)

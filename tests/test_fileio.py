@@ -251,3 +251,4 @@ class TestReportJson:
     def test_nonfinite_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_report(tmp_path / "bad.json", None, [np.inf], asdict(UnmixingConfig()))
+        assert not (tmp_path / "bad.json").exists()

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
+from hsunmix.initialize import random_init
 from hsunmix.regularizers import build_neighborhood
+from hsunmix.synth import generate_synthetic
 from hsunmix.types import (
     AbundanceMatrix,
     AlgorithmVariant,
@@ -14,6 +16,7 @@ from hsunmix.types import (
     UnmixingConfig,
     validate_abundances,
 )
+from hsunmix.unmix import run_unmixing
 
 
 def grid_neighbors(width, height, k):
@@ -175,6 +178,46 @@ class TestClusterAssignment:
             ClusterAssignment(np.array([1, 1]), u, np.ones((3, 2)))
 
 
+U = np.array([[0.9, 0.2], [0.1, 0.8]])  # memberships (or abundances) of two pixels
+ONES = np.ones((3, 2))
+
+
+class TestReadOnlyArrays:
+    @pytest.mark.parametrize(
+        "hold,source",
+        [
+            (lambda a: HyperspectralImage(a, 2, 1).data, ONES),
+            (lambda a: HyperspectralImage(ONES, 2, 1, wavelengths=a).wavelengths, np.arange(3.0)),
+            (lambda a: SignatureMatrix(a).data, ONES),
+            (lambda a: SignatureMatrix(ONES, wavelengths=a).wavelengths, np.arange(3.0)),
+            (lambda a: AbundanceMatrix(a).data, U),
+            (lambda a: ClusterAssignment(a, U, ONES).labels, np.array([0, 1])),
+            (lambda a: ClusterAssignment(np.array([0, 1]), a, ONES).memberships, U),
+            (lambda a: ClusterAssignment(np.array([0, 1]), U, a).centers, ONES),
+            (lambda a: generate_synthetic(a, 2, width=4, height=4, patch=2, filter_size=3).noise,
+             np.linspace(0.1, 0.9, 6).reshape(3, 2)),
+        ],
+        ids=[
+            "image.data", "image.wavelengths", "signatures.data", "signatures.wavelengths",
+            "abundances.data", "clusters.labels", "clusters.memberships", "clusters.centers",
+            "scene.noise",
+        ],
+    )
+    def test_a_held_array_refuses_writes_and_the_source_keeps_its_flags(self, hold, source):
+        held = hold(source)
+        with pytest.raises(ValueError, match="read-only"):
+            held[(0,) * held.ndim] = 0
+        assert source.flags.writeable
+
+    def test_a_solve_returns_read_only_estimates(self):
+        Y = HyperspectralImage(np.linspace(0.1, 0.9, 12).reshape(3, 4), 2, 2)
+        A0, S0 = random_init(3, 2, 4, seed=0)
+        result = run_unmixing(Y, UnmixingConfig(variant="nmf", max_iter=3), A0, S0)
+        for array in (result.A.data, result.S.data):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0.0
+
+
 class TestUnmixingConfig:
     def test_defaults_valid(self):
         cfg = UnmixingConfig()
@@ -195,6 +238,7 @@ class TestUnmixingConfig:
             {"max_iter": 0},
             {"max_iter": 2.5},
             {"eps": -1e-8},
+            {"eps": np.inf},
             {"variant": "unknown"},
             {"sparsity_weight": -0.1},
         ],
