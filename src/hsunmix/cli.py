@@ -58,7 +58,7 @@ def _load_library(path):
 def _cmd_synth(args) -> int:
     library = _load_library(args.library)
     scene = generate_synthetic(
-        library.data,
+        library,
         args.c,
         width=args.width,
         height=args.height,

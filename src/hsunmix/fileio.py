@@ -35,7 +35,7 @@ _HEADER = struct.Struct("<8sIIIBB")
 
 
 def write_cube(path, image: HyperspectralImage) -> None:
-    """Write an image as a binary cube. Wavelength metadata is not stored."""
+    """Write an image as a binary cube."""
     payload = np.ascontiguousarray(image.data, dtype="<f8").tobytes()
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, image.width, image.height, image.n_bands,

@@ -38,7 +38,6 @@ def vca(Y, c: int, seed: int = 0) -> SignatureMatrix:
     n_bands, n_pixels = arr.shape
     if not (1 <= c <= min(n_bands, n_pixels)):
         raise ValueError(f"c must lie in [1, {min(n_bands, n_pixels)}]")
-    wavelengths = getattr(Y, "wavelengths", None)
     rng = np.random.default_rng(seed)
 
     mean = arr.mean(axis=1, keepdims=True)
@@ -48,7 +47,7 @@ def vca(Y, c: int, seed: int = 0) -> SignatureMatrix:
             raise DegenerateDataError("data is identically zero")
         scores = np.abs((mean.T / norm) @ arr).ravel()
         idx = np.array([int(np.argmax(scores))])
-        return SignatureMatrix(arr[:, idx], wavelengths=wavelengths)
+        return SignatureMatrix(arr[:, idx])
 
     centered = arr - mean
     # The subspace comes from the Gram matrix so that duplicating pixels
@@ -88,7 +87,7 @@ def vca(Y, c: int, seed: int = 0) -> SignatureMatrix:
         indices[i] = int(np.argmax(np.abs(projections)))
         selected[:, i] = z[:, indices[i]]
 
-    return SignatureMatrix(arr[:, indices], wavelengths=wavelengths)
+    return SignatureMatrix(arr[:, indices])
 
 
 def random_init(

@@ -8,6 +8,7 @@ Gaussian noise scaled to an exact signal-to-noise ratio.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -36,6 +37,7 @@ SCENE_PURITY_CAP = 0.8
 class SyntheticScene:
     """A generated scene together with its ground truth.
 
+    ``A_true`` carries the chosen library columns' wavelengths and names.
     ``noise`` is the realized additive noise; :func:`generate_synthetic`
     forms the observed image as Y = A_true @ S_true + noise, so the two
     agree bit for bit. It is read-only, like the arrays of the value types.
@@ -44,7 +46,6 @@ class SyntheticScene:
     Y: HyperspectralImage
     A_true: SignatureMatrix
     S_true: AbundanceMatrix
-    snr_db: float
     noise: np.ndarray
 
 
@@ -132,12 +133,10 @@ def generate_synthetic(
     names = None
     if getattr(library, "names", None) is not None:
         names = [library.names[j] for j in chosen]
-    image = HyperspectralImage(Y, width, height, wavelengths=wavelengths)
     return SyntheticScene(
-        Y=image,
+        Y=HyperspectralImage(Y, width, height),
         A_true=SignatureMatrix(A, wavelengths=wavelengths, names=names),
         S_true=AbundanceMatrix(S),
-        snr_db=float(snr_db),
         noise=read_only(noise),
     )
 
@@ -159,6 +158,8 @@ def check_scene_settings(c: int, width: int, height: int, patch: int, filter_siz
         raise ValueError("purity_cap below 1/c cannot be satisfied")
     if np.isnan(snr_db) or snr_db == -np.inf:
         raise ValueError("snr_db must be a finite value or +inf")
+    if np.isfinite(snr_db) and not 0 < _power_ratio(snr_db) < math.inf:
+        raise ValueError(f"snr_db = {snr_db:g} gives a power ratio beyond the range of a double")
 
 
 def bundled_library() -> SignatureMatrix:
@@ -170,6 +171,14 @@ def bundled_library() -> SignatureMatrix:
     path = resources.files("hsunmix.data").joinpath("library.csv")
     with resources.as_file(path) as p:
         return read_spectral_library(p)
+
+
+def _power_ratio(snr_db: float) -> float:
+    """|A S|^2 / |noise|^2 at ``snr_db``: 10^(snr_db / 10), inf where that overflows."""
+    try:
+        return 10.0 ** (float(snr_db) / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def _scaled_truncated_noise(product: np.ndarray, draw: np.ndarray, snr_db: float) -> np.ndarray:
@@ -186,7 +195,9 @@ def _scaled_truncated_noise(product: np.ndarray, draw: np.ndarray, snr_db: float
     signal_energy = float(np.sum(product * product))
     if signal_energy == 0:
         raise ValueError("cannot scale noise against an all-zero scene")
-    target = signal_energy / 10.0 ** (snr_db / 10.0)
+    target = signal_energy / _power_ratio(snr_db)
+    if not math.isfinite(target):
+        raise ValueError(f"snr_db = {snr_db:g} asks for a noise energy beyond the range of a double")
 
     truncated = np.zeros(product.shape, dtype=bool)
     truncated_energy, free_energy = 0.0, float(np.sum(draw * draw))

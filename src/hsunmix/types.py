@@ -3,6 +3,9 @@
 All matrix containers are frozen dataclasses that validate their invariants on
 construction. They store read-only views of their arrays, so writing through
 one raises ``ValueError``; the array a caller passed in keeps its flags.
+Pickling and copying go through the constructor, so a copy is checked and
+read-only too. Only signatures carry metadata (wavelengths and names), which
+the library CSV stores; an image, like the cube format, holds none.
 
 Shape conventions used throughout the package:
 
@@ -17,7 +20,7 @@ neighbors, lives in :mod:`hsunmix.regularizers`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -50,8 +53,15 @@ def as_integer(value, name: str) -> int:
     return int(value)
 
 
+class _Value:
+    """Base of the value types: ``pickle`` and ``copy`` call the constructor on the fields."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 @dataclass(frozen=True)
-class HyperspectralImage:
+class HyperspectralImage(_Value):
     """A reflectance cube flattened to an L x N band-by-pixel matrix.
 
     Column k of ``data`` holds the spectrum of pixel (k // width, k % width).
@@ -60,27 +70,20 @@ class HyperspectralImage:
     data: np.ndarray
     width: int
     height: int
-    wavelengths: Optional[np.ndarray] = None
 
     def __post_init__(self):
         data = read_only(as_matrix(self.data, "image data"))
         object.__setattr__(self, "data", data)
-        n_bands, n_pixels = data.shape
         if self.width < 1 or self.height < 1:
             raise ValueError("width and height must be positive")
-        if self.width * self.height != n_pixels:
+        if self.width * self.height != self.n_pixels:
             raise ValueError(
-                f"width*height = {self.width * self.height} does not match pixel count {n_pixels}"
+                f"width*height = {self.width * self.height} does not match pixel count {self.n_pixels}"
             )
         if not np.all(np.isfinite(data)):
             raise ValueError("image entries must be finite")
         if np.any(data < 0):
             raise ValueError("image entries must be nonnegative")
-        if self.wavelengths is not None:
-            wl = read_only(np.asarray(self.wavelengths, dtype=np.float64))
-            if wl.shape != (n_bands,):
-                raise ValueError(f"wavelengths must have shape ({n_bands},), got {wl.shape}")
-            object.__setattr__(self, "wavelengths", wl)
 
     @property
     def n_bands(self) -> int:
@@ -92,7 +95,7 @@ class HyperspectralImage:
 
 
 @dataclass(frozen=True)
-class SignatureMatrix:
+class SignatureMatrix(_Value):
     """Endmember spectra, one per column. Entries are nonnegative reflectance."""
 
     data: np.ndarray
@@ -117,17 +120,9 @@ class SignatureMatrix:
                 raise ValueError("names length must equal the signature count")
             object.__setattr__(self, "names", names)
 
-    @property
-    def n_bands(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n_signatures(self) -> int:
-        return self.data.shape[1]
-
 
 @dataclass(frozen=True)
-class AbundanceMatrix:
+class AbundanceMatrix(_Value):
     """Per-pixel abundance vectors; every column lies on the unit simplex.
 
     Nonnegativity must hold exactly, the column sums within ``ASC_TOL``.
@@ -144,17 +139,9 @@ class AbundanceMatrix:
                 f"{ASC_TOL:g}"
             )
 
-    @property
-    def n_endmembers(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n_pixels(self) -> int:
-        return self.data.shape[1]
-
 
 @dataclass(frozen=True)
-class ClusterAssignment:
+class ClusterAssignment(_Value):
     """Fuzzy clustering result: hard labels, soft memberships, cluster centers.
 
     Labels are the column argmax of the membership matrix (ties resolve to the

@@ -247,22 +247,20 @@ def gram_step(
 
 
 def gram_objective(
-    y_energy: float, P: Products, S, graph: Optional[Coupling] = None,
+    y_energy: float, P: Products, S, gram: np.ndarray, graph: Optional[Coupling] = None,
     eta: float = 0.0, lam: float = 0.0, q: float = 1.0, pull: Optional[np.ndarray] = None,
-    gram: Optional[np.ndarray] = None,
 ) -> float:
     """The objective the solver records: the sum of every pixel's local cost.
 
     The residual term is |Y|^2 - 2 <AtY, S> + <AtA, S S^T> with
-    ``y_energy`` = |Y|^2; to it come eta sum_kj W[k, j] |s_k - s_j|^2 and
-    lam times the summed guarded q-norms of the abundance columns; the
-    coupling term comes from one sparse product, S W^T (see ``Coupling``).
+    ``y_energy`` = |Y|^2 and ``gram`` = S S^T, which the solver forms once
+    per iteration for the next signature step too; to it come
+    eta sum_kj W[k, j] |s_k - s_j|^2 and lam times the summed guarded q-norms
+    of the abundance columns; the coupling term comes from one sparse
+    product, S W^T (see ``Coupling``).
     With a ``graph``, ``pull`` must be S W^T (``coupling_pull(graph, S)``).
-    ``gram`` is S S^T when the caller has it; otherwise it is formed here.
     On an exact fit the residual term can round to a tiny negative value.
     """
-    if gram is None:
-        gram = S @ S.T
     value = y_energy - 2.0 * float(np.vdot(P.AtY, S)) + float(np.vdot(P.AtA, gram))
     if graph is not None:
         # np.vdot, not a full einsum reduction: that one sums sequentially
@@ -357,12 +355,10 @@ def run_unmixing(
     preset = PRESETS[AlgorithmVariant(cfg.variant)]
     if preset.cluster_mask and clusters is None:
         raise ValueError("the clustered variant requires a ClusterAssignment")
-    Yd = Y.data
-    A = as_matrix(init_A, "init_A").copy()
-    S = as_matrix(init_S, "init_S").copy()
-    n_bands, n_pixels = Yd.shape
-    if A.shape[0] != n_bands or S.shape != (A.shape[1], n_pixels):
-        raise ValueError("initial matrices do not match the image dimensions")
+    Yd, A, S = _factors(Y, init_A, init_S)
+    # fcls returns its start as the estimate, which must not share the caller's
+    # array; S is replaced before anything could write to it
+    A = A.copy()
 
     eta = cfg.eta if preset.coupled else 0.0
     lam = 0.0
@@ -400,7 +396,7 @@ def run_unmixing(
         if graph is not None:
             pull = coupling_pull(graph, S)
 
-        j = gram_objective(y_energy, products, S, graph, eta, lam, cfg.q, pull, gram)
+        j = gram_objective(y_energy, products, S, gram, graph, eta, lam, cfg.q, pull)
         if not np.isfinite(j):
             raise NumericalFailureError(
                 f"objective became non-finite at iteration {iteration}", iteration=iteration

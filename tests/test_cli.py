@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -19,15 +20,17 @@ from hsunmix.cli import VARIANT_CHOICES, build_parser, main
 from hsunmix.clustering import FCM_CLUSTERS, FCM_M, FCM_MAX_ITER, FCM_TOL, fcm
 from hsunmix.experiment import (
     _FCM, _INIT, _SCENE, ExperimentSpec, derive_seed, initial_estimates, needs_clusters, parse_experiment_spec,
-    run_cell, run_experiment,
+    run_cell, run_experiment, write_rows_csv,
 )
-from hsunmix.fileio import read_cube, read_spectral_library, write_cube
+from hsunmix.fileio import read_cube, read_spectral_library, write_cube, write_spectral_library
 from hsunmix.metrics import evaluate
 from hsunmix.synth import (
     SCENE_ENDMEMBERS, SCENE_FILTER, SCENE_HEIGHT, SCENE_PATCH, SCENE_PURITY_CAP, SCENE_WIDTH, bundled_library,
     generate_synthetic,
 )
-from hsunmix.types import AlgorithmVariant, HyperspectralImage, UnmixingConfig, resolve_variant, validate_abundances
+from hsunmix.types import (
+    AlgorithmVariant, HyperspectralImage, SignatureMatrix, UnmixingConfig, resolve_variant, validate_abundances,
+)
 from hsunmix.unmix import run_unmixing
 
 
@@ -90,6 +93,23 @@ class TestSynthCommand:
         A = read_spectral_library(out / "A_true.csv").data
         S = read_cube(out / "S_true.cube").data
         assert np.array_equal(Y, A @ S)
+
+    def test_true_signatures_keep_the_library_names_and_wavelengths(self, scene_dir):
+        library = bundled_library()
+        A = read_spectral_library(scene_dir / "A_true.csv")
+        assert len(A.names) == 3 and set(A.names) <= set(library.names)
+        columns = [library.names.index(name) for name in A.names]
+        assert np.array_equal(A.data, library.data[:, columns])
+        assert np.array_equal(A.wavelengths, library.wavelengths)
+
+    @pytest.mark.parametrize("snr", ["4000", "-4000"])
+    def test_an_snr_beyond_a_doubles_power_ratio_is_a_usage_error(self, tmp_path, capsys, snr):
+        out = tmp_path / "x"
+        rc = main(["synth", "--c", "3", "--width", "6", "--height", "6", "--patch", "3",
+                   "--filter", "3", f"--snr={snr}", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: snr_db = {snr} gives a power ratio beyond the range of a double\n"
+        assert not out.exists()
 
     def test_even_filter_size_is_a_usage_error(self, tmp_path, capsys):
         rc = main(
@@ -468,6 +488,33 @@ class TestExperimentCommand:
         assert rc == 2
         assert capsys.readouterr().err == "error: endmembers = 9 exceeds the 8 signatures of the library\n"
 
+    def test_without_quiet_each_row_prints_one_progress_line(self, tmp_path, capsys):
+        spec_path = tmp_path / "sweep.spec"
+        spec_path.write_text(SPEC_TEXT)
+        out = tmp_path / "results"
+        assert main(["experiment", str(spec_path), "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == f"wrote 4 runs and 2 aggregate rows to {out}"
+        pattern = re.compile(r"\[(\d+)/4\] (\w+) snr=(\S+) clusters=(\d+) run=(\d+) rms_sad=(\S+)")
+        printed = [pattern.fullmatch(line) for line in lines[:-1]]
+        assert all(printed), lines
+        assert [int(m[1]) for m in printed] == [1, 2, 3, 4]
+        _, rows = read_csv(out / "runs.csv")
+        want = [(r[0], f"{float(r[1]):g}", r[2], r[3], f"{float(r[4]):.4g}") for r in rows]
+        assert sorted(m.groups()[1:] for m in printed) == sorted(want)
+
+    def test_a_spec_library_is_the_one_the_sweep_draws_from(self, tmp_path):
+        lib_path = tmp_path / "coarse.csv"
+        write_spectral_library(lib_path, SignatureMatrix(bundled_library().data[::8]))
+        spec_path = tmp_path / "sweep.spec"
+        spec_path.write_text(SPEC_TEXT + f"library = {lib_path}\n")
+        out = tmp_path / "results"
+        assert main(["experiment", str(spec_path), "--out", str(out), "--quiet"]) == 0
+        rows, _ = run_experiment(parse_experiment_spec(spec_path.read_text()),
+                                 read_spectral_library(lib_path).data)
+        write_rows_csv(tmp_path / "want.csv", rows)
+        assert (out / "runs.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
     @pytest.mark.parametrize("jobs", ["0", "-4"])
     def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys, jobs):
         spec_path = tmp_path / "sweep.spec"
@@ -553,6 +600,7 @@ class TestSpecParsing:
             ("runs = 1\nfcm_m = 1.0", 2, "fuzzifier m must exceed 1"),
             ("runs = 1\nfilter_size = 4", 2, "filter_size must be odd and positive"),
             ("runs = 1\nsnr_levels = 25, nan", 2, "snr_db must be a finite value or +inf"),
+            ("runs = 1\nsnr_levels = 25, 4000", 2, "snr_db = 4000 gives a power ratio beyond the range of a double"),
             ("variants = nmf, proposed\nwidth = 2\nheight = 2", 3,
              "cluster count 6 exceeds the 4 pixels of a 2 x 2 scene"),
             ("variants = nmf\nwidth = 2\nheight = 2\nendmembers = 6", 3,
@@ -784,6 +832,19 @@ class TestRunExperiment:
         per_group = [("clustered_sparse_distributed", 2), ("clustered_sparse_distributed", 3),
                      ("distributed", None), ("fcls", None)]
         assert solved == per_group * (len(spec.snr_levels) * spec.runs)
+
+    @pytest.mark.parametrize("fix", [False, True])
+    def test_fixed_signatures_are_the_same_columns_in_every_group(self, fix):
+        spec = ExperimentSpec(variants=("nmf",), snr_levels=(20, 30), runs=2, width=8, height=8, endmembers=3,
+                              patch=4, filter_size=3, max_iter=2, init="random", fix_signatures=fix)
+        library = bundled_library().data
+        truths = []
+        for snr_idx, run in product(range(2), range(2)):
+            group = {}
+            run_cell(spec, library, 0, snr_idx, 0, run, group=group)
+            truths.append(group["scene"].A_true.data)
+        same = [np.array_equal(truth, truths[0]) for truth in truths[1:]]
+        assert all(same) if fix else not any(same)
 
     def test_a_shared_solve_is_read_only(self):
         spec = ExperimentSpec(**MIXED_SPEC)

@@ -1,12 +1,13 @@
 """Synthetic scene generation and the bundled spectral library."""
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from hsunmix.metrics import sad
-from hsunmix.synth import _scaled_truncated_noise, bundled_library, generate_synthetic
+from hsunmix.synth import _scaled_truncated_noise, bundled_library, check_scene_settings, generate_synthetic
 from hsunmix.types import validate_abundances
 
 
@@ -115,6 +116,20 @@ class TestGenerateSynthetic:
     def test_nan_snr_rejected(self, library):
         with pytest.raises(ValueError):
             generate_synthetic(library.data, 3, width=8, height=8, snr_db=np.nan)
+
+    @pytest.mark.parametrize("snr", [4000.0, -4000.0, 1e300, -1e300])
+    def test_an_snr_beyond_a_doubles_power_ratio_is_rejected(self, snr):
+        with pytest.raises(ValueError, match="^" + re.escape(f"snr_db = {snr:g} gives a power ratio beyond")):
+            check_scene_settings(3, 8, 8, 4, 3, snr, 0.8)
+
+    @pytest.mark.parametrize("snr", [3000.0, -3000.0, -3200.0])
+    def test_the_settings_check_passes_any_snr_whose_power_ratio_is_a_positive_double(self, snr):
+        check_scene_settings(3, 8, 8, 4, 3, snr, 0.8)
+
+    def test_an_snr_whose_noise_energy_overflows_is_rejected(self, library):
+        # 10^-320 is a positive (subnormal) double, but |A S|^2 / 10^-320 is not finite
+        with pytest.raises(ValueError, match="^snr_db = -3200 asks for a noise energy beyond"):
+            generate_synthetic(library.data, 3, width=8, height=8, snr_db=-3200.0)
 
 
 class TestScaledTruncatedNoise:

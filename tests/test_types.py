@@ -1,5 +1,9 @@
 """Core data structures: images, signatures, abundances, neighborhoods."""
 
+import copy
+import pickle
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
@@ -138,15 +142,15 @@ class TestHyperspectralImage:
         with pytest.raises(ValueError):
             HyperspectralImage(data, width=2, height=2)
 
-    def test_wavelength_length_checked(self):
-        with pytest.raises(ValueError):
-            HyperspectralImage(np.ones((3, 4)), 2, 2, wavelengths=np.array([1.0, 2.0]))
-
 
 class TestSignatureAndAbundanceMatrices:
     def test_signature_rejects_negative(self):
         with pytest.raises(ValueError):
             SignatureMatrix(np.array([[1.0, -0.1], [0.5, 0.5]]))
+
+    def test_wavelength_length_checked(self):
+        with pytest.raises(ValueError, match="wavelengths length"):
+            SignatureMatrix(np.ones((3, 2)), wavelengths=np.array([1.0, 2.0]))
 
     def test_signature_names_length_checked(self):
         with pytest.raises(ValueError):
@@ -187,7 +191,6 @@ class TestReadOnlyArrays:
         "hold,source",
         [
             (lambda a: HyperspectralImage(a, 2, 1).data, ONES),
-            (lambda a: HyperspectralImage(ONES, 2, 1, wavelengths=a).wavelengths, np.arange(3.0)),
             (lambda a: SignatureMatrix(a).data, ONES),
             (lambda a: SignatureMatrix(ONES, wavelengths=a).wavelengths, np.arange(3.0)),
             (lambda a: AbundanceMatrix(a).data, U),
@@ -198,7 +201,7 @@ class TestReadOnlyArrays:
              np.linspace(0.1, 0.9, 6).reshape(3, 2)),
         ],
         ids=[
-            "image.data", "image.wavelengths", "signatures.data", "signatures.wavelengths",
+            "image.data", "signatures.data", "signatures.wavelengths",
             "abundances.data", "clusters.labels", "clusters.memberships", "clusters.centers",
             "scene.noise",
         ],
@@ -208,6 +211,28 @@ class TestReadOnlyArrays:
         with pytest.raises(ValueError, match="read-only"):
             held[(0,) * held.ndim] = 0
         assert source.flags.writeable
+
+    @pytest.mark.parametrize("clone", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    @pytest.mark.parametrize(
+        "value",
+        [
+            HyperspectralImage(ONES, 2, 1),
+            SignatureMatrix(ONES, wavelengths=np.arange(3.0), names=("a", "b")),
+            AbundanceMatrix(U),
+            ClusterAssignment(np.array([0, 1]), U, ONES),
+        ],
+        ids=["image", "signatures", "abundances", "clusters"],
+    )
+    def test_a_clone_is_rebuilt_read_only(self, value, clone):
+        copied = clone(value)
+        assert type(copied) is type(value)
+        for f in fields(value):
+            held, source = getattr(copied, f.name), getattr(value, f.name)
+            if isinstance(held, np.ndarray):
+                assert np.array_equal(held, source) and not held.flags.writeable
+            else:
+                assert held == source
 
     def test_a_solve_returns_read_only_estimates(self):
         Y = HyperspectralImage(np.linspace(0.1, 0.9, 12).reshape(3, 4), 2, 2)

@@ -101,7 +101,7 @@ class TestLocalCost:
         k = 5
         y, s = image.data[:, k : k + 1], S[:, k : k + 1]
         want = np.sum((image.data[:, k] - A @ S[:, k]) ** 2)
-        got = gram_objective(image_energy(y), signature_products(y, A), s)
+        got = gram_objective(image_energy(y), signature_products(y, A), s, s @ s.T)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_identical_neighbors_add_nothing(self):
@@ -112,7 +112,7 @@ class TestLocalCost:
         want = np.sum((image.data - A @ S) ** 2)
         P = signature_products(image.data, A)
         got = gram_objective(
-            image_energy(image.data), P, S, graph, 0.7, pull=coupling_pull(graph, S)
+            image_energy(image.data), P, S, S @ S.T, graph, 0.7, pull=coupling_pull(graph, S)
         )
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -125,7 +125,7 @@ class TestLocalCost:
         nbhd = build_neighborhood(2, 1)  # the 0/1 adjacency: one neighbor, weight 1
         graph = coupling(nbhd)
         P = signature_products(Y, A)
-        got = gram_objective(image_energy(Y), P, S, graph, 0.1, pull=coupling_pull(graph, S))
+        got = gram_objective(image_energy(Y), P, S, S @ S.T, graph, 0.1, pull=coupling_pull(graph, S))
         assert got == pytest.approx(0.4, rel=1e-12)
         assert local_cost(0, Y, A, S, nbhd, eta=0.1) == pytest.approx(0.2, rel=1e-12)
 
@@ -133,7 +133,8 @@ class TestLocalCost:
         rng = np.random.default_rng(3)
         image, A, S = random_problem(rng)
         y_energy, P = image_energy(image.data), signature_products(image.data, A)
-        diff = gram_objective(y_energy, P, S, lam=0.5, q=0.5) - gram_objective(y_energy, P, S)
+        gram = S @ S.T
+        diff = gram_objective(y_energy, P, S, gram, lam=0.5, q=0.5) - gram_objective(y_energy, P, S, gram)
         assert diff == pytest.approx(0.5 * sparsity_norm(S, 0.5).sum(), rel=1e-9)
 
     def test_objective_is_the_sum_of_local_costs(self):
@@ -142,7 +143,7 @@ class TestLocalCost:
         adjacency = build_neighborhood(6, 5)
         nbhd = neighbor_weights(image.data, adjacency)
         knobs = dict(eta=0.3, lam=0.4, q=0.5)
-        y_energy, P = image_energy(image.data), signature_products(image.data, A)
+        y_energy, P, gram = image_energy(image.data), signature_products(image.data, A), S @ S.T
         # every pixel in its own cluster gates W to explicit zeros, so the
         # coupling identity must add exactly nothing to residual plus sparsity
         alone = ClusterAssignment(np.arange(30), np.eye(30), np.ones((image.n_bands, 30)))
@@ -152,10 +153,10 @@ class TestLocalCost:
             want = sum(
                 local_cost(k, image.data, A, S, nbhd, clusters, **knobs) for k in range(30)
             )
-            got = gram_objective(y_energy, P, S, graph, **knobs, pull=coupling_pull(graph, S))
+            got = gram_objective(y_energy, P, S, gram, graph, **knobs, pull=coupling_pull(graph, S))
             assert got == pytest.approx(want, rel=1e-12)
         assert W.nnz == nbhd.nnz and not W.data.any()
-        assert got == gram_objective(y_energy, P, S, lam=knobs["lam"], q=knobs["q"])
+        assert got == gram_objective(y_energy, P, S, gram, lam=knobs["lam"], q=knobs["q"])
 
 
 class TestSmoothGradient:
@@ -263,7 +264,7 @@ class TestAbundanceStepMatchesOracle:
         step = gram_step(P, S0, cfg.mu, graph, cfg.eta, 0.4, 0.5, coupling_pull(graph, S0))
         S1 = project_simplex_columns(S0 + step)
         J = gram_objective(
-            image_energy(Y), P, S1, graph, cfg.eta, 0.4, 0.5, coupling_pull(graph, S1)
+            image_energy(Y), P, S1, S1 @ S1.T, graph, cfg.eta, 0.4, 0.5, coupling_pull(graph, S1)
         )
         assert np.array_equal(result.A.data, A1)
         assert np.array_equal(result.S.data, S1)
@@ -287,7 +288,7 @@ class TestAbundanceStepMatchesOracle:
                 S + gram_step(P, S, cfg.mu, graph, cfg.eta, pull=coupling_pull(graph, S))
             )
             trace.append(gram_objective(
-                image_energy(image.data), P, S, graph, cfg.eta, pull=coupling_pull(graph, S)
+                image_energy(image.data), P, S, S @ S.T, graph, cfg.eta, pull=coupling_pull(graph, S)
             ))
         assert np.array_equal(result.A.data, A)
         assert np.array_equal(result.S.data, S)
@@ -304,7 +305,7 @@ class TestAbundanceStepMatchesOracle:
             S1 = project_simplex_columns(S0 + gram_step(P, S0, cfg.mu))
         assert np.array_equal(result.A.data, A1)
         assert np.array_equal(result.S.data, S1)
-        assert result.cost_trace == [gram_objective(image_energy(Y), P, S1)]
+        assert result.cost_trace == [gram_objective(image_energy(Y), P, S1, S1 @ S1.T)]
 
 
 @pytest.fixture(scope="module")
@@ -326,7 +327,8 @@ class TestGramForm:
         scene, A0, S0 = scenes[snr]
         Y = scene.Y.data
         A_true, S_true = scene.A_true.data, scene.S_true.data
-        worst = abs(gram_objective(image_energy(Y), signature_products(Y, A_true), S_true)
+        worst = abs(gram_objective(image_energy(Y), signature_products(Y, A_true), S_true,
+                                   S_true @ S_true.T)
                     - global_cost(Y, A_true, S_true))
         recorded, direct = [], []
 
@@ -348,8 +350,8 @@ class TestGramForm:
 
         def watch(iteration, A, S, J):
             # swap the Gram residual for the direct one; other terms are unchanged
-            gram = gram_objective(image_energy(Y), signature_products(Y, A), S)
-            direct.append(J - gram + global_cost(Y, A, S))
+            residual = gram_objective(image_energy(Y), signature_products(Y, A), S, S @ S.T)
+            direct.append(J - residual + global_cost(Y, A, S))
 
         result = run_unmixing(scene.Y, cfg, A0, S0, on_iteration=watch)
         assert result.stop_reason is StopReason.CONVERGED
@@ -590,6 +592,20 @@ class TestRunUnmixing:
         r2 = run_unmixing(image, cfg, A0, S0)
         assert r1.cost_trace == r2.cost_trace
         assert np.array_equal(r1.S.data, r2.S.data)
+
+    def test_initial_matrices_of_the_wrong_shape_are_rejected(self):
+        image, A0, S0 = self._setup()
+        cfg = UnmixingConfig(variant="nmf", max_iter=2)
+        for A, S in ((A0.data[:-1], S0), (A0, S0.data[:, :-1]), (A0.data[:, :-1], S0)):
+            with pytest.raises(ValueError, match="incompatible shapes"):
+                run_unmixing(image, cfg, A, S)
+
+    def test_fcls_returns_a_copy_of_the_callers_signatures(self):
+        image, A0, S0 = self._setup(seed=2)
+        A = A0.data.copy()
+        result = run_unmixing(image, UnmixingConfig(variant="fcls", mu=0.01, max_iter=2), A, S0)
+        A[0, 0] += 1.0
+        assert np.array_equal(result.A.data, A0.data)
 
     def test_perfect_init_on_factorizable_data_stops_immediately(self):
         rng = np.random.default_rng(9)
