@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .clustering import FCM_CLUSTERS, FCM_M, FCM_MAX_ITER, FCM_TOL, fcm
-from .errors import CubeFormatError, DegenerateDataError, LibraryParseError, NumericalFailureError
+from .errors import DegenerateDataError, NumericalFailureError
 from .experiment import (
     INIT_METHODS, initial_estimates, needs_clusters, parse_experiment_spec, run_experiment,
     write_aggregate_csv, write_rows_csv,
@@ -269,7 +269,7 @@ def main(argv=None) -> int:
     except (NumericalFailureError, DegenerateDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (CubeFormatError, LibraryParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -31,7 +31,6 @@ def fcm(
     tol: float = FCM_TOL,
     max_iter: int = FCM_MAX_ITER,
     seed: int = 0,
-    initial_centers: Optional[np.ndarray] = None,
     on_iteration: Optional[Callable[[int, np.ndarray, np.ndarray, float], None]] = None,
 ) -> ClusterAssignment:
     """Cluster the pixel spectra of Y into ``n_clusters`` fuzzy groups.
@@ -40,29 +39,23 @@ def fcm(
     u_ck proportional to (1 / ||y_k - v_c||^2)^(1/(m-1)), centers are the
     membership^m weighted means. A pixel coinciding exactly with a center
     gets full membership in the first such cluster. Centers start at
-    ``n_clusters`` distinct random pixels unless ``initial_centers`` (an
-    L x C array) is supplied.
+    ``n_clusters`` distinct random pixels.
 
     ``on_iteration`` receives (iteration, memberships, centers, objective)
     after every center update; the objective is the weighted squared
     distortion and never increases between iterations.
     """
     arr = as_matrix(Y, "image")
-    n_bands, n_pixels = arr.shape
+    n_pixels = arr.shape[1]
     if not np.all(np.isfinite(arr)):
         raise ValueError("data must be finite")
     if not (1 <= n_clusters <= n_pixels):
         raise ValueError("n_clusters must lie in [1, pixel count]")
     check_fcm_settings(m, tol, max_iter)
 
-    if initial_centers is not None:
-        centers = np.array(initial_centers, dtype=np.float64)
-        if centers.shape != (n_bands, n_clusters):
-            raise ValueError(f"initial_centers must have shape ({n_bands}, {n_clusters})")
-    else:
-        rng = np.random.default_rng(seed)
-        picks = rng.choice(n_pixels, size=n_clusters, replace=False)
-        centers = arr[:, picks]
+    rng = np.random.default_rng(seed)
+    picks = rng.choice(n_pixels, size=n_clusters, replace=False)
+    centers = arr[:, picks]
 
     memberships = None
     for iteration in range(1, max_iter + 1):

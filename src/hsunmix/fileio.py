@@ -20,7 +20,6 @@ import csv
 import json
 import math
 import struct
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -46,68 +45,60 @@ def write_cube(path, image: HyperspectralImage) -> None:
 def read_cube(path) -> HyperspectralImage:
     """Read a binary cube written by :func:`write_cube`.
 
-    Malformed files raise :class:`CubeFormatError` naming the offending
-    field and byte offset; a payload shorter or longer than the header
-    declares is reported with the expected and actual sizes.
+    A malformed file raises :class:`CubeFormatError` whose message starts
+    with ``path`` and gives the byte offset of the fault; a payload shorter or
+    longer than the header declares is reported with the expected and actual
+    sizes.
     """
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) < _HEADER.size:
             raise CubeFormatError(
-                f"truncated header: expected {_HEADER.size} bytes, got {len(raw)}",
-                field="header",
-                offset=len(raw),
+                f"{path}: truncated header: expected {_HEADER.size} bytes, got {len(raw)}"
             )
         magic, width, height, bands, dtype, interleave = _HEADER.unpack(raw)
         if magic != MAGIC:
-            raise CubeFormatError(
-                f"bad magic {magic!r} at offset 0 (expected {MAGIC!r})",
-                field="magic",
-                offset=0,
-            )
+            raise CubeFormatError(f"{path}: bad magic {magic!r} at offset 0 (expected {MAGIC!r})")
         if width < 1:
-            raise CubeFormatError("width must be positive (offset 8)", field="width", offset=8)
+            raise CubeFormatError(f"{path}: width must be positive (offset 8)")
         if height < 1:
-            raise CubeFormatError("height must be positive (offset 12)", field="height", offset=12)
+            raise CubeFormatError(f"{path}: height must be positive (offset 12)")
         if bands < 1:
-            raise CubeFormatError("bands must be positive (offset 16)", field="bands", offset=16)
+            raise CubeFormatError(f"{path}: bands must be positive (offset 16)")
         if dtype != DTYPE_FLOAT64_LE:
-            raise CubeFormatError(
-                f"unsupported dtype code {dtype} at offset 20", field="dtype", offset=20
-            )
+            raise CubeFormatError(f"{path}: unsupported dtype code {dtype} at offset 20")
         if interleave != INTERLEAVE_BAND_SEQUENTIAL:
-            raise CubeFormatError(
-                f"unsupported interleave code {interleave} at offset 21",
-                field="interleave",
-                offset=21,
-            )
+            raise CubeFormatError(f"{path}: unsupported interleave code {interleave} at offset 21")
         expected = width * height * bands * 8
         payload = fh.read()
     if len(payload) != expected:
         kind = "truncated" if len(payload) < expected else "oversized"
         raise CubeFormatError(
-            f"{kind} payload: expected {expected} bytes, got {len(payload)} "
-            f"(payload starts at offset {_HEADER.size})",
-            field="payload",
-            offset=_HEADER.size + min(len(payload), expected),
+            f"{path}: {kind} payload: expected {expected} bytes, got {len(payload)} "
+            f"(payload starts at offset {_HEADER.size})"
         )
     data = np.frombuffer(payload, dtype="<f8").reshape(bands, width * height)
     return HyperspectralImage(data.astype(np.float64), width, height)
 
 
 def read_spectral_library(path) -> SignatureMatrix:
-    """Read a spectral library CSV: header ``wavelength,name1,...``, one row per band."""
-    path = Path(path)
+    """Read a spectral library CSV: header ``wavelength,name1,...``, one row per band.
+
+    A malformed file raises :class:`LibraryParseError` whose message starts
+    with ``path`` and the 1-based line at fault.
+    """
+
+    def error(line: int, message: str) -> LibraryParseError:
+        return LibraryParseError(f"{path}, line {line}: {message}")
+
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
-            raise LibraryParseError("empty library file", line=1) from None
+            raise error(1, "empty library file") from None
         if len(header) < 2 or header[0].strip() != "wavelength":
-            raise LibraryParseError(
-                "header must be 'wavelength,<name>[,<name>...]'", line=1
-            )
+            raise error(1, "header must be 'wavelength,<name>[,<name>...]'")
         names = [h.strip() for h in header[1:]]
         wavelengths = []
         rows = []
@@ -115,21 +106,19 @@ def read_spectral_library(path) -> SignatureMatrix:
             if not row:
                 continue
             if len(row) != len(header):
-                raise LibraryParseError(
-                    f"expected {len(header)} fields, got {len(row)}", line=lineno
-                )
+                raise error(lineno, f"expected {len(header)} fields, got {len(row)}")
             try:
                 values = [float(x) for x in row]
             except ValueError as exc:
-                raise LibraryParseError(f"non-numeric value: {exc}", line=lineno) from None
+                raise error(lineno, f"non-numeric value: {exc}") from None
             if not all(map(math.isfinite, values)):
-                raise LibraryParseError("wavelength and reflectance must be finite", line=lineno)
+                raise error(lineno, "wavelength and reflectance must be finite")
             if min(values[1:]) < 0:
-                raise LibraryParseError("reflectance must be nonnegative", line=lineno)
+                raise error(lineno, "reflectance must be nonnegative")
             wavelengths.append(values[0])
             rows.append(values[1:])
     if not rows:
-        raise LibraryParseError("library has no data rows", line=2)
+        raise error(2, "library has no data rows")
     data = np.asarray(rows, dtype=np.float64)
     return SignatureMatrix(data, wavelengths=np.asarray(wavelengths), names=names)
 

@@ -20,6 +20,7 @@ from .types import (
     AbundanceMatrix,
     HyperspectralImage,
     SignatureMatrix,
+    _Value,
     as_matrix,
     read_only,
 )
@@ -34,7 +35,7 @@ SCENE_PURITY_CAP = 0.8
 
 
 @dataclass(frozen=True)
-class SyntheticScene:
+class SyntheticScene(_Value):
     """A generated scene together with its ground truth.
 
     ``A_true`` carries the chosen library columns' wavelengths and names.
@@ -47,6 +48,9 @@ class SyntheticScene:
     A_true: SignatureMatrix
     S_true: AbundanceMatrix
     noise: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "noise", read_only(self.noise))
 
 
 def generate_synthetic(
@@ -137,7 +141,7 @@ def generate_synthetic(
         Y=HyperspectralImage(Y, width, height),
         A_true=SignatureMatrix(A, wavelengths=wavelengths, names=names),
         S_true=AbundanceMatrix(S),
-        noise=read_only(noise),
+        noise=noise,
     )
 
 

@@ -171,10 +171,6 @@ class ClusterAssignment(_Value):
         if not np.array_equal(labels, np.argmax(memberships, axis=0)):
             raise ValueError("labels must be the argmax of the membership columns")
 
-    @property
-    def n_clusters(self) -> int:
-        return self.memberships.shape[0]
-
 
 class AlgorithmVariant(str, Enum):
     NMF = "nmf"

@@ -388,9 +388,7 @@ def run_unmixing(
         else:
             S = S + gram_step(products, S, cfg.mu, graph, eta, lam, cfg.q, pull)
         if not np.abs(S).max() < DIVERGENCE_BOUND:
-            raise NumericalFailureError(
-                f"abundance update diverged at iteration {iteration}", iteration=iteration
-            )
+            raise NumericalFailureError(f"abundance update diverged at iteration {iteration}")
         S = project_simplex_columns(S)
         gram = S @ S.T
         if graph is not None:
@@ -398,9 +396,7 @@ def run_unmixing(
 
         j = gram_objective(y_energy, products, S, gram, graph, eta, lam, cfg.q, pull)
         if not np.isfinite(j):
-            raise NumericalFailureError(
-                f"objective became non-finite at iteration {iteration}", iteration=iteration
-            )
+            raise NumericalFailureError(f"objective became non-finite at iteration {iteration}")
         trace.append(j)
         if on_iteration is not None:
             on_iteration(iteration, A, S, j)

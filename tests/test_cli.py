@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from itertools import product
 from pathlib import Path
 
@@ -121,6 +122,22 @@ class TestSynthCommand:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cap", [0.5, 0.9])
+    def test_purity_cap_caps_the_true_abundances(self, tmp_path, cap):
+        out = tmp_path / "capped"
+        rc = main(["synth", "--c", "3", "--width", "8", "--height", "8", "--patch", "4", "--filter", "3",
+                   "--purity-cap", str(cap), "--seed", "1", "--out", str(out)])
+        assert rc == 0
+        # the 2 x 2 core of each 4 x 4 patch is pure before the cap
+        assert cap - 1e-9 < read_cube(out / "S_true.cube").data.max() <= cap
+
+    def test_a_bad_library_names_its_file_and_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("wavelength,a,b\n1.0,0.1,0.2\n2.0,0.3\n")
+        rc = main(["synth", "--library", str(bad), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {bad}, line 3: expected 3 fields, got 2\n"
+
 
 @pytest.mark.parametrize("command", ["synth", "cluster", "unmix"])
 def test_negative_seed_is_a_named_usage_error(scene_dir, tmp_path, capsys, command):
@@ -149,6 +166,20 @@ class TestClusterCommand:
         assert np.allclose(u.data.sum(axis=0), 1.0, rtol=0, atol=1e-9)
         assert labels.data.shape == (1, 64)
         assert set(np.unique(labels.data)) <= {0.0, 1.0}
+
+    @pytest.mark.parametrize("flag,value,setting", [("--m", "1.5", "m"), ("--tol", "0.001", "tol")])
+    def test_settings_reach_fcm(self, scene_dir, tmp_path, monkeypatch, flag, value, setting):
+        seen = []
+
+        def recording_fcm(Y, n_clusters, **kwargs):
+            seen.append(kwargs)
+            return fcm(Y, n_clusters, **kwargs)
+
+        monkeypatch.setattr(hsunmix.cli, "fcm", recording_fcm)
+        rc = main(["cluster", str(scene_dir / "Y.cube"), "--clusters", "2", "--max-iter", "5",
+                   flag, value, "--out", str(tmp_path / "fcm")])
+        assert rc == 0
+        assert [kwargs[setting] for kwargs in seen] == [float(value)]
 
 
 class TestUnmixCommand:
@@ -194,6 +225,17 @@ class TestUnmixCommand:
         assert report["rms_sad"] is None
         assert report["matching"] is None
         assert len(report["cost_trace"]) >= 1
+
+    @pytest.mark.parametrize("flag,value,key", [
+        ("--mu", "0.01", "mu"), ("--eta", "0.3", "eta"), ("--sparsity-weight", "0.2", "sparsity_weight"),
+    ])
+    def test_solver_flags_land_in_the_report_config(self, scene_dir, tmp_path, flag, value, key):
+        out = tmp_path / "o"
+        rc = main(["unmix", str(scene_dir / "Y.cube"), "--endmembers", "3", "--clusters", "2",
+                   "--max-iter", "2", flag, value, "--out", str(out)])
+        assert rc == 0
+        config = json.loads((out / "report.json").read_text())["config"]
+        assert config == dict(asdict(UnmixingConfig(max_iter=2)), clusters=2, seed=0, **{key: float(value)})
 
     @pytest.mark.parametrize("flag", [["--clusters", "4"], ["--clusters=4"]], ids=["space", "equals"])
     def test_clusters_flag_warns_for_non_clustered_variant(
@@ -296,6 +338,15 @@ class TestUnmixCommand:
         assert rc == 2
         assert "absent.cube" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_a_bad_truth_cube_names_its_file(self, scene_dir, tmp_path, capsys, monkeypatch):
+        bad = tmp_path / "bad.cube"
+        bad.write_bytes(b"HSCUBE01\x01\x00")
+        rc = self._unmix_without_initialization(
+            monkeypatch, scene_dir, tmp_path / "o", "--truth-a", str(scene_dir / "A_true.csv"), "--truth-s", str(bad),
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {bad}: truncated header: expected 22 bytes, got 10\n"
 
     @pytest.mark.parametrize(
         "flags,message",
@@ -821,7 +872,7 @@ class TestRunExperiment:
         real_solve = hsunmix.experiment.run_unmixing
 
         def counting_solve(Y, cfg, A0, S0, clusters=None, **kwargs):
-            solved.append((cfg.variant, None if clusters is None else clusters.n_clusters))
+            solved.append((cfg.variant, None if clusters is None else clusters.memberships.shape[0]))
             return real_solve(Y, cfg, A0, S0, clusters, **kwargs)
 
         monkeypatch.setattr(hsunmix.experiment, "run_unmixing", counting_solve)

@@ -62,7 +62,7 @@ class TestCubeErrors:
         bad.write_bytes(bytes(raw))
         with pytest.raises(CubeFormatError) as err:
             read_cube(bad)
-        assert "magic" in str(err.value)
+        assert str(err.value) == f"{bad}: bad magic b'HSCUBEXX' at offset 0 (expected b'HSCUBE01')"
 
     def test_truncated_payload_reports_sizes(self, tmp_path):
         raw = self._valid_bytes(tmp_path)
@@ -71,37 +71,42 @@ class TestCubeErrors:
         with pytest.raises(CubeFormatError) as err:
             read_cube(bad)
         msg = str(err.value)
+        assert msg.startswith(f"{bad}: truncated payload")
         assert str(len(raw) - 22) in msg  # expected payload size
         assert str(len(raw) - 22 - 8) in msg  # actual payload size
 
     def test_truncated_header(self, tmp_path):
         bad = tmp_path / "tiny.cube"
         bad.write_bytes(b"HSCUBE01\x01\x00")
-        with pytest.raises(CubeFormatError):
+        with pytest.raises(CubeFormatError) as err:
             read_cube(bad)
+        assert str(err.value).startswith(f"{bad}: truncated header")
 
     def test_zero_dimension_rejected(self, tmp_path):
         raw = self._valid_bytes(tmp_path)
         raw[8:12] = (0).to_bytes(4, "little")
         bad = tmp_path / "zdim.cube"
         bad.write_bytes(bytes(raw))
-        with pytest.raises(CubeFormatError):
+        with pytest.raises(CubeFormatError) as err:
             read_cube(bad)
+        assert str(err.value).startswith(f"{bad}: width must be positive")
 
     def test_unknown_dtype_rejected(self, tmp_path):
         raw = self._valid_bytes(tmp_path)
         raw[20] = 9
         bad = tmp_path / "dtype.cube"
         bad.write_bytes(bytes(raw))
-        with pytest.raises(CubeFormatError):
+        with pytest.raises(CubeFormatError) as err:
             read_cube(bad)
+        assert str(err.value).startswith(f"{bad}: unsupported dtype code 9")
 
     def test_trailing_garbage_rejected(self, tmp_path):
         raw = self._valid_bytes(tmp_path)
         bad = tmp_path / "long.cube"
         bad.write_bytes(bytes(raw) + b"\x00" * 16)
-        with pytest.raises(CubeFormatError):
+        with pytest.raises(CubeFormatError) as err:
             read_cube(bad)
+        assert str(err.value).startswith(f"{bad}: oversized payload")
 
 
 class TestSpectralLibraryCsv:
@@ -134,28 +139,30 @@ class TestSpectralLibraryCsv:
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
-        with pytest.raises(LibraryParseError):
+        with pytest.raises(LibraryParseError) as err:
             read_spectral_library(path)
+        assert str(err.value) == f"{path}, line 1: empty library file"
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "hdr.csv"
         path.write_text("nm,a\n1.0,0.5\n")
         with pytest.raises(LibraryParseError) as err:
             read_spectral_library(path)
-        assert err.value.line == 1
+        assert str(err.value) == f"{path}, line 1: header must be 'wavelength,<name>[,<name>...]'"
 
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("wavelength,a,b\n1.0,0.1,0.2\n2.0,0.3\n")
         with pytest.raises(LibraryParseError) as err:
             read_spectral_library(path)
-        assert err.value.line == 3
+        assert str(err.value) == f"{path}, line 3: expected 3 fields, got 2"
 
     def test_non_numeric_rejected(self, tmp_path):
         path = tmp_path / "nan.csv"
         path.write_text("wavelength,a\n1.0,zero\n")
-        with pytest.raises(LibraryParseError):
+        with pytest.raises(LibraryParseError) as err:
             read_spectral_library(path)
+        assert str(err.value).startswith(f"{path}, line 2: non-numeric value")
 
     @pytest.mark.parametrize(
         "row, message",
@@ -171,7 +178,7 @@ class TestSpectralLibraryCsv:
         path.write_text(f"wavelength,a,b\n1.0,0.1,0.2\n{row}\n3.0,0.5,0.6\n")
         with pytest.raises(LibraryParseError, match=message) as err:
             read_spectral_library(path)
-        assert err.value.line == 3
+        assert str(err.value).startswith(f"{path}, line 3: ")
 
 
 class TestReportJson:
