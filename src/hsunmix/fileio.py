@@ -48,7 +48,8 @@ def read_cube(path) -> HyperspectralImage:
     A malformed file raises :class:`CubeFormatError` whose message starts
     with ``path`` and gives the byte offset of the fault; a payload shorter or
     longer than the header declares is reported with the expected and actual
-    sizes.
+    sizes; a payload that is not a valid image (a NaN, infinite or negative
+    entry) is reported with the image's own message after ``path``.
     """
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
@@ -78,7 +79,10 @@ def read_cube(path) -> HyperspectralImage:
             f"(payload starts at offset {_HEADER.size})"
         )
     data = np.frombuffer(payload, dtype="<f8").reshape(bands, width * height)
-    return HyperspectralImage(data.astype(np.float64), width, height)
+    try:
+        return HyperspectralImage(data.astype(np.float64), width, height)
+    except ValueError as exc:
+        raise CubeFormatError(f"{path}: {exc}") from None
 
 
 def read_spectral_library(path) -> SignatureMatrix:

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.sparse import csr_matrix, diags, identity, kron
 
 from .errors import DegenerateDataError
-from .types import ClusterAssignment, as_matrix
+from .types import ClusterAssignment, HyperspectralImage, as_matrix
 
 SPARSITY_GUARD = 1e-12  # keeps the q-norm gradient finite at exact zeros
 
@@ -66,14 +66,15 @@ def build_neighborhood(width: int, height: int) -> csr_matrix:
     return kron(band_h, band_w, format="csr") - identity(width * height, format="csr")
 
 
-def neighbor_weights(Y, adjacency, clusters: Optional[ClusterAssignment] = None) -> csr_matrix:
-    """Cosine-similarity weights on the pattern of ``adjacency``, normalized per row.
+def neighbor_weights(image, clusters: Optional[ClusterAssignment] = None) -> csr_matrix:
+    """Cosine-similarity weights on the 8-connected grid of ``image``, normalized per row.
 
-    The weight of neighbor j for pixel k is the cosine similarity of their
-    spectra divided by the summed similarity over all neighbors of k, so the
-    weights of every pixel with neighbors sum to 1. The result has the
-    stored entries of ``adjacency`` as its pattern; a pixel without
-    neighbors keeps an empty row.
+    ``image`` is a :class:`HyperspectralImage`; its grid is
+    ``build_neighborhood(image.width, image.height)``, and the result has the
+    stored entries of that grid as its pattern. The weight of neighbor j for
+    pixel k is the cosine similarity of their spectra divided by the summed
+    similarity over all neighbors of k, so the weights of every pixel sum
+    to 1. A 1x1 image has no neighbors and gets an empty 1x1 matrix.
 
     With ``clusters`` given, the weights to neighbors in another cluster are
     then set to zero, kept as explicit zeros so the pattern stays, and the
@@ -82,30 +83,27 @@ def neighbor_weights(Y, adjacency, clusters: Optional[ClusterAssignment] = None)
     at a time, so the two gathered blocks of spectra hold a quarter of the
     image between them.
     """
-    arr = as_matrix(Y, "image")
-    n = arr.shape[1]
-    adjacency = csr_matrix(adjacency)
-    if adjacency.shape != (n, n):
-        raise ValueError("neighborhood size does not match the pixel count")
+    if not isinstance(image, HyperspectralImage):
+        raise ValueError("image must be a HyperspectralImage")
+    arr, n = image.data, image.n_pixels
     if clusters is not None and clusters.labels.shape != (n,):
         raise ValueError("clusters do not match the pixel count")
     norms = np.sqrt((arr * arr).sum(axis=0))
     if np.any(norms == 0):
         raise DegenerateDataError("image contains a zero-spectrum pixel")
+    if n == 1:
+        return csr_matrix((1, 1))
+    adjacency = build_neighborhood(image.width, image.height)
     indptr, dst = adjacency.indptr, adjacency.indices
-    degrees = np.diff(indptr)
-    src = np.repeat(np.arange(n), degrees)
+    src = np.repeat(np.arange(n), np.diff(indptr))
     dots = np.empty(dst.size)
     chunk = max(1, n // 8)
     for start in range(0, dst.size, chunk):
         part = slice(start, start + chunk)
         dots[part] = np.einsum("ij,ij->j", arr[:, src[part]], arr[:, dst[part]])
     theta = dots / (norms[src] * norms[dst])
-    # reduceat over the nonempty rows only: an empty row would read past theta
-    nonempty = degrees > 0
-    denom = np.zeros(n)
-    denom[nonempty] = np.add.reduceat(theta, indptr[:-1][nonempty])
-    if np.any(nonempty & (denom == 0)):
+    denom = np.add.reduceat(theta, indptr[:-1])
+    if np.any(denom == 0):
         raise DegenerateDataError("a pixel has zero total similarity to its neighbors")
     weights = theta / denom[src]
     if clusters is not None:

@@ -44,22 +44,18 @@ kernels only through A^T Y and A^T A (``Products``), by the Gram identities
     A^T (Y - A S) = A^T Y - (A^T A) S
     |Y - A S|^2   = |Y|^2 - 2 <A^T Y, S> + <A^T A, S S^T>
 
-and the coupling term of the objective, for the neighbor operator W (the
-scipy CSR matrix ``neighbor_weights`` forms on ``build_neighborhood``'s
-grid, cluster-gated for the cluster mask), by
-
-    sum_kj W[k, j] |s_k - s_j|^2 = <W 1 + W^T 1, |s|^2> - 2 <S, S W^T>
-
-with |s|^2 the squared norms of the abundance columns. |Y|^2 and W, with
-its row sums W 1 and its spread W 1 + W^T 1 (``coupling``), are formed once
-per run. For the presets that update A, ``signature_step`` forms the new A
-and its A^T Y and A^T A in one pass over the image, every iteration; ``fcls``
-forms A^T Y and A^T A once per run (``signature_products``). The abundance
-Gram matrix S S^T and the coupling pull S W^T (``coupling_pull``) are formed
-once per iteration, after the projection, and read by the objective and by
-the next step. The rest of an iteration is c x N work, products with the
-sparse W included, apart from the one pass of ``signature_step`` over the
-L x N image.
+and the coupling term of the objective by the identity derived in
+``Coupling``, for the neighbor operator W: the CSR matrix ``neighbor_weights``
+forms from the image on its 8-connected grid, cluster-gated for the cluster
+mask. |Y|^2 and W, with its row sums W 1, its spread W 1 + W^T 1 and eta
+(``coupling``), are formed once per run. For the presets that update A,
+``signature_step`` forms the new A and its A^T Y and A^T A in one pass over
+the image, every iteration; ``fcls`` forms A^T Y and A^T A once per run
+(``signature_products``). The abundance Gram matrix S S^T and the coupling
+pull S W^T (``coupling_pull``) are formed once per iteration, after the
+projection, and read by the objective and by the next step. The rest of an
+iteration is c x N work, products with the sparse W included, apart from
+the one pass of ``signature_step`` over the L x N image.
 
 The Gram form of the residual rounds at about machine epsilon times |Y|^2,
 not times |Y - A S|^2. On 40 x 40 scenes with |Y|^2 of about 2e4, noiseless
@@ -86,7 +82,6 @@ from scipy.sparse import csr_matrix
 
 from .errors import NumericalFailureError
 from .regularizers import (
-    build_neighborhood,
     estimate_sparsity_weight,
     neighbor_weights,
     project_simplex_columns,
@@ -174,11 +169,14 @@ def global_cost(Y, A, S) -> float:
 
 
 class Coupling(NamedTuple):
-    """The neighbor operator W with what the kernels read of it every iteration.
+    """The coupling: neighbor operator W, strength ``eta`` and what the kernels read of W.
 
-    ``gram_objective`` forms the coupling term from one sparse product,
+    ``gram_objective`` forms the coupling term from one sparse product:
+    expanding |s_k - s_j|^2 = |s_k|^2 + |s_j|^2 - 2 <s_k, s_j>, the first two
+    terms weighted by W[k, j] sum to <W 1, |s|^2> and <W^T 1, |s|^2>, and the
+    third to -2 <S, S W^T>, so
 
-        sum_kj W[k, j] |s_k - s_j|^2 = <spread, |s|^2> - 2 <S, S W^T>
+        sum_kj W[k, j] |s_k - s_j|^2 = <W 1 + W^T 1, |s|^2> - 2 <S, S W^T>
 
     with |s|^2 the squared norm of every abundance column. The right side
     is a difference of two sums as large as <spread, |s|^2>, so it rounds at
@@ -188,12 +186,13 @@ class Coupling(NamedTuple):
     W: csr_matrix
     degree: np.ndarray  # W 1, the summed weight of each row
     spread: np.ndarray  # W 1 + W^T 1, each pixel's weight as sender and receiver
+    eta: float  # the coupling strength
 
 
-def coupling(W: csr_matrix) -> Coupling:
-    """Bundle W with its row sums and its row-plus-column sums."""
+def coupling(W: csr_matrix, eta: float) -> Coupling:
+    """Bundle W with its row sums, its row-plus-column sums and its strength ``eta``."""
     degree = np.asarray(W.sum(axis=1)).ravel()
-    return Coupling(W, degree, degree + np.asarray(W.sum(axis=0)).ravel())
+    return Coupling(W, degree, degree + np.asarray(W.sum(axis=0)).ravel(), eta)
 
 
 class Products(NamedTuple):
@@ -225,7 +224,7 @@ def coupling_pull(graph: Coupling, S) -> np.ndarray:
 
 def gram_step(
     P: Products, S, mu: float, graph: Optional[Coupling] = None,
-    eta: float = 0.0, lam: float = 0.0, q: float = 1.0, pull: Optional[np.ndarray] = None,
+    lam: float = 0.0, q: float = 1.0, pull: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Diffusion-LMS abundance step of every pixel at once, before projection.
 
@@ -233,14 +232,15 @@ def gram_step(
 
         A^T (y_k - A s_k) + eta sum_j W[k, j] (s_j - s_k) - lam grad |s_k|_q
 
-    with every pixel read from ``S``. The first two terms are minus half the
-    gradient of pixel k's local cost in s_k. The residual part is
-    ``AtY - AtA S``; the neighbor sum is ``S W^T - S diag(W 1)``. With a
-    ``graph``, ``pull`` must be S W^T (``coupling_pull(graph, S)``).
+    with every pixel read from ``S`` and eta = ``graph.eta``. The first two
+    terms are minus half the gradient of pixel k's local cost in s_k. The
+    residual part is ``AtY - AtA S``; the neighbor sum is
+    ``S W^T - S diag(W 1)``. With a ``graph``, ``pull`` must be S W^T
+    (``coupling_pull(graph, S)``).
     """
     step = mu * (P.AtY - P.AtA @ S)
     if graph is not None:
-        step += (mu * eta) * (pull - S * graph.degree)
+        step += (mu * graph.eta) * (pull - S * graph.degree)
     if lam > 0:
         step -= (mu * lam) * sparsity_gradient(S, q)
     return step
@@ -248,16 +248,16 @@ def gram_step(
 
 def gram_objective(
     y_energy: float, P: Products, S, gram: np.ndarray, graph: Optional[Coupling] = None,
-    eta: float = 0.0, lam: float = 0.0, q: float = 1.0, pull: Optional[np.ndarray] = None,
+    lam: float = 0.0, q: float = 1.0, pull: Optional[np.ndarray] = None,
 ) -> float:
     """The objective the solver records: the sum of every pixel's local cost.
 
     The residual term is |Y|^2 - 2 <AtY, S> + <AtA, S S^T> with
     ``y_energy`` = |Y|^2 and ``gram`` = S S^T, which the solver forms once
     per iteration for the next signature step too; to it come
-    eta sum_kj W[k, j] |s_k - s_j|^2 and lam times the summed guarded q-norms
-    of the abundance columns; the coupling term comes from one sparse
-    product, S W^T (see ``Coupling``).
+    eta sum_kj W[k, j] |s_k - s_j|^2, with eta = ``graph.eta`` and the sum
+    formed from S W^T by the identity in ``Coupling``, and lam times the
+    summed guarded q-norms of the abundance columns.
     With a ``graph``, ``pull`` must be S W^T (``coupling_pull(graph, S)``).
     On an exact fit the residual term can round to a tiny negative value.
     """
@@ -265,7 +265,7 @@ def gram_objective(
     if graph is not None:
         # np.vdot, not a full einsum reduction: that one sums sequentially
         # and rounds about ten times worse on 40 x 40 scenes
-        value += eta * (
+        value += graph.eta * (
             float(graph.spread @ np.einsum("ij,ij->j", S, S)) - 2.0 * float(np.vdot(S, pull))
         )
     if lam > 0:
@@ -360,7 +360,6 @@ def run_unmixing(
     # array; S is replaced before anything could write to it
     A = A.copy()
 
-    eta = cfg.eta if preset.coupled else 0.0
     lam = 0.0
     if preset.sparse and cfg.q < 1:
         lam = cfg.sparsity_weight
@@ -368,10 +367,8 @@ def run_unmixing(
             lam = estimate_sparsity_weight(Yd)
     y_energy = image_energy(Yd)
     graph = None
-    if eta > 0:
-        graph = coupling(neighbor_weights(
-            Y, build_neighborhood(Y.width, Y.height), clusters if preset.cluster_mask else None
-        ))
+    if preset.coupled and cfg.eta > 0:
+        graph = coupling(neighbor_weights(Y, clusters if preset.cluster_mask else None), cfg.eta)
     products = None if preset.update_a else signature_products(Yd, A)
     # S S^T and S W^T of the current iterate, read by the objective and the next step
     gram = S @ S.T
@@ -386,7 +383,7 @@ def run_unmixing(
         if preset.multiplicative:
             S = gram_multiplicative(products, S)
         else:
-            S = S + gram_step(products, S, cfg.mu, graph, eta, lam, cfg.q, pull)
+            S = S + gram_step(products, S, cfg.mu, graph, lam, cfg.q, pull)
         if not np.abs(S).max() < DIVERGENCE_BOUND:
             raise NumericalFailureError(f"abundance update diverged at iteration {iteration}")
         S = project_simplex_columns(S)
@@ -394,7 +391,7 @@ def run_unmixing(
         if graph is not None:
             pull = coupling_pull(graph, S)
 
-        j = gram_objective(y_energy, products, S, gram, graph, eta, lam, cfg.q, pull)
+        j = gram_objective(y_energy, products, S, gram, graph, lam, cfg.q, pull)
         if not np.isfinite(j):
             raise NumericalFailureError(f"objective became non-finite at iteration {iteration}")
         trace.append(j)

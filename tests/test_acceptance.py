@@ -28,7 +28,6 @@ from hsunmix.fileio import (
 from hsunmix.initialize import fcls_abundances, vca
 from hsunmix.metrics import aad, match_endmembers, sad
 from hsunmix.regularizers import (
-    build_neighborhood,
     neighbor_weights,
     project_simplex,
     sparsity_gradient,
@@ -96,16 +95,16 @@ def test_criterion_02_gradients_match_finite_differences():
     L, c = 7, 4
     Y = rng.random((L, width * height)) + 0.1
     A = rng.random((L, c)) + 0.1
-    nbhd = neighbor_weights(Y, build_neighborhood(width, height))
-    P, graph = signature_products(Y, A), coupling(nbhd)
+    nbhd = neighbor_weights(HyperspectralImage(Y, width, height))
     eta = 0.3
+    P, graph = signature_products(Y, A), coupling(nbhd, eta)
     h = 1e-6
     worst = 0.0
     for _ in range(100):
         S = rng.dirichlet(np.ones(c), size=width * height).T
         k = int(rng.integers(width * height))
         # the solver's step at mu = 1 is minus half the local-cost gradient
-        g = -2.0 * gram_step(P, S, 1.0, graph, eta, pull=coupling_pull(graph, S))[:, k]
+        g = -2.0 * gram_step(P, S, 1.0, graph, pull=coupling_pull(graph, S))[:, k]
         fd = np.zeros(c)
         for i in range(c):
             Sp, Sm = S.copy(), S.copy()

@@ -348,6 +348,17 @@ class TestUnmixCommand:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {bad}: truncated header: expected 22 bytes, got 10\n"
 
+    def test_a_truth_cube_holding_nan_names_its_file(self, scene_dir, tmp_path, capsys, monkeypatch):
+        raw = bytearray((scene_dir / "S_true.cube").read_bytes())
+        raw[22:30] = np.array(np.nan, dtype="<f8").tobytes()  # the first payload entry
+        bad = tmp_path / "nan.cube"
+        bad.write_bytes(bytes(raw))
+        rc = self._unmix_without_initialization(
+            monkeypatch, scene_dir, tmp_path / "o", "--truth-a", str(scene_dir / "A_true.csv"), "--truth-s", str(bad),
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {bad}: image entries must be finite\n"
+
     @pytest.mark.parametrize(
         "flags,message",
         [

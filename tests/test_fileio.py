@@ -108,6 +108,20 @@ class TestCubeErrors:
             read_cube(bad)
         assert str(err.value).startswith(f"{bad}: oversized payload")
 
+    @pytest.mark.parametrize(
+        "entry,message",
+        [(np.nan, "finite"), (np.inf, "finite"), (-0.5, "nonnegative")],
+        ids=["nan", "inf", "negative"],
+    )
+    def test_an_invalid_entry_names_the_file(self, tmp_path, entry, message):
+        raw = self._valid_bytes(tmp_path)
+        raw[22:30] = np.array(entry, dtype="<f8").tobytes()  # the first payload entry
+        bad = tmp_path / "entry.cube"
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(CubeFormatError) as err:
+            read_cube(bad)
+        assert str(err.value) == f"{bad}: image entries must be {message}"
+
 
 class TestSpectralLibraryCsv:
     def test_roundtrip(self, tmp_path):

@@ -7,13 +7,11 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
 from sort_projection import SHIFT_BOUND, sort_projection
 
 from hsunmix.errors import DegenerateDataError
 from hsunmix.regularizers import (
     _michelot_threshold,
-    build_neighborhood,
     estimate_sparsity_weight,
     neighbor_weights,
     project_simplex,
@@ -21,7 +19,7 @@ from hsunmix.regularizers import (
     sparsity_gradient,
     sparsity_norm,
 )
-from hsunmix.types import ClusterAssignment
+from hsunmix.types import ClusterAssignment, HyperspectralImage
 
 
 def simplex_projection_oracle(v):
@@ -81,64 +79,67 @@ def row_weights(W, k):
 class TestNeighborWeights:
     def test_single_neighbor_gets_weight_one(self):
         Y = np.array([[1.0, 2.0], [0.5, 1.5]])
-        nbhd = neighbor_weights(Y, build_neighborhood(2, 1))
+        nbhd = neighbor_weights(HyperspectralImage(Y, 2, 1))
         assert row_weights(nbhd, 0).tolist() == [1.0]
         assert row_weights(nbhd, 1).tolist() == [1.0]
 
     def test_hand_built_similarities(self):
         # middle pixel of a 1x3 image; neighbors at cosine 0.8 and 0.2
         Y = np.array([[0.8, 1.0, 0.2], [0.6, 0.0, np.sqrt(0.96)]])
-        nbhd = neighbor_weights(Y, build_neighborhood(3, 1))
+        nbhd = neighbor_weights(HyperspectralImage(Y, 3, 1))
         w = row_weights(nbhd, 1)
         assert np.allclose(w, [0.8, 0.2], rtol=0, atol=1e-12)
 
     def test_identical_neighbors_share_uniformly(self):
         Y = np.tile(np.array([[1.0], [2.0]]), (1, 9))
-        nbhd = neighbor_weights(Y, build_neighborhood(3, 3))
+        nbhd = neighbor_weights(HyperspectralImage(Y, 3, 3))
         assert np.allclose(row_weights(nbhd, 4), np.full(8, 1 / 8), rtol=0, atol=1e-15)
 
     def test_weights_normalize_per_pixel(self):
         rng = np.random.default_rng(3)
         Y = rng.random((5, 12)) + 0.05
-        nbhd = neighbor_weights(Y, build_neighborhood(4, 3))
+        nbhd = neighbor_weights(HyperspectralImage(Y, 4, 3))
         for k in range(12):
             assert np.isclose(row_weights(nbhd, k).sum(), 1.0, rtol=0, atol=1e-12)
 
     def test_zero_pixel_rejected(self):
         Y = np.array([[1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(DegenerateDataError, match="zero-spectrum pixel"):
-            neighbor_weights(Y, build_neighborhood(2, 1))
+            neighbor_weights(HyperspectralImage(Y, 2, 1))
 
     def test_neighborless_last_pixel_keeps_an_empty_row(self):
-        # pixels 0 and 1 are neighbors; pixel 2 has none
-        adjacency = csr_matrix((np.ones(2), [1, 0], [0, 1, 2, 2]), shape=(3, 3))
-        Y = np.array([[1.0, 2.0, 3.0], [0.5, 1.5, 1.0]])
-        W = neighbor_weights(Y, adjacency)
-        assert W.indptr.tolist() == [0, 1, 2, 2]
-        assert W.indices.tolist() == [1, 0]
-        assert W.data.tolist() == [1.0, 1.0]
+        # on a grid, only the one pixel of a 1x1 image has no neighbors
+        W = neighbor_weights(HyperspectralImage(np.array([[1.0], [0.5]]), 1, 1))
+        assert W.shape == (1, 1)
+        assert W.indptr.tolist() == [0, 0]
+        assert W.indices.tolist() == []
+        assert W.data.tolist() == []
 
     def test_orthogonal_neighbors_degenerate(self):
         # all similarities are exactly zero: normalization is impossible
         Y = np.array([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(DegenerateDataError):
-            neighbor_weights(Y, build_neighborhood(2, 1))
+            neighbor_weights(HyperspectralImage(Y, 2, 1))
+
+    def test_a_bare_array_is_refused(self):
+        with pytest.raises(ValueError, match="must be a HyperspectralImage"):
+            neighbor_weights(np.array([[1.0, 2.0], [0.5, 1.5]]))
 
     def test_cluster_labels_must_cover_every_pixel(self):
         Y = np.array([[1.0, 2.0, 3.0], [0.5, 1.5, 1.0]])
         clusters = ClusterAssignment(np.zeros(2, dtype=int), np.ones((1, 2)), np.ones((2, 1)))
         with pytest.raises(ValueError, match="clusters do not match"):
-            neighbor_weights(Y, build_neighborhood(3, 1), clusters)
+            neighbor_weights(HyperspectralImage(Y, 3, 1), clusters)
 
     def test_peak_memory_stays_below_one_and_a_quarter_images(self):
         # the dot products gather N / 8 stored entries at a time, never
         # L x nnz; the peak is the image-sized square in the pixel norms
         rng = np.random.default_rng(8)
         Y = rng.random((100, 50 * 50)) + 0.05
-        adjacency = build_neighborhood(50, 50)
+        image = HyperspectralImage(Y, 50, 50)
         tracemalloc.start()
         try:
-            neighbor_weights(Y, adjacency)
+            neighbor_weights(image)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

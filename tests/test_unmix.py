@@ -108,11 +108,11 @@ class TestLocalCost:
         image = HyperspectralImage(np.ones((3, 4)), 2, 2)
         A = np.ones((3, 2)) * 0.5
         S = np.tile(np.array([[0.4], [0.6]]), (1, 4))
-        graph = coupling(neighbor_weights(image.data, build_neighborhood(2, 2)))
+        graph = coupling(neighbor_weights(image), 0.7)
         want = np.sum((image.data - A @ S) ** 2)
         P = signature_products(image.data, A)
         got = gram_objective(
-            image_energy(image.data), P, S, S @ S.T, graph, 0.7, pull=coupling_pull(graph, S)
+            image_energy(image.data), P, S, S @ S.T, graph, pull=coupling_pull(graph, S)
         )
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -123,9 +123,9 @@ class TestLocalCost:
         A = np.eye(2)
         S = np.array([[1.0, 0.0], [0.0, 1.0]])
         nbhd = build_neighborhood(2, 1)  # the 0/1 adjacency: one neighbor, weight 1
-        graph = coupling(nbhd)
+        graph = coupling(nbhd, 0.1)
         P = signature_products(Y, A)
-        got = gram_objective(image_energy(Y), P, S, S @ S.T, graph, 0.1, pull=coupling_pull(graph, S))
+        got = gram_objective(image_energy(Y), P, S, S @ S.T, graph, pull=coupling_pull(graph, S))
         assert got == pytest.approx(0.4, rel=1e-12)
         assert local_cost(0, Y, A, S, nbhd, eta=0.1) == pytest.approx(0.2, rel=1e-12)
 
@@ -140,20 +140,21 @@ class TestLocalCost:
     def test_objective_is_the_sum_of_local_costs(self):
         rng = np.random.default_rng(31)
         image, A, S = random_problem(rng, width=6, height=5)
-        adjacency = build_neighborhood(6, 5)
-        nbhd = neighbor_weights(image.data, adjacency)
+        nbhd = neighbor_weights(image)
         knobs = dict(eta=0.3, lam=0.4, q=0.5)
         y_energy, P, gram = image_energy(image.data), signature_products(image.data, A), S @ S.T
         # every pixel in its own cluster gates W to explicit zeros, so the
         # coupling identity must add exactly nothing to residual plus sparsity
         alone = ClusterAssignment(np.arange(30), np.eye(30), np.ones((image.n_bands, 30)))
         for clusters in (split_clusters(6, 5, image.n_bands), alone):
-            W = neighbor_weights(image.data, adjacency, clusters)
-            graph = coupling(W)
+            W = neighbor_weights(image, clusters)
+            graph = coupling(W, knobs["eta"])
             want = sum(
                 local_cost(k, image.data, A, S, nbhd, clusters, **knobs) for k in range(30)
             )
-            got = gram_objective(y_energy, P, S, gram, graph, **knobs, pull=coupling_pull(graph, S))
+            got = gram_objective(
+                y_energy, P, S, gram, graph, knobs["lam"], knobs["q"], coupling_pull(graph, S)
+            )
             assert got == pytest.approx(want, rel=1e-12)
         assert W.nnz == nbhd.nnz and not W.data.any()
         assert got == gram_objective(y_energy, P, S, gram, lam=knobs["lam"], q=knobs["q"])
@@ -165,10 +166,10 @@ class TestSmoothGradient:
         # at mu = 1, minus twice the step is the smooth local-cost gradient
         rng = np.random.default_rng(4)
         image, A, S = random_problem(rng, L=7, c=4, width=3, height=3)
-        nbhd = neighbor_weights(image.data, build_neighborhood(3, 3))
-        graph = coupling(nbhd)
+        nbhd = neighbor_weights(image)
+        graph = coupling(nbhd, eta)
         P = signature_products(image.data, A)
-        g = -2.0 * gram_step(P, S, 1.0, graph, eta, pull=coupling_pull(graph, S))
+        g = -2.0 * gram_step(P, S, 1.0, graph, pull=coupling_pull(graph, S))
         h = 1e-6
         for k in [0, 4, 8]:
             for i in range(4):
@@ -199,8 +200,8 @@ class TestUpdateAbundance:
         A = np.ones((3, 2)) * 0.5
         S = np.tile(np.array([[0.4], [0.6]]), (1, 4))
         P = signature_products(Y, A)
-        graph = coupling(neighbor_weights(Y, build_neighborhood(2, 2)))
-        with_nb = projected_step(P, S, 0.02, graph, 0.9, pull=coupling_pull(graph, S))
+        graph = coupling(neighbor_weights(HyperspectralImage(Y, 2, 2)), 0.9)
+        with_nb = projected_step(P, S, 0.02, graph, pull=coupling_pull(graph, S))
         without = projected_step(P, S, 0.02)
         assert np.array_equal(with_nb, without)
 
@@ -230,19 +231,18 @@ class TestAbundanceStepMatchesOracle:
     def test_every_column_matches_the_pixel_step(self, variant):
         rng = np.random.default_rng(32)
         image, A, S = random_problem(rng, width=6, height=5)
-        adjacency = build_neighborhood(6, 5)
-        nbhd = neighbor_weights(image.data, adjacency)
+        nbhd = neighbor_weights(image)
         preset = PRESETS[AlgorithmVariant(variant)]
         clusters = split_clusters(6, 5, image.n_bands) if preset.cluster_mask else None
         knobs = dict(eta=0.3, lam=0.4 if preset.sparse else 0.0, q=0.5)
         P = signature_products(image.data, A)
-        graph = coupling(neighbor_weights(image.data, adjacency, clusters))
-        step = gram_step(P, S, 0.05, graph, **knobs, pull=coupling_pull(graph, S))
+        graph = coupling(neighbor_weights(image, clusters), knobs["eta"])
+        step = gram_step(P, S, 0.05, graph, knobs["lam"], knobs["q"], coupling_pull(graph, S))
         for k in range(image.n_pixels):
             want = pixel_step(k, image.data, A, S, 0.05, nbhd, clusters, **knobs)
             np.testing.assert_allclose(step[:, k], want, rtol=0, atol=1e-15)
-        graph = coupling(nbhd)
-        unmasked = gram_step(P, S, 0.05, graph, **knobs, pull=coupling_pull(graph, S))
+        graph = coupling(nbhd, knobs["eta"])
+        unmasked = gram_step(P, S, 0.05, graph, knobs["lam"], knobs["q"], coupling_pull(graph, S))
         assert (np.max(np.abs(step - unmasked)) > 1e-4) == preset.cluster_mask
 
     @staticmethod
@@ -258,13 +258,13 @@ class TestAbundanceStepMatchesOracle:
 
     def test_loop_runs_the_kernels(self):
         result, Y, A0, S0, clusters, cfg = self._one_iteration("clustered_sparse_distributed")
-        graph = coupling(neighbor_weights(Y, build_neighborhood(6, 5), clusters))
+        graph = coupling(neighbor_weights(HyperspectralImage(Y, 6, 5), clusters), cfg.eta)
         A1 = update_signatures(Y, A0, S0)
         P = signature_products(Y, A1)
-        step = gram_step(P, S0, cfg.mu, graph, cfg.eta, 0.4, 0.5, coupling_pull(graph, S0))
+        step = gram_step(P, S0, cfg.mu, graph, 0.4, 0.5, coupling_pull(graph, S0))
         S1 = project_simplex_columns(S0 + step)
         J = gram_objective(
-            image_energy(Y), P, S1, S1 @ S1.T, graph, cfg.eta, 0.4, 0.5, coupling_pull(graph, S1)
+            image_energy(Y), P, S1, S1 @ S1.T, graph, 0.4, 0.5, coupling_pull(graph, S1)
         )
         assert np.array_equal(result.A.data, A1)
         assert np.array_equal(result.S.data, S1)
@@ -279,16 +279,16 @@ class TestAbundanceStepMatchesOracle:
         S = np.ascontiguousarray(rng.dirichlet(np.ones(3), size=30).T)
         cfg = UnmixingConfig(variant="distributed", max_iter=4, eps=1e-300)
         result = run_unmixing(image, cfg, A, S)
-        graph = coupling(neighbor_weights(image.data, build_neighborhood(6, 5)))
+        graph = coupling(neighbor_weights(image), cfg.eta)
         trace = []
         for _ in range(cfg.max_iter):
             A = update_signatures(image.data, A, S)
             P = signature_products(image.data, A)
             S = project_simplex_columns(
-                S + gram_step(P, S, cfg.mu, graph, cfg.eta, pull=coupling_pull(graph, S))
+                S + gram_step(P, S, cfg.mu, graph, pull=coupling_pull(graph, S))
             )
             trace.append(gram_objective(
-                image_energy(image.data), P, S, S @ S.T, graph, cfg.eta, pull=coupling_pull(graph, S)
+                image_energy(image.data), P, S, S @ S.T, graph, pull=coupling_pull(graph, S)
             ))
         assert np.array_equal(result.A.data, A)
         assert np.array_equal(result.S.data, S)
@@ -522,8 +522,8 @@ class TestUpdateSignatures:
 class TestCouplingPull:
     def test_contiguous_operand_gives_the_same_bits(self):
         rng = np.random.default_rng(15)
-        Y = rng.random((20, 40 * 40)) + 0.05
-        graph = coupling(neighbor_weights(Y, build_neighborhood(40, 40)))
+        image = HyperspectralImage(rng.random((20, 40 * 40)) + 0.05, 40, 40)
+        graph = coupling(neighbor_weights(image), UnmixingConfig.eta)
         S = rng.dirichlet(np.ones(6), size=40 * 40).T
         assert np.array_equal(coupling_pull(graph, S), (graph.W @ S.T).T)
 
@@ -652,6 +652,28 @@ class TestRunUnmixing:
             assert np.array_equal(sparse.A.data, plain.A.data)
             assert np.array_equal(sparse.S.data, plain.S.data)
             assert sparse.cost_trace == plain.cost_trace
+
+    @pytest.mark.parametrize("variant", ["distributed", "clustered_sparse_distributed"])
+    def test_a_one_pixel_image_couples_to_nothing(self, monkeypatch, variant):
+        # the network of a 1x1 image is empty, so at q = 1 a coupled preset runs lq_nmf
+        rng = np.random.default_rng(16)
+        image = HyperspectralImage(rng.random((8, 1)) + 0.1, 1, 1)
+        A0 = rng.random((8, 3)) + 0.3
+        S0 = rng.dirichlet(np.ones(3), size=1).T
+        one_cluster = ClusterAssignment(np.zeros(1, dtype=int), np.ones((1, 1)), image.data)
+        networks = []
+
+        def recorded(*args):
+            networks.append(neighbor_weights(*args))
+            return networks[-1]
+
+        monkeypatch.setattr(unmix, "neighbor_weights", recorded)
+        coupled = run_unmixing(image, UnmixingConfig(variant=variant, max_iter=30), A0, S0, one_cluster)
+        plain = run_unmixing(image, UnmixingConfig(variant="lq_nmf", max_iter=30), A0, S0)
+        assert [W.shape + (W.nnz,) for W in networks] == [(1, 1, 0)]
+        assert coupled.cost_trace == plain.cost_trace
+        assert np.array_equal(coupled.A.data, plain.A.data)
+        assert np.array_equal(coupled.S.data, plain.S.data)
 
     @pytest.mark.parametrize("variant", ["lq_nmf", "sparse_distributed", "clustered_sparse_distributed"])
     @pytest.mark.parametrize("q", [1.0, 0.5])
