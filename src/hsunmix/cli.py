@@ -32,7 +32,9 @@ from .synth import (
     SCENE_ENDMEMBERS, SCENE_FILTER, SCENE_HEIGHT, SCENE_PATCH, SCENE_PURITY_CAP, SCENE_WIDTH,
     bundled_library, generate_synthetic,
 )
-from .types import VARIANT_ALIASES, AlgorithmVariant, HyperspectralImage, UnmixingConfig, resolve_variant
+from .types import (
+    VARIANT_ALIASES, AbundanceMatrix, AlgorithmVariant, HyperspectralImage, UnmixingConfig, resolve_variant,
+)
 from .unmix import run_unmixing
 
 VARIANT_CHOICES = tuple(v.value for v in AlgorithmVariant) + tuple(VARIANT_ALIASES)
@@ -53,6 +55,14 @@ def _load_library(path):
     if path is None:
         return bundled_library()
     return read_spectral_library(path)
+
+
+def _truth_abundances(path, cube: HyperspectralImage) -> AbundanceMatrix:
+    """The ``--truth-s`` cube as abundances; a column off the simplex raises, naming ``path``."""
+    try:
+        return AbundanceMatrix(cube.data)
+    except ValueError as exc:
+        raise ValueError(f"--truth-s {path}: {exc}") from None
 
 
 def _cmd_synth(args) -> int:
@@ -140,6 +150,7 @@ def _cmd_unmix(args) -> int:
             if matrix.data.shape != (rows, cols):
                 found = " x ".join(map(str, matrix.data.shape))
                 raise ValueError(f"{flag} {path} is {found}, expected {rows} x {cols} ({axes})")
+        truth = truth[0], _truth_abundances(args.truth_s, truth[1])
 
     # clustering checks --clusters against the pixel count, so it runs before the costlier start
     clusters = fcm(image, n_clusters, seed=args.seed) if needs_clusters(variant) else None
@@ -168,7 +179,8 @@ def _cmd_unmix(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    A_true, S_true = read_spectral_library(args.truth_a), read_cube(args.truth_s)
+    A_true = read_spectral_library(args.truth_a)
+    S_true = _truth_abundances(args.truth_s, read_cube(args.truth_s))
     A_est, S_est = read_spectral_library(args.est_a), read_cube(args.est_s)
     report = evaluate_matrices(A_true.data, S_true.data, A_est.data, S_est.data)
     if args.out is not None:

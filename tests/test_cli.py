@@ -69,6 +69,19 @@ def degenerate_dir(tmp_path_factory):
     return out
 
 
+OFF_SIMPLEX = "abundance columns must be nonnegative and sum to 1 within 1e-09"
+
+
+def off_simplex_truth(scene_dir, tmp_path):
+    """The scene's true abundances with column 0 doubled, so it sums to 2."""
+    S = read_cube(scene_dir / "S_true.cube")
+    data = S.data.copy()
+    data[:, 0] *= 2.0
+    bad = tmp_path / "badS.cube"
+    write_cube(bad, HyperspectralImage(data, S.width, S.height))
+    return bad
+
+
 class TestSynthCommand:
     def test_writes_reloadable_scene(self, scene_dir):
         Y = read_cube(scene_dir / "Y.cube")
@@ -378,6 +391,23 @@ class TestUnmixCommand:
         assert capsys.readouterr().err == "error: " + message.format(dir=scene_dir) + "\n"
         assert not (tmp_path / "o").exists()
 
+    def test_truth_abundances_off_the_simplex_fail_before_clustering(
+        self, scene_dir, tmp_path, capsys, monkeypatch
+    ):
+        bad = off_simplex_truth(scene_dir, tmp_path)
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("clustering or the solve ran")
+
+        monkeypatch.setattr(hsunmix.cli, "fcm", no_step)
+        monkeypatch.setattr(hsunmix.cli, "run_unmixing", no_step)
+        rc = self._unmix_without_initialization(
+            monkeypatch, scene_dir, tmp_path / "o", "--truth-a", str(scene_dir / "A_true.csv"), "--truth-s", str(bad),
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: --truth-s {bad}: {OFF_SIMPLEX}\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("variant", ["nmf", "proposed"])
     def test_a_cluster_count_below_one_fails_before_initialization(
         self, scene_dir, tmp_path, capsys, monkeypatch, variant
@@ -426,6 +456,20 @@ class TestEvalCommand:
         assert payload["rms_sad"] == 0.0
         assert payload["rms_aad"] == 0.0
         assert payload["matching"] == [0, 1, 2]
+
+    def test_truth_abundances_off_the_simplex_are_refused(self, scene_dir, tmp_path, capsys):
+        bad = off_simplex_truth(scene_dir, tmp_path)
+        rc = main(
+            [
+                "eval",
+                "--truth-a", str(scene_dir / "A_true.csv"), "--truth-s", str(bad),
+                "--est-a", str(scene_dir / "A_true.csv"), "--est-s", str(scene_dir / "S_true.cube"),
+                "--out", str(tmp_path / "scores.json"),
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: --truth-s {bad}: {OFF_SIMPLEX}\n"
+        assert not (tmp_path / "scores.json").exists()
 
     def test_out_is_a_report_with_the_scores_of_unmix(self, scene_dir, tmp_path):
         truth = ["--truth-a", str(scene_dir / "A_true.csv"), "--truth-s", str(scene_dir / "S_true.cube")]

@@ -60,6 +60,86 @@ class TestFcmDegenerateCases:
         assert np.all((others > 0.0) & (others < 1.0))
 
 
+def explicit_sq_distances(Y, V):
+    """C x N squared distances summed from explicit differences: the oracle."""
+    return ((Y[:, None, :] - V[:, :, None]) ** 2).sum(axis=0)
+
+
+class TestGramDistances:
+    # u = eps / 2; the kernel's Gram entries lie within 2 gamma_(L+2) S of d^2
+    # and the oracle within gamma_L S, where S = |y|^2 + |v|^2, so the two
+    # agree within about (3 L + 4) u S; (L + 2) 2 eps S is the stated bound.
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e6])
+    def test_distances_agree_with_explicit_differences(self, scale):
+        rng = np.random.default_rng(21)
+        n_bands = 224
+        Y = scale * (rng.random((n_bands, 300)) + 0.05)
+        # centers: pixels, pixels moved a little, and means of pixels
+        V = np.column_stack([Y[:, 4], Y[:, 9] * (1 + 1e-9), Y[:, :50].mean(axis=1), Y[:, 7] + scale * 1e-4])
+        got = clustering._sq_distances(Y, V)
+        want = explicit_sq_distances(Y, V)
+        S = (V**2).sum(axis=0)[:, None] + (Y**2).sum(axis=0)
+        assert np.all(got >= 0.0)
+        assert np.all(np.abs(got - want) <= (n_bands + 2) * 2 * np.finfo(float).eps * S)
+        # the pixels the first two centers were taken from
+        assert got[0, 4] == 0.0
+        assert got[1, 9] > 0.0
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-3, 1e6, 1e150])
+    def test_pixel_equal_to_a_center_is_exactly_zero_at_224_bands(self, scale):
+        rng = np.random.default_rng(22)
+        Y = scale * (rng.random((224, 40)) + 0.05)
+        Y[:, 11] = Y[:, 3]
+        d2 = clustering._sq_distances(Y, Y[:, [3, 20]])
+        assert d2[0, 3] == d2[0, 11] == d2[1, 20] == 0.0
+        assert np.count_nonzero(d2 == 0.0) == 3
+        u = clustering._memberships(Y, Y[:, [3, 20]], FCM_M)
+        assert np.array_equal(u[:, [3, 11, 20]], [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+    @pytest.mark.parametrize("n_bands", [224, 1024])
+    def test_flat_spectrum_equal_to_a_center_is_exactly_zero(self, n_bands):
+        # the Gram residue of a flat spectrum grows with the band count (up to
+        # about 56 eps S at 224 bands and 127 eps S at 1024 on one OpenBLAS
+        # build), so a fixed threshold such as 64 eps S misses some of them
+        x = 1.0 + np.random.default_rng(25).random(60)
+        Y = np.tile(x, (n_bands, 1))
+        d2 = clustering._sq_distances(Y, Y)
+        assert np.array_equal(np.diag(d2), np.zeros(60))
+
+    def test_pixel_one_ulp_off_two_centers_is_shared_between_them(self):
+        rng = np.random.default_rng(23)
+        Y = rng.random((224, 10)) + 0.05
+        y = Y[:, 0]
+        V = np.column_stack([y, y, Y[:, 5]])
+        V[17, 0] = np.nextafter(y[17], np.inf)
+        V[90, 1] = np.nextafter(y[90], -np.inf)
+        d2 = clustering._sq_distances(Y, V)
+        assert d2[0, 0] == (V[17, 0] - y[17]) ** 2 > 0.0
+        assert d2[1, 0] == (V[90, 1] - y[90]) ** 2 > 0.0
+        u = clustering._memberships(Y, V, FCM_M)
+        assert np.all((u[:2, 0] > 0.0) & (u[:2, 0] < 1.0))
+        assert u[:2, 0].sum() == pytest.approx(1.0, rel=0, abs=1e-12)
+
+    def test_a_duplicate_heavy_image_stays_below_two_images(self):
+        # 6 spectra that differ by about 1e-9 relative, repeated over 50 x 50
+        # pixels: every distance lies below the rounding bound of the Gram
+        # form, so every entry of every iteration is recomputed from
+        # differences, in chunks
+        rng = np.random.default_rng(24)
+        spectra = (rng.random((100, 1)) + 0.05) * (1 + 1e-9 * rng.random((1, 6)))
+        Y = HyperspectralImage(spectra[:, rng.integers(0, 6, size=50 * 50)], 50, 50)
+        tracemalloc.start()
+        try:
+            ca = fcm(Y, 6, max_iter=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * Y.data.nbytes, f"peak {peak / Y.data.nbytes:.2f} x the image"
+        d2 = clustering._sq_distances(Y.data, ca.centers)
+        want = explicit_sq_distances(Y.data, ca.centers)
+        assert np.all(np.abs(d2 - want) <= 1e-12 * want.max())
+
+
 class TestFcmSeparatedClouds:
     def test_agrees_with_kmeans_oracle(self):
         rng = np.random.default_rng(5)
