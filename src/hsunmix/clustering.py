@@ -75,15 +75,18 @@ def fcm(
     memberships = None
     for iteration in range(1, max_iter + 1):
         new_u = _memberships(arr, centers, m, d2)
+        d2 = None  # freed before the next distances are formed
         centers = _centers(arr, new_u, m, centers)
-        # the distances to the new centers serve the hook and the next iteration
-        d2 = _sq_distances(arr, centers, y_sq)
+        converged = memberships is not None and np.max(np.abs(new_u - memberships)) < tol
+        memberships = new_u
+        # the distances to the new centers serve the hook and the next
+        # iteration; after the last one only the hook reads them
+        if on_iteration is not None or not (converged or iteration == max_iter):
+            d2 = _sq_distances(arr, centers, y_sq)
         if on_iteration is not None:
             on_iteration(iteration, new_u, centers, _distortion(new_u, d2, m))
-        if memberships is not None and np.max(np.abs(new_u - memberships)) < tol:
-            memberships = new_u
+        if converged:
             break
-        memberships = new_u
 
     labels = np.argmax(memberships, axis=0)
     return ClusterAssignment(labels, memberships, centers)

@@ -3,8 +3,9 @@
 ``vca`` picks candidate endmembers directly from the data by repeatedly
 projecting onto random directions orthogonal to the endmembers found so far;
 ``random_init`` draws a fully random starting point; ``fcls_abundances``
-fits simplex-constrained abundances against fixed signatures, which is how
-the vca signatures are paired with a starting abundance matrix.
+solves for the simplex-constrained least-squares abundances of fixed
+signatures exactly, which is how the vca signatures are paired with a
+starting abundance matrix.
 """
 
 from __future__ import annotations
@@ -104,30 +105,16 @@ def random_init(
     return SignatureMatrix(A), AbundanceMatrix(S)
 
 
-def fcls_abundances(
-    Y: HyperspectralImage,
-    signatures,
-    max_iter: int = 400,
-    eps: float = 1e-10,
-) -> AbundanceMatrix:
-    """Simplex-constrained least-squares abundances for fixed signatures.
+def fcls_abundances(Y: HyperspectralImage, signatures) -> AbundanceMatrix:
+    """Fully constrained least-squares abundances for fixed signatures.
 
-    Runs the projected-gradient solver with the signatures held fixed,
-    starting from the uniform mixture; with A fixed the solver forms A^T Y
-    and A^T A once, so each iteration is c x N work. The step size
-    1/lambda_max of the signature Gram matrix guarantees a stable descent
-    regardless of the data scale.
-
-    The default ``eps`` sits at the rounding floor of the recorded cost (up
-    to 8.4e-11 off ``global_cost``) and ended no run on the scenes checked:
-    each took all ``max_iter`` iterations. ROADMAP.md item 3 replaces this.
+    Each column minimises |y_k - A s|^2 over the unit simplex, solved exactly
+    by ``hsunmix.unmix.gram_fcls`` through the ``fcls`` preset of
+    ``run_unmixing``, which forms A^T Y and A^T A once.
     """
     A = as_matrix(signatures, "signatures")
-    top = float(np.linalg.eigvalsh(A.T @ A)[-1])
-    if top <= 0:
+    if not np.any(A):
         raise DegenerateDataError("signatures are identically zero")
-    c = A.shape[1]
-    S0 = np.full((c, Y.n_pixels), 1.0 / c)
-    cfg = UnmixingConfig(mu=1.0 / top, eta=0.0, max_iter=max_iter, eps=eps, variant="fcls")
-    result = run_unmixing(Y, cfg, A, S0)
-    return result.S
+    # the fcls preset ignores the start abundances; only their shape is checked
+    S0 = np.full((A.shape[1], Y.n_pixels), 1.0 / A.shape[1])
+    return run_unmixing(Y, UnmixingConfig(variant="fcls"), A, S0).S

@@ -1,27 +1,29 @@
 """Simplex-constrained unmixing: one solver loop, six presets.
 
-Every variant runs the same alternating loop. Each iteration may update the
+Five variants run the same alternating loop. Each iteration updates the
 signatures with the multiplicative rule, then updates all abundance columns
 at once, projects each column onto the unit simplex and records the
-objective. A variant is a row of ``PRESETS`` over five knobs:
+objective. ``fcls`` keeps the signatures fixed and solves for the
+abundances exactly, once, with ``gram_fcls`` instead of the loop. A variant
+is a row of ``PRESETS`` over four knobs:
 
-================================  =======  ============  ======  ==============  ========
-variant                           coupled  cluster mask  sparse  multiplicative  update A
-================================  =======  ============  ======  ==============  ========
-``nmf``                           no       no            no      yes             yes
-``lq_nmf``                        no       no            yes     no              yes
-``distributed``                   yes      no            no      no              yes
-``sparse_distributed``            yes      no            yes     no              yes
-``clustered_sparse_distributed``  yes      yes           yes     no              yes
-``fcls``                          no       no            no      no              no
-================================  =======  ============  ======  ==============  ========
+================================  =======  ============  ======  ==============
+variant                           coupled  cluster mask  sparse  abundance step
+================================  =======  ============  ======  ==============
+``nmf``                           no       no            no      multiplicative
+``lq_nmf``                        no       no            yes     gradient
+``distributed``                   yes      no            no      gradient
+``sparse_distributed``            yes      no            yes     gradient
+``clustered_sparse_distributed``  yes      yes           yes     gradient
+``fcls``                          no       no            no      exact
+================================  =======  ============  ======  ==============
 
 *coupled* pulls each pixel toward its neighbors with strength ``cfg.eta``;
 the *cluster mask* keeps only neighbors in the pixel's own cluster; *sparse*
 adds the q-norm penalty with weight ``cfg.sparsity_weight`` (estimated from
-the image when unset) when ``cfg.q < 1``; *multiplicative* replaces the
-gradient abundance step by the multiplicative rule; *update A* turns the
-signature update on.
+the image when unset) when ``cfg.q < 1``; the *abundance step* is the
+projected gradient step, the multiplicative rule, or the exact fully
+constrained least-squares solve for fixed signatures.
 
 The gradient abundance step is diffusion LMS: pixel k steps down the
 gradient of its own local cost, residual plus weighted squared differences
@@ -48,10 +50,10 @@ and the coupling term of the objective by the identity derived in
 ``Coupling``, for the neighbor operator W: the CSR matrix ``neighbor_weights``
 forms from the image on its 8-connected grid, cluster-gated for the cluster
 mask. |Y|^2 and W, with its row sums W 1, its spread W 1 + W^T 1 and eta
-(``coupling``), are formed once per run. For the presets that update A,
-``signature_step`` forms the new A and its A^T Y and A^T A in one pass over
-the image, every iteration; ``fcls`` forms A^T Y and A^T A once per run
-(``signature_products``). The abundance Gram matrix S S^T and the coupling
+(``coupling``), are formed once per run. In the loop, ``signature_step``
+forms the new A and its A^T Y and A^T A in one pass over the image, every
+iteration; ``fcls`` forms A^T Y and A^T A once (``signature_products``) for
+its one solve. The abundance Gram matrix S S^T and the coupling
 pull S W^T (``coupling_pull``) are formed once per iteration, after the
 projection, and read by the objective and by the next step. The rest of an
 iteration is c x N work, products with the sparse W included, apart from
@@ -109,6 +111,10 @@ DIVERGENCE_BOUND = 1.0 / np.finfo(np.float64).eps
 # the kernel at 224 bands on 24 x 24 to 200 x 200 scenes (BENCH_21.json).
 _BLOCK_BYTES = 1024 * 1024
 _MIN_BLOCK_BANDS = 16
+# ``gram_fcls`` stops after this many passes per endmember, the iteration
+# limit of Lawson & Hanson's NNLS; no scene or random problem checked, with
+# c = 1 to 16, needed more than c + 3.
+_FCLS_PASSES_PER_ENDMEMBER = 3
 
 
 class Preset(NamedTuple):
@@ -117,17 +123,16 @@ class Preset(NamedTuple):
     coupled: bool
     cluster_mask: bool
     sparse: bool
-    multiplicative: bool
-    update_a: bool
+    abundance_step: str  # "gradient", "multiplicative" or "exact"
 
 
 PRESETS = {
-    AlgorithmVariant.NMF: Preset(False, False, False, True, True),
-    AlgorithmVariant.LQ_NMF: Preset(False, False, True, False, True),
-    AlgorithmVariant.DISTRIBUTED: Preset(True, False, False, False, True),
-    AlgorithmVariant.SPARSE_DISTRIBUTED: Preset(True, False, True, False, True),
-    AlgorithmVariant.CLUSTERED_SPARSE_DISTRIBUTED: Preset(True, True, True, False, True),
-    AlgorithmVariant.FCLS: Preset(False, False, False, False, False),
+    AlgorithmVariant.NMF: Preset(False, False, False, "multiplicative"),
+    AlgorithmVariant.LQ_NMF: Preset(False, False, True, "gradient"),
+    AlgorithmVariant.DISTRIBUTED: Preset(True, False, False, "gradient"),
+    AlgorithmVariant.SPARSE_DISTRIBUTED: Preset(True, False, True, "gradient"),
+    AlgorithmVariant.CLUSTERED_SPARSE_DISTRIBUTED: Preset(True, True, True, "gradient"),
+    AlgorithmVariant.FCLS: Preset(False, False, False, "exact"),
 }
 
 
@@ -278,6 +283,98 @@ def gram_multiplicative(P: Products, S) -> np.ndarray:
     return S * P.AtY / (P.AtA @ S + MULT_GUARD)
 
 
+def gram_fcls(P: Products) -> Tuple[np.ndarray, bool]:
+    """Fully constrained least squares of every pixel at once, solved exactly.
+
+    Column k of the result minimises |y_k - A s|^2 = |y_k|^2 - 2 b^T s +
+    s^T G s over s >= 0 with 1^T s = 1, where b = (A^T Y)_k and G = A^T A.
+    The method is Lawson & Hanson's (1974) primal active set, with the
+    sum-to-one kept as an exact equality in every subproblem rather than as
+    the weighted extra row of Heinz & Chang (IEEE TGRS 2001), which only
+    approximates it. Each pixel starts at its best vertex, with that
+    signature as its free set F. While s is the optimum on F, the pixel frees
+    the signature of most negative multiplier lambda_j = g_j - s^T g, with
+    g = G s - b, and stops when no multiplier lies below rounding. Otherwise
+    it solves the equality-constrained problem on F,
+
+        [G_FF 1; 1^T 0] [z; nu] = [b_F; 1],
+
+    and moves to z if z > 0, else as far toward z as s stays nonnegative,
+    dropping the signatures that reach zero. Each pass frees at most one
+    signature and takes one solve per pixel. Pixels with the same free set
+    share one KKT matrix, whose pseudo-inverse is formed once per pass; it
+    also serves a set whose signatures are affinely dependent, such as a
+    duplicated column.
+
+    Returns the c x N abundances and whether every pixel met the multiplier
+    test within ``_FCLS_PASSES_PER_ENDMEMBER`` c passes; a pixel the cap
+    stops keeps a feasible column of lower cost than its start.
+    """
+    # the problem is unchanged when G and b are scaled together; at unit
+    # scale the KKT matrix is balanced and lambda's rounding is about
+    # (c + 2) eps (1 + |b|) for a given s (Higham, section 3.1)
+    scale = float(np.abs(P.AtA).max())
+    scale = scale if scale > 0 else 1.0
+    G, B = P.AtA / scale, P.AtY / scale
+    c, n = B.shape
+    tol = 4 * (c + 2) * np.finfo(np.float64).eps * (1.0 + np.abs(B).max(axis=0))
+    S = np.zeros((c, n))
+    S[np.argmin(np.diag(G)[:, None] - 2.0 * B, axis=0), np.arange(n)] = 1.0
+    free = S > 0
+    optimal = np.ones(n, dtype=bool)  # S is the optimum on its free set
+    done = np.zeros(n, dtype=bool)
+    for _ in range(_FCLS_PASSES_PER_ENDMEMBER * c):
+        k = np.nonzero(optimal & ~done)[0]
+        Sk = S[:, k]
+        g = G @ Sk - B[:, k]
+        lam = g - np.einsum("ij,ij->j", Sk, g)
+        lam[free[:, k]] = np.inf
+        t = np.argmin(lam, axis=0)
+        enter = lam[t, np.arange(k.size)] < -tol[k]
+        done[k[~enter]] = True
+        free[t[enter], k[enter]] = True
+        optimal[k[enter]] = False
+
+        k = np.nonzero(~optimal)[0]
+        if k.size == 0:
+            break
+        F = free[:, k]
+        # number the distinct free sets: sort the pixels by their packed sets
+        order = np.lexsort(np.packbits(F, axis=0))
+        sets = F[:, order]
+        first = np.ones(k.size, dtype=bool)
+        first[1:] = (sets[:, 1:] != sets[:, :-1]).any(axis=0)
+        which = np.empty(k.size, dtype=np.intp)
+        which[order] = np.cumsum(first) - 1
+        # each set's KKT matrix at full size: identity rows hold the others at 0
+        Fm = sets[:, first].T.astype(np.float64)
+        kkt = np.zeros((Fm.shape[0], c + 1, c + 1))
+        kkt[:, :c, :c] = G * (Fm[:, :, None] * Fm[:, None, :])
+        kkt[:, np.arange(c), np.arange(c)] += 1.0 - Fm
+        kkt[:, :c, c] = kkt[:, c, :c] = Fm
+        inverse = np.linalg.pinv(kkt)[:, :c]
+        Z = np.einsum("nij,jn->in", inverse[which, :, :c], np.where(F, B[:, k], 0.0))
+        Z += inverse[which, :, c].T
+        Z[~F] = 0.0
+
+        Sk = S[:, k]
+        block = F & (Z <= 0)
+        inside = ~block.any(axis=0)
+        gap = Sk - Z  # zero on a blocking entry only where s_j = z_j = 0
+        ratio = np.where(block, Sk / np.where(gap > 0, gap, 1.0), np.inf)
+        j = np.argmin(ratio, axis=0)
+        step = np.where(inside, 1.0, ratio[j, np.arange(k.size)])
+        Sk += step * (Z - Sk)
+        Sk[j[~inside], np.nonzero(~inside)[0]] = 0.0
+        F &= Sk > 0
+        Sk[~F] = 0.0
+        S[:, k] = Sk
+        free[:, k] = F
+        optimal[k[inside]] = True
+    S /= S.sum(axis=0)
+    return S, bool(done.all())
+
+
 def signature_step(Y, A, S, gram) -> Tuple[np.ndarray, Products]:
     """The multiplicative signature update and the products of its result, in one pass over Y.
 
@@ -338,13 +435,18 @@ def run_unmixing(
 ) -> UnmixingResult:
     """Run the preset of ``cfg.variant`` from the given initialization.
 
-    Every outer iteration updates the signatures (if the preset does),
-    updates all abundance columns synchronously, projects each column onto
-    the simplex, and records the objective. The run stops when two
-    consecutive objectives differ by less than ``cfg.eps`` or after
-    ``cfg.max_iter`` iterations. An abundance update that is non-finite or
-    reaches ``DIVERGENCE_BOUND`` in size has diverged and raises
-    :class:`NumericalFailureError` before the projection sees it.
+    Every outer iteration updates the signatures, updates all abundance
+    columns synchronously, projects each column onto the simplex, and
+    records the objective. The run stops when two consecutive objectives
+    differ by less than ``cfg.eps`` or after ``cfg.max_iter`` iterations. An
+    abundance update that is non-finite or reaches ``DIVERGENCE_BOUND`` in
+    size has diverged and raises :class:`NumericalFailureError` before the
+    projection sees it.
+
+    ``fcls`` runs no loop: it keeps ``init_A``, ignores ``init_S``, ``mu``,
+    ``eps`` and ``max_iter``, and solves for the abundances once with
+    ``gram_fcls``. Its cost trace holds one value, and its stop reason is
+    ``converged`` unless the kernel's pass cap stopped a pixel.
 
     ``clusters`` is required by the clustered variant and ignored elsewhere.
     ``on_iteration`` receives (iteration, A, S, objective) after each pass;
@@ -356,20 +458,30 @@ def run_unmixing(
     if preset.cluster_mask and clusters is None:
         raise ValueError("the clustered variant requires a ClusterAssignment")
     Yd, A, S = _factors(Y, init_A, init_S)
-    # fcls returns its start as the estimate, which must not share the caller's
-    # array; S is replaced before anything could write to it
-    A = A.copy()
+    y_energy = image_energy(Yd)
+    if preset.abundance_step == "exact":
+        # the estimate must not share the caller's array
+        A = A.copy()
+        products = signature_products(Yd, A)
+        S, solved = gram_fcls(products)
+        j = gram_objective(y_energy, products, S, S @ S.T)
+        if on_iteration is not None:
+            on_iteration(1, A, S, j)
+        return UnmixingResult(
+            A=SignatureMatrix(A),
+            S=AbundanceMatrix(S),
+            cost_trace=[j],
+            stop_reason=StopReason.CONVERGED if solved else StopReason.MAX_ITER,
+        )
 
     lam = 0.0
     if preset.sparse and cfg.q < 1:
         lam = cfg.sparsity_weight
         if lam is None:
             lam = estimate_sparsity_weight(Yd)
-    y_energy = image_energy(Yd)
     graph = None
     if preset.coupled and cfg.eta > 0:
         graph = coupling(neighbor_weights(Y, clusters if preset.cluster_mask else None), cfg.eta)
-    products = None if preset.update_a else signature_products(Yd, A)
     # S S^T and S W^T of the current iterate, read by the objective and the next step
     gram = S @ S.T
     pull = None if graph is None else coupling_pull(graph, S)
@@ -378,9 +490,8 @@ def run_unmixing(
     j_prev: Optional[float] = None
     reason = StopReason.MAX_ITER
     for iteration in range(1, cfg.max_iter + 1):
-        if preset.update_a:
-            A, products = signature_step(Yd, A, S, gram)
-        if preset.multiplicative:
+        A, products = signature_step(Yd, A, S, gram)
+        if preset.abundance_step == "multiplicative":
             S = gram_multiplicative(products, S)
         else:
             S = S + gram_step(products, S, cfg.mu, graph, lam, cfg.q, pull)

@@ -147,11 +147,13 @@ class TestFclsAbundances:
         A = rng.random((12, 3)) + 0.3
         S_true = rng.dirichlet(np.ones(3), size=8).T
         Y = A @ S_true
-        # a tight stopping epsilon keeps the solver running to high accuracy
-        S = fcls_abundances(
-            make_image(Y), SignatureMatrix(A), max_iter=3000, eps=1e-16
-        ).data
-        assert np.max(np.abs(S - S_true)) < 1e-5
+        # the solve is exact, so only rounding separates it from the truth
+        S = fcls_abundances(make_image(Y), SignatureMatrix(A)).data
+        assert np.max(np.abs(S - S_true)) < 1e-12
+
+    def test_all_zero_signatures_are_refused(self):
+        with pytest.raises(DegenerateDataError, match="identically zero"):
+            fcls_abundances(make_image(np.ones((4, 3))), SignatureMatrix(np.zeros((4, 2))))
 
     def test_output_is_feasible(self):
         rng = np.random.default_rng(10)

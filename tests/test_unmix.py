@@ -35,6 +35,7 @@ from hsunmix.unmix import (
     coupling,
     coupling_pull,
     global_cost,
+    gram_fcls,
     gram_multiplicative,
     gram_objective,
     gram_step,
@@ -45,6 +46,7 @@ from hsunmix.unmix import (
     update_abundance_multiplicative,
     update_signatures,
 )
+from fcls_oracle import fcls_oracle
 from pixel_oracle import local_cost, pixel_step
 
 
@@ -294,15 +296,11 @@ class TestAbundanceStepMatchesOracle:
         assert np.array_equal(result.S.data, S)
         assert result.cost_trace == trace
 
-    @pytest.mark.parametrize("variant", ["nmf", "fcls"])
-    def test_uncoupled_loop_runs_the_kernels(self, variant):
-        result, Y, A0, S0, _, cfg = self._one_iteration(variant)
-        A1 = update_signatures(Y, A0, S0) if variant == "nmf" else A0
+    def test_uncoupled_loop_runs_the_kernels(self):
+        result, Y, A0, S0, _, cfg = self._one_iteration("nmf")
+        A1 = update_signatures(Y, A0, S0)
         P = signature_products(Y, A1)
-        if variant == "nmf":
-            S1 = project_simplex_columns(gram_multiplicative(P, S0))
-        else:
-            S1 = project_simplex_columns(S0 + gram_step(P, S0, cfg.mu))
+        S1 = project_simplex_columns(gram_multiplicative(P, S0))
         assert np.array_equal(result.A.data, A1)
         assert np.array_equal(result.S.data, S1)
         assert result.cost_trace == [gram_objective(image_energy(Y), P, S1, S1 @ S1.T)]
@@ -341,7 +339,7 @@ class TestGramForm:
         worst = max(worst, float(np.max(np.abs(np.subtract(recorded, direct)))))
         assert worst < 1e-9
 
-    @pytest.mark.parametrize("variant", ["nmf", "fcls", "distributed"])
+    @pytest.mark.parametrize("variant", ["nmf", "distributed"])
     def test_converging_run_stops_where_the_residual_form_would(self, scenes, variant):
         scene, A0, S0 = scenes[25.0]
         Y = scene.Y.data
@@ -359,7 +357,7 @@ class TestGramForm:
         assert np.all(steps[:-1] >= cfg.eps) and steps[-1] < cfg.eps
 
     def test_products_once_per_signature_update(self, monkeypatch):
-        # A preset that updates A reads the image once per iteration, in
+        # A loop preset reads the image once per iteration, in
         # signature_step; fcls forms its products once per run. Every matrix
         # product the image enters outside those two kernels is counted, so
         # a second pass over the image fails here.
@@ -395,12 +393,100 @@ class TestGramForm:
             log["products"] = 0
             cfg = UnmixingConfig(variant=variant.value, max_iter=7, eps=1e-300)
             result = run_unmixing(image, cfg, A0, S0, split_clusters(5, 4, 8))
-            assert result.iterations_run == 7
-            if PRESETS[variant].update_a:
-                assert calls == {"signature_step": 7, "signature_products": 0}
-            else:
+            if PRESETS[variant].abundance_step == "exact":
+                assert result.iterations_run == 1
                 assert calls == {"signature_step": 0, "signature_products": 1}
+            else:
+                assert result.iterations_run == 7
+                assert calls == {"signature_step": 7, "signature_products": 0}
             assert log["products"] == 0
+
+
+class TestGramFcls:
+    """The exact FCLS kernel against the support enumeration of ``fcls_oracle``."""
+
+    @staticmethod
+    def _solve(Y, A):
+        """The kernel's abundances and the oracle's, after checking that the kernel's are a minimiser."""
+        P = signature_products(Y, A)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            S, solved = gram_fcls(P)
+        assert solved
+        assert validate_abundances(S, 1e-12)
+        oracle_S, oracle_cost = fcls_oracle(P.AtY, P.AtA)
+        cost = np.einsum("in,ij,jn->n", S, P.AtA, S) - 2.0 * np.einsum("in,in->n", S, P.AtY)
+        np.testing.assert_array_less(np.abs(cost - oracle_cost), 1e-12 * np.einsum("ij,ij->j", Y, Y))
+        return S, oracle_S
+
+    @staticmethod
+    def _pixels(rng, A, n):
+        """Mixtures of the columns of A with noise large enough to put many off the simplex."""
+        mixed = A @ rng.dirichlet(np.full(A.shape[1], 0.5), size=n).T
+        return np.abs(mixed + 0.3 * A.mean() * rng.standard_normal(mixed.shape))
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 4, 5])
+    def test_matches_the_support_oracle(self, c):
+        rng = np.random.default_rng(50 + c)
+        A = rng.random((8, c)) + 0.1
+        S, oracle_S = self._solve(self._pixels(rng, A, 300), A)
+        np.testing.assert_allclose(S, oracle_S, rtol=0, atol=1e-9)
+
+    def test_a_duplicated_signature_still_gives_a_minimiser(self):
+        rng = np.random.default_rng(56)
+        A = rng.random((8, 3)) + 0.1
+        A = A[:, [0, 1, 2, 0]]
+        self._solve(self._pixels(rng, A, 300), A)
+
+    def test_a_pixel_equal_to_a_signature_gets_its_vertex(self):
+        rng = np.random.default_rng(57)
+        A = rng.random((8, 4)) + 0.1
+        S, _ = self._solve(np.hstack([A, self._pixels(rng, A, 20)]), A)
+        assert np.array_equal(S[:, :4], np.eye(4))
+
+    def test_a_single_pixel(self):
+        rng = np.random.default_rng(58)
+        A = rng.random((8, 5)) + 0.1
+        S, oracle_S = self._solve(self._pixels(rng, A, 1), A)
+        np.testing.assert_allclose(S, oracle_S, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("snr", [15.0, 25.0, 35.0])
+    def test_every_column_of_the_readme_scene_meets_the_kkt_conditions(self, scenes, snr):
+        scene, A0, S0 = scenes[snr]
+        P = signature_products(scene.Y.data, A0.data)
+        S = S0.data
+        assert validate_abundances(S, 1e-12)
+        # with nu = -s^T g, lambda = g + nu are the multipliers of s >= 0:
+        # nonnegative everywhere and zero where s_j > 0
+        g = P.AtA @ S - P.AtY
+        lam = g - np.einsum("ij,ij->j", S, g)
+        tol = 1e-13 * (np.abs(P.AtA).max() + np.abs(P.AtY).max(axis=0))
+        assert np.all(lam >= -tol)
+        assert np.all(np.where(S > 0, np.abs(lam), 0.0) <= tol)
+
+    def test_the_fcls_preset_runs_one_exact_solve(self):
+        rng = np.random.default_rng(59)
+        image, A, S0 = random_problem(rng, L=8, width=6, height=5)
+        calls = []
+        result = run_unmixing(image, UnmixingConfig(variant="fcls"), A, S0,
+                              on_iteration=lambda *args: calls.append(args))
+        P = signature_products(image.data, A)
+        S, _ = gram_fcls(P)
+        J = gram_objective(image_energy(image.data), P, S, S @ S.T)
+        assert np.array_equal(result.A.data, A)
+        assert np.array_equal(result.S.data, S)
+        assert result.cost_trace == [J]
+        assert result.stop_reason is StopReason.CONVERGED
+        assert [(args[0], args[3]) for args in calls] == [(1, J)]
+
+    def test_a_capped_solve_stops_feasible_at_max_iter(self, monkeypatch):
+        # with no passes every pixel keeps its starting vertex
+        monkeypatch.setattr(unmix, "_FCLS_PASSES_PER_ENDMEMBER", 0)
+        rng = np.random.default_rng(60)
+        image, A, S0 = random_problem(rng, L=8, width=6, height=5)
+        result = run_unmixing(image, UnmixingConfig(variant="fcls"), A, S0)
+        assert result.stop_reason is StopReason.MAX_ITER
+        assert np.array_equal(np.sort(result.S.data, axis=0)[-1], np.ones(30))
 
 
 class CountedImage(np.ndarray):
