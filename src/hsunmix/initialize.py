@@ -10,6 +10,7 @@ starting abundance matrix.
 
 from __future__ import annotations
 
+import warnings
 from typing import Tuple
 
 import numpy as np
@@ -22,7 +23,7 @@ from .types import (
     UnmixingConfig,
     as_matrix,
 )
-from .unmix import run_unmixing
+from .unmix import StopReason, run_unmixing
 
 
 def vca(Y, c: int, seed: int = 0) -> SignatureMatrix:
@@ -109,12 +110,16 @@ def fcls_abundances(Y: HyperspectralImage, signatures) -> AbundanceMatrix:
     """Fully constrained least-squares abundances for fixed signatures.
 
     Each column minimises |y_k - A s|^2 over the unit simplex, solved exactly
-    by ``hsunmix.unmix.gram_fcls`` through the ``fcls`` preset of
-    ``run_unmixing``, which forms A^T Y and A^T A once.
+    by ``hsunmix.unmix.gram_fcls`` through ``run_unmixing``'s ``fcls``
+    variant without start abundances, which forms A^T Y and A^T A once. If
+    the kernel's pass cap stops a pixel short of the optimum, a
+    ``RuntimeWarning`` says so; that pixel's column is still feasible.
     """
     A = as_matrix(signatures, "signatures")
     if not np.any(A):
         raise DegenerateDataError("signatures are identically zero")
-    # the fcls preset ignores the start abundances; only their shape is checked
-    S0 = np.full((A.shape[1], Y.n_pixels), 1.0 / A.shape[1])
-    return run_unmixing(Y, UnmixingConfig(variant="fcls"), A, S0).S
+    result = run_unmixing(Y, UnmixingConfig(variant="fcls"), A, None)
+    if result.stop_reason is StopReason.MAX_ITER:
+        warnings.warn("fcls_abundances: the pass cap stopped some pixels short of the "
+                      "least-squares optimum; their abundances are feasible", RuntimeWarning)
+    return result.S

@@ -1,29 +1,32 @@
 """Simplex-constrained unmixing: one solver loop, six presets.
 
-Five variants run the same alternating loop. Each iteration updates the
+Every variant runs the same alternating loop. Each iteration may update the
 signatures with the multiplicative rule, then updates all abundance columns
 at once, projects each column onto the unit simplex and records the
-objective. ``fcls`` keeps the signatures fixed and solves for the
-abundances exactly, once, with ``gram_fcls`` instead of the loop. A variant
-is a row of ``PRESETS`` over four knobs:
+objective. A variant is a row of ``PRESETS`` over five knobs:
 
-================================  =======  ============  ======  ==============
-variant                           coupled  cluster mask  sparse  abundance step
-================================  =======  ============  ======  ==============
-``nmf``                           no       no            no      multiplicative
-``lq_nmf``                        no       no            yes     gradient
-``distributed``                   yes      no            no      gradient
-``sparse_distributed``            yes      no            yes     gradient
-``clustered_sparse_distributed``  yes      yes           yes     gradient
-``fcls``                          no       no            no      exact
-================================  =======  ============  ======  ==============
+================================  =======  ============  ======  ==============  ========
+variant                           coupled  cluster mask  sparse  multiplicative  update A
+================================  =======  ============  ======  ==============  ========
+``nmf``                           no       no            no      yes             yes
+``lq_nmf``                        no       no            yes     no              yes
+``distributed``                   yes      no            no      no              yes
+``sparse_distributed``            yes      no            yes     no              yes
+``clustered_sparse_distributed``  yes      yes           yes     no              yes
+``fcls``                          no       no            no      no              no
+================================  =======  ============  ======  ==============  ========
 
 *coupled* pulls each pixel toward its neighbors with strength ``cfg.eta``;
 the *cluster mask* keeps only neighbors in the pixel's own cluster; *sparse*
 adds the q-norm penalty with weight ``cfg.sparsity_weight`` (estimated from
-the image when unset) when ``cfg.q < 1``; the *abundance step* is the
-projected gradient step, the multiplicative rule, or the exact fully
-constrained least-squares solve for fixed signatures.
+the image when unset) when ``cfg.q < 1``; *multiplicative* replaces the
+gradient abundance step by the multiplicative rule; *update A* turns the
+signature update on.
+
+Given no start abundances, ``fcls`` runs no loop: ``gram_fcls`` solves for
+the fully constrained least-squares abundances of the fixed signatures
+exactly, once. This is how ``initialize.fcls_abundances`` pairs the vca
+signatures with a start.
 
 The gradient abundance step is diffusion LMS: pixel k steps down the
 gradient of its own local cost, residual plus weighted squared differences
@@ -50,10 +53,10 @@ and the coupling term of the objective by the identity derived in
 ``Coupling``, for the neighbor operator W: the CSR matrix ``neighbor_weights``
 forms from the image on its 8-connected grid, cluster-gated for the cluster
 mask. |Y|^2 and W, with its row sums W 1, its spread W 1 + W^T 1 and eta
-(``coupling``), are formed once per run. In the loop, ``signature_step``
-forms the new A and its A^T Y and A^T A in one pass over the image, every
-iteration; ``fcls`` forms A^T Y and A^T A once (``signature_products``) for
-its one solve. The abundance Gram matrix S S^T and the coupling
+(``coupling``), are formed once per run. For the presets that update A,
+``signature_step`` forms the new A and its A^T Y and A^T A in one pass over
+the image, every iteration; ``fcls`` forms A^T Y and A^T A once per run
+(``signature_products``). The abundance Gram matrix S S^T and the coupling
 pull S W^T (``coupling_pull``) are formed once per iteration, after the
 projection, and read by the objective and by the next step. The rest of an
 iteration is c x N work, products with the sparse W included, apart from
@@ -123,16 +126,17 @@ class Preset(NamedTuple):
     coupled: bool
     cluster_mask: bool
     sparse: bool
-    abundance_step: str  # "gradient", "multiplicative" or "exact"
+    multiplicative: bool
+    update_a: bool
 
 
 PRESETS = {
-    AlgorithmVariant.NMF: Preset(False, False, False, "multiplicative"),
-    AlgorithmVariant.LQ_NMF: Preset(False, False, True, "gradient"),
-    AlgorithmVariant.DISTRIBUTED: Preset(True, False, False, "gradient"),
-    AlgorithmVariant.SPARSE_DISTRIBUTED: Preset(True, False, True, "gradient"),
-    AlgorithmVariant.CLUSTERED_SPARSE_DISTRIBUTED: Preset(True, True, True, "gradient"),
-    AlgorithmVariant.FCLS: Preset(False, False, False, "exact"),
+    AlgorithmVariant.NMF: Preset(False, False, False, True, True),
+    AlgorithmVariant.LQ_NMF: Preset(False, False, True, False, True),
+    AlgorithmVariant.DISTRIBUTED: Preset(True, False, False, False, True),
+    AlgorithmVariant.SPARSE_DISTRIBUTED: Preset(True, False, True, False, True),
+    AlgorithmVariant.CLUSTERED_SPARSE_DISTRIBUTED: Preset(True, True, True, False, True),
+    AlgorithmVariant.FCLS: Preset(False, False, False, False, False),
 }
 
 
@@ -425,6 +429,30 @@ def update_abundance_multiplicative(Y, A, S) -> np.ndarray:
     return gram_multiplicative(signature_products(Yd, Ad), Sd)
 
 
+def _solve_fcls(Y: HyperspectralImage, init_A, on_iteration) -> UnmixingResult:
+    """The exact ``fcls`` solve of ``run_unmixing``: one call of ``gram_fcls``."""
+    Yd = as_matrix(Y, "image")
+    # the estimate must not share the caller's array
+    A = as_matrix(init_A, "signatures").copy()
+    if A.shape[0] != Yd.shape[0]:
+        raise ValueError("incompatible shapes for image, signatures")
+    products = signature_products(Yd, A)
+    if not (np.isfinite(products.AtY).all() and np.isfinite(products.AtA).all()):
+        raise NumericalFailureError("A^T Y or A^T A of the fcls solve is non-finite")
+    S, solved = gram_fcls(products)
+    j = gram_objective(image_energy(Yd), products, S, S @ S.T)
+    if not np.isfinite(j):
+        raise NumericalFailureError("objective of the fcls solve is non-finite")
+    if on_iteration is not None:
+        on_iteration(1, A, S, j)
+    return UnmixingResult(
+        A=SignatureMatrix(A),
+        S=AbundanceMatrix(S),
+        cost_trace=[j],
+        stop_reason=StopReason.CONVERGED if solved else StopReason.MAX_ITER,
+    )
+
+
 def run_unmixing(
     Y,
     cfg: UnmixingConfig,
@@ -435,18 +463,19 @@ def run_unmixing(
 ) -> UnmixingResult:
     """Run the preset of ``cfg.variant`` from the given initialization.
 
-    Every outer iteration updates the signatures, updates all abundance
-    columns synchronously, projects each column onto the simplex, and
-    records the objective. The run stops when two consecutive objectives
-    differ by less than ``cfg.eps`` or after ``cfg.max_iter`` iterations. An
-    abundance update that is non-finite or reaches ``DIVERGENCE_BOUND`` in
-    size has diverged and raises :class:`NumericalFailureError` before the
-    projection sees it.
+    Every outer iteration updates the signatures (if the preset does),
+    updates all abundance columns synchronously, projects each column onto
+    the simplex, and records the objective. The run stops when two
+    consecutive objectives differ by less than ``cfg.eps`` or after
+    ``cfg.max_iter`` iterations. An abundance update that is non-finite or
+    reaches ``DIVERGENCE_BOUND`` in size has diverged and raises
+    :class:`NumericalFailureError` before the projection sees it.
 
-    ``fcls`` runs no loop: it keeps ``init_A``, ignores ``init_S``, ``mu``,
-    ``eps`` and ``max_iter``, and solves for the abundances once with
-    ``gram_fcls``. Its cost trace holds one value, and its stop reason is
-    ``converged`` unless the kernel's pass cap stopped a pixel.
+    ``init_S=None`` is accepted by ``fcls`` only, which then solves for the
+    abundances once with ``gram_fcls`` instead of the loop, reading no other
+    field of ``cfg``. Its cost trace holds one value and ``on_iteration`` is
+    called once; the stop reason is ``max_iter`` if the kernel's pass cap
+    stopped a pixel short of the optimum, else ``converged``.
 
     ``clusters`` is required by the clustered variant and ignored elsewhere.
     ``on_iteration`` receives (iteration, A, S, objective) after each pass;
@@ -454,34 +483,29 @@ def run_unmixing(
     """
     if not isinstance(Y, HyperspectralImage):
         raise ValueError("Y must be a HyperspectralImage")
-    preset = PRESETS[AlgorithmVariant(cfg.variant)]
+    variant = AlgorithmVariant(cfg.variant)
+    preset = PRESETS[variant]
     if preset.cluster_mask and clusters is None:
         raise ValueError("the clustered variant requires a ClusterAssignment")
+    if init_S is None:
+        if variant is not AlgorithmVariant.FCLS:
+            raise ValueError("only the fcls variant runs without start abundances")
+        return _solve_fcls(Y, init_A, on_iteration)
     Yd, A, S = _factors(Y, init_A, init_S)
-    y_energy = image_energy(Yd)
-    if preset.abundance_step == "exact":
-        # the estimate must not share the caller's array
-        A = A.copy()
-        products = signature_products(Yd, A)
-        S, solved = gram_fcls(products)
-        j = gram_objective(y_energy, products, S, S @ S.T)
-        if on_iteration is not None:
-            on_iteration(1, A, S, j)
-        return UnmixingResult(
-            A=SignatureMatrix(A),
-            S=AbundanceMatrix(S),
-            cost_trace=[j],
-            stop_reason=StopReason.CONVERGED if solved else StopReason.MAX_ITER,
-        )
+    # fcls returns its start as the estimate, which must not share the caller's
+    # array; S is replaced before anything could write to it
+    A = A.copy()
 
     lam = 0.0
     if preset.sparse and cfg.q < 1:
         lam = cfg.sparsity_weight
         if lam is None:
             lam = estimate_sparsity_weight(Yd)
+    y_energy = image_energy(Yd)
     graph = None
     if preset.coupled and cfg.eta > 0:
         graph = coupling(neighbor_weights(Y, clusters if preset.cluster_mask else None), cfg.eta)
+    products = None if preset.update_a else signature_products(Yd, A)
     # S S^T and S W^T of the current iterate, read by the objective and the next step
     gram = S @ S.T
     pull = None if graph is None else coupling_pull(graph, S)
@@ -490,8 +514,9 @@ def run_unmixing(
     j_prev: Optional[float] = None
     reason = StopReason.MAX_ITER
     for iteration in range(1, cfg.max_iter + 1):
-        A, products = signature_step(Yd, A, S, gram)
-        if preset.abundance_step == "multiplicative":
+        if preset.update_a:
+            A, products = signature_step(Yd, A, S, gram)
+        if preset.multiplicative:
             S = gram_multiplicative(products, S)
         else:
             S = S + gram_step(products, S, cfg.mu, graph, lam, cfg.q, pull)

@@ -1,10 +1,12 @@
 """Endmember extraction and starting-point construction."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
+import hsunmix.unmix
 from hsunmix.errors import DegenerateDataError
 from hsunmix.initialize import fcls_abundances, random_init, vca
 from hsunmix.metrics import match_endmembers, sad
@@ -154,6 +156,24 @@ class TestFclsAbundances:
     def test_all_zero_signatures_are_refused(self):
         with pytest.raises(DegenerateDataError, match="identically zero"):
             fcls_abundances(make_image(np.ones((4, 3))), SignatureMatrix(np.zeros((4, 2))))
+
+    def test_a_capped_solve_warns_and_stays_feasible(self, monkeypatch):
+        # with no passes every pixel keeps the vertex it starts from
+        monkeypatch.setattr(hsunmix.unmix, "_FCLS_PASSES_PER_ENDMEMBER", 0)
+        rng = np.random.default_rng(11)
+        A = rng.random((9, 4)) + 0.2
+        Y = rng.random((9, 11)) + 0.1
+        with pytest.warns(RuntimeWarning, match="pass cap"):
+            S = fcls_abundances(make_image(Y), SignatureMatrix(A)).data
+        assert validate_abundances(S, 1e-12)
+
+    def test_a_full_solve_does_not_warn(self):
+        rng = np.random.default_rng(12)
+        A = rng.random((9, 4)) + 0.2
+        Y = rng.random((9, 11)) + 0.1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fcls_abundances(make_image(Y), SignatureMatrix(A))
 
     def test_output_is_feasible(self):
         rng = np.random.default_rng(10)

@@ -296,11 +296,15 @@ class TestAbundanceStepMatchesOracle:
         assert np.array_equal(result.S.data, S)
         assert result.cost_trace == trace
 
-    def test_uncoupled_loop_runs_the_kernels(self):
-        result, Y, A0, S0, _, cfg = self._one_iteration("nmf")
-        A1 = update_signatures(Y, A0, S0)
+    @pytest.mark.parametrize("variant", ["nmf", "fcls"])
+    def test_uncoupled_loop_runs_the_kernels(self, variant):
+        result, Y, A0, S0, _, cfg = self._one_iteration(variant)
+        A1 = update_signatures(Y, A0, S0) if variant == "nmf" else A0
         P = signature_products(Y, A1)
-        S1 = project_simplex_columns(gram_multiplicative(P, S0))
+        if variant == "nmf":
+            S1 = project_simplex_columns(gram_multiplicative(P, S0))
+        else:
+            S1 = project_simplex_columns(S0 + gram_step(P, S0, cfg.mu))
         assert np.array_equal(result.A.data, A1)
         assert np.array_equal(result.S.data, S1)
         assert result.cost_trace == [gram_objective(image_energy(Y), P, S1, S1 @ S1.T)]
@@ -339,7 +343,7 @@ class TestGramForm:
         worst = max(worst, float(np.max(np.abs(np.subtract(recorded, direct)))))
         assert worst < 1e-9
 
-    @pytest.mark.parametrize("variant", ["nmf", "distributed"])
+    @pytest.mark.parametrize("variant", ["nmf", "fcls", "distributed"])
     def test_converging_run_stops_where_the_residual_form_would(self, scenes, variant):
         scene, A0, S0 = scenes[25.0]
         Y = scene.Y.data
@@ -357,7 +361,7 @@ class TestGramForm:
         assert np.all(steps[:-1] >= cfg.eps) and steps[-1] < cfg.eps
 
     def test_products_once_per_signature_update(self, monkeypatch):
-        # A loop preset reads the image once per iteration, in
+        # A preset that updates A reads the image once per iteration, in
         # signature_step; fcls forms its products once per run. Every matrix
         # product the image enters outside those two kernels is counted, so
         # a second pass over the image fails here.
@@ -386,19 +390,20 @@ class TestGramForm:
         A0.T @ image.data
         assert log["products"] == 1, "the probe must see a product outside the kernels"
 
+        log["products"] = 0
         fcls_abundances(image, A0)
         assert calls == {"signature_step": 0, "signature_products": 1}
+        assert log["products"] == 0
         for variant in AlgorithmVariant:
             calls.update(signature_step=0, signature_products=0)
             log["products"] = 0
             cfg = UnmixingConfig(variant=variant.value, max_iter=7, eps=1e-300)
             result = run_unmixing(image, cfg, A0, S0, split_clusters(5, 4, 8))
-            if PRESETS[variant].abundance_step == "exact":
-                assert result.iterations_run == 1
-                assert calls == {"signature_step": 0, "signature_products": 1}
-            else:
-                assert result.iterations_run == 7
+            assert result.iterations_run == 7
+            if PRESETS[variant].update_a:
                 assert calls == {"signature_step": 7, "signature_products": 0}
+            else:
+                assert calls == {"signature_step": 0, "signature_products": 1}
             assert log["products"] == 0
 
 
@@ -464,11 +469,11 @@ class TestGramFcls:
         assert np.all(lam >= -tol)
         assert np.all(np.where(S > 0, np.abs(lam), 0.0) <= tol)
 
-    def test_the_fcls_preset_runs_one_exact_solve(self):
+    def test_fcls_without_a_start_runs_one_exact_solve(self):
         rng = np.random.default_rng(59)
-        image, A, S0 = random_problem(rng, L=8, width=6, height=5)
+        image, A, _ = random_problem(rng, L=8, width=6, height=5)
         calls = []
-        result = run_unmixing(image, UnmixingConfig(variant="fcls"), A, S0,
+        result = run_unmixing(image, UnmixingConfig(variant="fcls"), A, None,
                               on_iteration=lambda *args: calls.append(args))
         P = signature_products(image.data, A)
         S, _ = gram_fcls(P)
@@ -483,10 +488,34 @@ class TestGramFcls:
         # with no passes every pixel keeps its starting vertex
         monkeypatch.setattr(unmix, "_FCLS_PASSES_PER_ENDMEMBER", 0)
         rng = np.random.default_rng(60)
-        image, A, S0 = random_problem(rng, L=8, width=6, height=5)
-        result = run_unmixing(image, UnmixingConfig(variant="fcls"), A, S0)
+        image, A, _ = random_problem(rng, L=8, width=6, height=5)
+        result = run_unmixing(image, UnmixingConfig(variant="fcls"), A, None)
         assert result.stop_reason is StopReason.MAX_ITER
         assert np.array_equal(np.sort(result.S.data, axis=0)[-1], np.ones(30))
+
+    @pytest.mark.parametrize("image_scale, signature_scale, what", [
+        (1.0, 1e160, "A\\^T A"),  # the products overflow
+        (1e155, 1.0, "objective"),  # |Y|^2 overflows, the products do not
+    ])
+    def test_an_overflowing_solve_raises_typed_error(self, image_scale, signature_scale, what):
+        rng = np.random.default_rng(61)
+        image, A, _ = random_problem(rng, L=8, width=6, height=5)
+        image = HyperspectralImage(image_scale * image.data, 6, 5)
+        with np.errstate(over="ignore"), pytest.raises(NumericalFailureError, match=what):
+            run_unmixing(image, UnmixingConfig(variant="fcls"), signature_scale * A, None)
+
+    @pytest.mark.parametrize("variant", [v.value for v in AlgorithmVariant if v is not AlgorithmVariant.FCLS])
+    def test_only_fcls_runs_without_a_start(self, variant):
+        rng = np.random.default_rng(62)
+        image, A, _ = random_problem(rng, L=8, width=6, height=5)
+        with pytest.raises(ValueError, match="start abundances"):
+            run_unmixing(image, UnmixingConfig(variant=variant), A, None, split_clusters(6, 5, 8))
+
+    def test_fcls_without_a_start_checks_the_band_count(self):
+        rng = np.random.default_rng(63)
+        image, A, _ = random_problem(rng, L=8, width=6, height=5)
+        with pytest.raises(ValueError, match="incompatible shapes"):
+            run_unmixing(image, UnmixingConfig(variant="fcls"), A[:-1], None)
 
 
 class CountedImage(np.ndarray):
