@@ -4,7 +4,9 @@ Every angle (SAD, AAD and the matching's costs) comes from one kernel,
 ``_column_angles``. Estimated endmembers come back in arbitrary order, so
 evaluation first finds the assignment between true and estimated columns
 that minimizes the total spectral angle, then scores signatures and
-abundances under that alignment.
+abundances under that alignment. The assignment is solved exactly by the
+Hungarian method in ``_min_cost_assignment``, so the module needs nothing
+from SciPy.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 from typing import List
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .types import as_matrix
 
@@ -82,7 +83,7 @@ def match_endmembers(A_true, A_est) -> np.ndarray:
     """Assignment of estimated to true columns minimizing the total spectral angle.
 
     Returns ``perm`` with ``perm[j]`` the true-column index matched to
-    estimated column j. Solved exactly via the Hungarian method.
+    estimated column j. Solved exactly by :func:`_min_cost_assignment`.
     """
     true = as_matrix(A_true, "true signatures")
     est = as_matrix(A_est, "estimated signatures")
@@ -90,11 +91,71 @@ def match_endmembers(A_true, A_est) -> np.ndarray:
         raise ValueError("signature matrices must have equal shapes")
     c = true.shape[1]
     i, j = np.divmod(np.arange(c * c), c)
-    cost = _column_angles(true[:, i], est[:, j]).reshape(c, c)
-    rows, cols = linear_sum_assignment(cost)
-    perm = np.empty(c, dtype=np.int64)
-    perm[cols] = rows
-    return perm
+    return _min_cost_assignment(_column_angles(true[:, i], est[:, j]).reshape(c, c))
+
+
+def _min_cost_assignment(cost) -> np.ndarray:
+    """Row assigned to each column of a square cost matrix, at the least total cost.
+
+    Shortest augmenting paths over reduced costs with row and column
+    potentials: the Hungarian method in the form of Crouse (IEEE TAES 2016)
+    that SciPy's ``linear_sum_assignment`` implements, O(c^3). Each row joins
+    by a Dijkstra search whose scan over the columns not yet reached is one
+    vector operation. The scan order, the tie rule (of the nearest columns,
+    the last unmatched one after the first in scan order, else the first)
+    and the order of every floating-point operation are SciPy's, so ties are
+    broken as SciPy breaks them. A non-finite cost raises ``ValueError``.
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    c = cost.shape[0]
+    if cost.shape != (c, c):
+        raise ValueError("the cost matrix must be square")
+    if not np.all(np.isfinite(cost)):
+        raise ValueError("the cost matrix must be finite")
+    u = np.zeros(c)  # row potentials
+    v = np.zeros(c)  # column potentials
+    col_of_row = np.full(c, -1, dtype=np.int64)
+    row_of_col = np.full(c, -1, dtype=np.int64)
+    prev_row = np.full(c, -1, dtype=np.int64)  # row before each column on its shortest path
+    for new_row in range(c):
+        scan = np.arange(c - 1, -1, -1)  # the columns not yet reached, in scan order
+        n_open = c
+        dist = np.full(c, np.inf)
+        rows_seen = np.zeros(c, dtype=bool)
+        cols_reached = np.zeros(c, dtype=bool)
+        reach = 0.0
+        row = new_row
+        while True:
+            rows_seen[row] = True
+            cols = scan[:n_open]
+            via_row = reach + cost[row, cols] - u[row] - v[cols]
+            closer = via_row < dist[cols]
+            prev_row[cols[closer]] = row
+            dist[cols[closer]] = via_row[closer]
+            d = dist[cols]
+            reach = d.min()
+            ties = np.flatnonzero(d == reach)
+            free = ties[1:][row_of_col[cols[ties[1:]]] < 0]
+            pick = free[-1] if free.size else ties[0]
+            col = cols[pick]
+            cols_reached[col] = True
+            n_open -= 1
+            scan[pick] = scan[n_open]
+            if row_of_col[col] < 0:
+                break
+            row = row_of_col[col]
+        u[new_row] += reach
+        rows_seen[new_row] = False
+        u[rows_seen] += reach - dist[col_of_row[rows_seen]]
+        v[cols_reached] -= reach - dist[cols_reached]
+        # augment: each row on the path moves to the column it reached
+        while True:
+            row = prev_row[col]
+            row_of_col[col] = row
+            col_of_row[row], col = col, col_of_row[row]
+            if row == new_row:
+                break
+    return row_of_col
 
 
 def evaluate_matrices(A_true, S_true, A_est, S_est) -> EvaluationReport:

@@ -1,9 +1,11 @@
 """Synthetic scene generation for controlled unmixing experiments.
 
 A scene starts from randomly chosen library signatures, lays them out in
-square single-material patches, smooths the abundance planes with a uniform
-filter to create mixed pixels, caps the maximum purity, and adds white
-Gaussian noise scaled to an exact signal-to-noise ratio.
+square single-material patches, smooths the abundance planes with a moving
+average to create mixed pixels, caps the maximum purity, and adds white
+Gaussian noise scaled to an exact signal-to-noise ratio. The moving average
+takes its sums in the order of SciPy's ``ndimage.uniform_filter`` with
+``mode="nearest"``, so it gives the same bits without importing SciPy.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 from .fileio import read_spectral_library
 from .types import (
@@ -32,6 +33,10 @@ SCENE_HEIGHT = 40
 SCENE_PATCH = 8  # side of the single-material blocks
 SCENE_FILTER = 7  # side of the smoothing window
 SCENE_PURITY_CAP = 0.8
+
+# the noise scaling tests and clips the image in blocks of rows of about this
+# many bytes, so its temporaries stay small next to the image
+_NOISE_BLOCK_BYTES = 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -70,10 +75,11 @@ def generate_synthetic(
     single signature; when there are at least ``c`` blocks, every signature
     is guaranteed at least one block so the ground truth never contains an
     endmember that is absent from the scene. The one-hot abundance planes
-    are smoothed with a ``filter_size`` x ``filter_size`` uniform filter
-    (replicated edges) and renormalized. Columns whose maximum abundance
-    exceeds ``purity_cap`` are blended toward the uniform mixture at the
-    smallest rate that satisfies the cap (set ``purity_cap=1`` to disable).
+    are smoothed with a ``filter_size`` x ``filter_size`` moving average
+    (replicated edges, :func:`_moving_average`) and renormalized. Columns
+    whose maximum abundance exceeds ``purity_cap`` are blended toward the
+    uniform mixture at the smallest rate that satisfies the cap (set
+    ``purity_cap=1`` to disable).
 
     Noise is white Gaussian, truncated where it would push an entry of Y
     below zero and rescaled so that
@@ -108,7 +114,7 @@ def generate_synthetic(
     label_img = label_img[:height, :width]
 
     planes = (label_img[None, :, :] == np.arange(c)[:, None, None]).astype(np.float64)
-    planes = uniform_filter(planes, size=(1, filter_size, filter_size), mode="nearest")
+    planes = _moving_average(planes, filter_size)
     # the moving average of a 0/1 plane lives in [0, 1]; rounding can leave
     # values a few ulp outside, which the simplex constraint does not forgive
     planes = np.maximum(planes, 0.0)
@@ -185,6 +191,28 @@ def _power_ratio(snr_db: float) -> float:
         return math.inf
 
 
+def _moving_average(planes: np.ndarray, f: int) -> np.ndarray:
+    """Mean over the f x f window around each pixel of every plane, edges repeated.
+
+    Each line along axis 1, then along axis 2, is extended by f // 2 copies
+    of its first entry and f - f // 2 - 1 of its last. The first window is
+    summed from zero, each next one adds the entry entering the window minus
+    the one leaving it (a sequential ``cumsum``), and every sum is divided by
+    f. This is the order of SciPy's ``uniform_filter1d``, so the result
+    matches ``uniform_filter(planes, size=(1, f, f), mode="nearest")`` bit
+    for bit; a running mean or the other axis order would not.
+    """
+    if f == 1:
+        return planes
+    for axis in (1, 2):
+        lines = np.moveaxis(planes, axis, -1)
+        n = lines.shape[-1]
+        ext = lines[..., np.clip(np.arange(-(f // 2), n + f - f // 2 - 1), 0, n - 1)]
+        sums = np.cumsum(np.concatenate([ext[..., :f], ext[..., f:] - ext[..., :n - 1]], axis=-1), axis=-1)
+        planes = np.moveaxis(sums[..., f - 1:] / f, -1, axis)
+    return planes
+
+
 def _scaled_truncated_noise(product: np.ndarray, draw: np.ndarray, snr_db: float) -> np.ndarray:
     """Scale ``draw`` so the realized SNR after truncation matches ``snr_db``.
 
@@ -195,6 +223,11 @@ def _scaled_truncated_noise(product: np.ndarray, draw: np.ndarray, snr_db: float
     solved, the entries it truncates join T, and the step repeats until T
     stops growing; T only grows, so this ends, and the scale never shrinks,
     so every entry of T stays truncated at the final scale.
+
+    ``draw`` is scaled in place and returned as the noise. The truncation
+    test and the clipping run over blocks of rows of ``_NOISE_BLOCK_BYTES``,
+    so the only image-sized temporaries are the squares summed for the
+    energies, one at a time.
     """
     signal_energy = float(np.sum(product * product))
     if signal_energy == 0:
@@ -203,18 +236,24 @@ def _scaled_truncated_noise(product: np.ndarray, draw: np.ndarray, snr_db: float
     if not math.isfinite(target):
         raise ValueError(f"snr_db = {snr_db:g} asks for a noise energy beyond the range of a double")
 
-    truncated = np.zeros(product.shape, dtype=bool)
     truncated_energy, free_energy = 0.0, float(np.sum(draw * draw))
+    rows = max(1, _NOISE_BLOCK_BYTES // draw[0].nbytes)
+    blocks = [slice(r, r + rows) for r in range(0, len(draw), rows)]
+    truncated = np.zeros(product.shape, dtype=bool)
+    grown = np.empty_like(truncated)
     while True:
         if free_energy == 0:
             raise ValueError("no untruncated noise entry is left to scale")
         scale = np.sqrt((target - truncated_energy) / free_energy)
-        grown = truncated | (scale * draw < -product)
+        for b in blocks:
+            np.logical_or(truncated[b], scale * draw[b] < -product[b], out=grown[b])
         if np.array_equal(grown, truncated):
             break
-        truncated = grown
+        truncated, grown = grown, truncated
         truncated_energy = float(np.sum(product[truncated] ** 2))
         free_energy = float(np.sum(np.square(draw), where=~truncated))
     # p + s < 0 exactly when s < -p, so this is the truncation rule above
-    noise = scale * draw
-    return np.maximum(noise, -product, out=noise)
+    noise = np.multiply(scale, draw, out=draw)
+    for b in blocks:
+        np.maximum(noise[b], -product[b], out=noise[b])
+    return noise

@@ -4,8 +4,9 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
-from hsunmix.metrics import aad, evaluate_matrices, match_endmembers, sad
+from hsunmix.metrics import _min_cost_assignment, aad, evaluate_matrices, match_endmembers, sad
 from hsunmix.synth import bundled_library
 
 
@@ -82,6 +83,65 @@ class TestMatchEndmembers:
                 best_cost, best = cost, perm
         got_cost = sum(sad(A_true[:, got[j]], A_est[:, j]) for j in range(c))
         assert got_cost == pytest.approx(best_cost, rel=1e-12)
+
+
+def scipy_assignment(cost):
+    """SciPy's answer in ``_min_cost_assignment``'s form: the row assigned to each column."""
+    rows, cols = linear_sum_assignment(cost)
+    perm = np.empty(len(cols), dtype=np.int64)
+    perm[cols] = rows
+    return perm
+
+
+class TestMinCostAssignment:
+    """The package's Hungarian solver against SciPy's, which only the tests import."""
+
+    @pytest.mark.parametrize("c", range(1, 17))
+    def test_same_permutation_as_scipy(self, c):
+        rng = np.random.default_rng(100 + c)
+        for scale in (1e-3, 1.0, np.pi, 1e3):
+            for _ in range(15):
+                cost = scale * rng.random((c, c))
+                got = _min_cost_assignment(cost)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, scipy_assignment(cost))
+
+    @pytest.mark.parametrize("name", ["constant", "duplicated columns", "few values", "negative"])
+    def test_same_permutation_as_scipy_on_tied_inputs(self, name):
+        # many optimal assignments: SciPy's scan order and tie rule pick one
+        rng = np.random.default_rng(7)
+        for c in range(1, 13):
+            cost = {
+                "constant": np.full((c, c), 2.0),
+                "duplicated columns": rng.random((c, c))[:, rng.integers(0, c, size=c)],
+                "few values": rng.integers(0, 2, size=(c, c)).astype(np.float64),
+                "negative": -rng.integers(0, 3, size=(c, c)).astype(np.float64),
+            }[name]
+            got = _min_cost_assignment(cost)
+            assert sorted(got.tolist()) == list(range(c))
+            assert np.array_equal(got, scipy_assignment(cost)), cost
+
+    def test_one_by_one(self):
+        assert _min_cost_assignment(np.array([[0.25]])).tolist() == [0]
+        a = np.array([[0.3], [0.5], [0.2]])
+        assert match_endmembers(a, 2.0 * a).tolist() == [0]
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_cost_rejected_like_scipy(self, bad):
+        cost = np.random.default_rng(3).random((4, 4))
+        cost[2, 1] = bad
+        with pytest.raises(ValueError):
+            linear_sum_assignment(cost)
+        with pytest.raises(ValueError, match="finite"):
+            _min_cost_assignment(cost)
+
+    def test_infinite_cost_rejected(self):
+        # SciPy reads +inf as a forbidden pair; no angle is infinite, so the
+        # package rejects it like any other non-finite cost
+        cost = np.ones((3, 3))
+        cost[0, 0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            _min_cost_assignment(cost)
 
 
 class TestEvaluateMatrices:
