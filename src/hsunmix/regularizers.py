@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix, diags, identity, kron
 
 from .errors import DegenerateDataError
 from .types import ClusterAssignment, HyperspectralImage, as_matrix
@@ -24,6 +23,10 @@ SPARSITY_GUARD = 1e-12  # keeps the q-norm gradient finite at exact zeros
 # unchanged by the simplex projection, which makes it exactly idempotent in
 # floating point. The slack is far below every consumer tolerance.
 _FEASIBLE_SLACK = 64 * np.finfo(np.float64).eps
+
+# The king moves (dy, dx) of the pixel graph, one weight plane each, sorted
+# by the neighbor's offset dy * width + dx in the row-major pixel order.
+OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
 
 def estimate_sparsity_weight(Y) -> float:
@@ -48,40 +51,56 @@ def estimate_sparsity_weight(Y) -> float:
     return float(max(terms.sum() / np.sqrt(n_bands), 0.0))
 
 
-def build_neighborhood(width: int, height: int) -> csr_matrix:
-    """8-connected adjacency of a width x height grid, pixels row-major.
+def build_neighborhood(width: int, height: int) -> np.ndarray:
+    """8-connected adjacency of a width x height grid, as 0/1 weight planes.
 
-    An N x N CSR matrix in canonical form (sorted columns, no duplicates)
-    with a stored 1 for each neighbor pair, symmetric, with an empty
-    diagonal. Interior pixels get 8 neighbors, edge pixels 5, corner pixels
-    3. A 1x1 grid yields an empty matrix.
-
-    The king-move grid is (B_h kron B_w) - I, with B_m the m x m tridiagonal
-    matrix of ones. Both terms are CSR, so the difference drops the
-    cancelled diagonal; a default-format kron would keep it stored.
+    An ``(8, height, width)`` array: plane o holds 1 at every pixel whose
+    neighbor at king move ``OFFSETS[o]`` lies on the grid, and 0 where that
+    neighbor would fall off it. Interior pixels get 8 neighbors, edge pixels
+    5, corner pixels 3, and a 1x1 grid none. The planes run in the sorted
+    order of the neighbors' row-major indices (NW, N, NE, W, E, SW, S, SE),
+    the order in which pixel k's row of the N x N adjacency matrix lists them.
     """
     if width < 1 or height < 1:
         raise ValueError("grid dimensions must be positive")
-    band_h, band_w = (diags([1.0, 1.0, 1.0], [-1, 0, 1], shape=(m, m)) for m in (height, width))
-    return kron(band_h, band_w, format="csr") - identity(width * height, format="csr")
+    planes = np.ones((len(OFFSETS), height, width))
+    for plane, (dy, dx) in zip(planes, OFFSETS):
+        if dy:
+            plane[0 if dy < 0 else -1] = 0.0
+        if dx:
+            plane[:, 0 if dx < 0 else -1] = 0.0
+    return planes
 
 
-def neighbor_weights(image, clusters: Optional[ClusterAssignment] = None) -> csr_matrix:
-    """Cosine-similarity weights on the 8-connected grid of ``image``, normalized per row.
+def grid_pairs(width: int, height: int):
+    """The neighbor pairs of a width x height grid, in the row-major order of the N x N matrix.
 
-    ``image`` is a :class:`HyperspectralImage`; its grid is
-    ``build_neighborhood(image.width, image.height)``, and the result has the
-    stored entries of that grid as its pattern. The weight of neighbor j for
-    pixel k is the cosine similarity of their spectra divided by the summed
-    similarity over all neighbors of k, so the weights of every pixel sum
-    to 1. A 1x1 image has no neighbors and gets an empty 1x1 matrix.
+    Returns ``(pixel, move, neighbor, starts)``: for every pair the pixel,
+    the index in ``OFFSETS`` of the move to its neighbor, and the neighbor's
+    pixel index, sorted by pixel and then by neighbor; and the index where
+    each pixel's pairs start.
+    """
+    pixel, move = np.nonzero(build_neighborhood(width, height).reshape(len(OFFSETS), -1).T)
+    shifts = np.array([dy * width + dx for dy, dx in OFFSETS])
+    return pixel, move, pixel + shifts[move], np.searchsorted(pixel, np.arange(width * height))
+
+
+def neighbor_weights(image, clusters: Optional[ClusterAssignment] = None) -> np.ndarray:
+    """Cosine-similarity weights on the 8-connected grid of ``image``, normalized per pixel.
+
+    ``image`` is a :class:`HyperspectralImage`. The result has the shape and
+    layout of ``build_neighborhood(image.width, image.height)``: entry
+    ``[o, y, x]`` is the weight of the neighbor at ``OFFSETS[o]`` of pixel
+    (y, x), and 0 where that neighbor is off the grid. The weight of neighbor
+    j for pixel k is the cosine similarity of their spectra divided by the
+    summed similarity over all neighbors of k, so the weights of every pixel
+    sum to 1. A 1x1 image has no neighbors and gets all-zero planes.
 
     With ``clusters`` given, the weights to neighbors in another cluster are
-    then set to zero, kept as explicit zeros so the pattern stays, and the
-    coupling only sees same-cluster neighbors; the remaining weights are not
-    renormalized. The spectral dot products are formed N / 8 stored entries
-    at a time, so the two gathered blocks of spectra hold a quarter of the
-    image between them.
+    then set to zero, and the coupling only sees same-cluster neighbors; the
+    remaining weights are not renormalized. The spectral dot products are
+    formed N / 8 neighbor pairs at a time, so the two gathered blocks of
+    spectra hold a quarter of the image between them.
     """
     if not isinstance(image, HyperspectralImage):
         raise ValueError("image must be a HyperspectralImage")
@@ -91,44 +110,52 @@ def neighbor_weights(image, clusters: Optional[ClusterAssignment] = None) -> csr
     norms = np.sqrt((arr * arr).sum(axis=0))
     if np.any(norms == 0):
         raise DegenerateDataError("image contains a zero-spectrum pixel")
+    planes = np.zeros((len(OFFSETS), image.height, image.width))
     if n == 1:
-        return csr_matrix((1, 1))
-    adjacency = build_neighborhood(image.width, image.height)
-    indptr, dst = adjacency.indptr, adjacency.indices
-    src = np.repeat(np.arange(n), np.diff(indptr))
+        return planes
+    src, move, dst, starts = grid_pairs(image.width, image.height)
     dots = np.empty(dst.size)
     chunk = max(1, n // 8)
     for start in range(0, dst.size, chunk):
         part = slice(start, start + chunk)
         dots[part] = np.einsum("ij,ij->j", arr[:, src[part]], arr[:, dst[part]])
     theta = dots / (norms[src] * norms[dst])
-    denom = np.add.reduceat(theta, indptr[:-1])
+    denom = np.add.reduceat(theta, starts)
     if np.any(denom == 0):
         raise DegenerateDataError("a pixel has zero total similarity to its neighbors")
     weights = theta / denom[src]
     if clusters is not None:
         weights = weights * (clusters.labels[src] == clusters.labels[dst])
-    return csr_matrix((weights, dst, indptr), shape=(n, n))
+    planes.reshape(len(OFFSETS), n)[move, src] = weights
+    return planes
 
 
-def project_simplex_columns(V) -> np.ndarray:
+def project_simplex_columns(V, support=None) -> np.ndarray:
     """Euclidean projection of every column of V onto the unit simplex.
 
     Michelot's active-set iteration (Math. Programming 1986; see Condat,
     Math. Programming 2016), on all columns at once: column v projects to
     max(v - tau, 0), with tau the mean excess over 1 of the entries above
-    tau. No sort; each pass is a few c x N operations, and at most c passes
-    run (``_michelot_threshold``). The projection commutes with shifts along
-    the ones vector, so every column is measured from its top entry, which
-    keeps the threshold's rounding at the scale of the simplex whatever the
-    column's size. Columns that already satisfy the constraints
+    tau. No sort; each pass is a few c x N operations, and at most c + 1
+    passes run (``_michelot_threshold``). The projection commutes with shifts
+    along the ones vector, so every column is measured from its top entry,
+    which keeps the threshold's rounding at the scale of the simplex whatever
+    the column's size. Columns that already satisfy the constraints
     (nonnegative, sum within a few ulps of 1) are returned unchanged, so the
     projection is exactly idempotent. A column holding NaN or an infinity
     raises ``ValueError``.
+
+    ``support`` is an optional hint, an array of V's shape that is nonzero on
+    a guess of every column's support, such as the support of the previous
+    iterate of a solver. The iteration then starts from the mean excess of
+    the guessed entries; a column without a guessed entry starts as without
+    a hint. The result is the same, bit for bit; a good guess saves passes.
     """
     V = np.asarray(V, dtype=np.float64)
     if V.ndim != 2:
         raise ValueError("expected a 2-D array of column vectors")
+    if support is not None and np.shape(support) != V.shape:
+        raise ValueError(f"support has shape {np.shape(support)}, the columns {V.shape}")
     top = V.max(axis=0)
     bottom = V.min(axis=0)
     # max and min propagate NaN, so between them they see every non-finite entry
@@ -150,7 +177,7 @@ def project_simplex_columns(V) -> np.ndarray:
     # -1 is in a support: the clamp changes no result, and it keeps an entry
     # that overflowed to -inf out of the masked sums (0 * -inf is NaN).
     np.maximum(X, -1.0, out=X)
-    tau, _ = _michelot_threshold(X)
+    tau, _ = _michelot_threshold(X, support)
     np.subtract(X, tau, out=X)
     np.maximum(X, 0.0, out=X)
     if feasible.any():
@@ -158,32 +185,39 @@ def project_simplex_columns(V) -> np.ndarray:
     return X
 
 
-def _michelot_threshold(X):
+def _michelot_threshold(X, support=None):
     """The threshold tau of every column of X, and the passes it took.
 
     Every column of X is measured from its top entry, so that entry is 0,
-    and clamped at -1. For every set of entries that holds the support, the
-    mean excess over 1 of its entries is at most tau; the whole column gives
-    one such bound, at least -1 = top - 1 after the clamp, and the first
-    active set is the entries above it. Each pass sets tau to the mean excess
-    of the active entries and drops the entries at or below it; tau only
-    rises, so the active set only shrinks, and the iteration stops at the
-    first pass that leaves every set as it was. A set of two or more
-    entries, all above top - 1, never shrinks to the top entry alone, so a
-    column runs through at most c - 1 sets of two or more and one pass
-    confirms the last: the loop is capped at c passes.
+    and clamped at -1. For every nonempty set I of entries, the mean excess
+    (sum_I x - 1) / |I| is at most tau: the entries of the support exceed
+    tau by 1 in sum, and no other entry exceeds it. The first bound is that
+    of the guessed support, or of the whole column where there is no guess,
+    and the first active set is the entries above it. Each pass sets tau to
+    the mean excess of the active entries; tau only rises, so the active set
+    only shrinks, and the iteration stops at the first pass that leaves every
+    tau as it was, when the next set would be the current one. A column runs
+    through at most c nested sets, and one pass confirms the last: the loop
+    is capped at c + 1 passes. The last tau is always the mean excess of the
+    final set, formed the same way, so every start gives the same bits.
     """
-    c, n = X.shape
+    c = X.shape[0]
     mask = np.empty_like(X)  # the active entries as 0/1, then those entries
-    tau = (X.sum(axis=0) - 1.0) / c
-    count = np.zeros(n)  # every active set holds the top entry, so no count is 0
-    for passes in range(1, c + 1):
-        np.greater(X, tau, out=mask, casting="unsafe")
-        active = mask.sum(axis=0)
-        if (active == count).all():
-            break
-        count = active
+    if support is None:
+        tau = (X.sum(axis=0) - 1.0) / c
+    else:
+        np.not_equal(support, 0, out=mask, casting="unsafe")
+        count = mask.sum(axis=0)
+        if not count.all():  # a column without a guessed entry starts from all of them
+            mask[:, count == 0] = 1.0
+            count = mask.sum(axis=0)
         tau = (np.multiply(mask, X, out=mask).sum(axis=0) - 1.0) / count
+    for passes in range(1, c + 2):
+        np.greater(X, tau, out=mask, casting="unsafe")
+        count = mask.sum(axis=0)
+        tau, previous = (np.multiply(mask, X, out=mask).sum(axis=0) - 1.0) / count, tau
+        if (tau == previous).all():
+            break
     return tau, passes
 
 

@@ -14,8 +14,9 @@ Shape conventions used throughout the package:
 * abundances      -- (endmembers c, pixels N), one simplex vector per column
 * memberships     -- (clusters C, pixels N)
 
-The pixel graph, an N x N scipy CSR matrix whose row k holds pixel k's
-neighbors, lives in :mod:`hsunmix.regularizers`.
+The pixel graph lives in :mod:`hsunmix.regularizers` as weight planes,
+(8, height, width), one per king move: entry [o, y, x] is the weight of
+pixel (y, x)'s neighbor at that move, 0 where it would be off the grid.
 """
 
 from __future__ import annotations

@@ -50,17 +50,19 @@ kernels only through A^T Y and A^T A (``Products``), by the Gram identities
     |Y - A S|^2   = |Y|^2 - 2 <A^T Y, S> + <A^T A, S S^T>
 
 and the coupling term of the objective by the identity derived in
-``Coupling``, for the neighbor operator W: the CSR matrix ``neighbor_weights``
-forms from the image on its 8-connected grid, cluster-gated for the cluster
-mask. |Y|^2 and W, with its row sums W 1, its spread W 1 + W^T 1 and eta
+``Coupling``, for the neighbor operator W: the N x N matrix whose row k
+holds pixel k's weights on the 8-connected grid of the image, cluster-gated
+for the cluster mask. ``neighbor_weights`` forms it as eight weight planes,
+one per king move, and ``coupling_pull`` applies it with one multiply-add
+per plane. |Y|^2 and W, with its row sums W 1, its spread W 1 + W^T 1 and eta
 (``coupling``), are formed once per run. For the presets that update A,
 ``signature_step`` forms the new A and its A^T Y and A^T A in one pass over
 the image, every iteration; ``fcls`` forms A^T Y and A^T A once per run
 (``signature_products``). The abundance Gram matrix S S^T and the coupling
 pull S W^T (``coupling_pull``) are formed once per iteration, after the
 projection, and read by the objective and by the next step. The rest of an
-iteration is c x N work, products with the sparse W included, apart from
-the one pass of ``signature_step`` over the L x N image.
+iteration is c x N work, the pull included, apart from the one pass of
+``signature_step`` over the L x N image.
 
 The Gram form of the residual rounds at about machine epsilon times |Y|^2,
 not times |Y - A S|^2. On 40 x 40 scenes with |Y|^2 of about 2e4, noiseless
@@ -83,11 +85,12 @@ from enum import Enum
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .errors import NumericalFailureError
 from .regularizers import (
+    OFFSETS,
     estimate_sparsity_weight,
+    grid_pairs,
     neighbor_weights,
     project_simplex_columns,
     sparsity_gradient,
@@ -112,6 +115,7 @@ DIVERGENCE_BOUND = 1.0 / np.finfo(np.float64).eps
 # products. Below _MIN_BLOCK_BANDS rows a block saves less than the extra
 # calls cost, and the image is read as one block. Both were chosen by timing
 # the kernel at 224 bands on 24 x 24 to 200 x 200 scenes (BENCH_21.json).
+# ``coupling_pull`` takes the pixels in blocks of the same size.
 _BLOCK_BYTES = 1024 * 1024
 _MIN_BLOCK_BANDS = 16
 # ``gram_fcls`` stops after this many passes per endmember, the iteration
@@ -180,7 +184,7 @@ def global_cost(Y, A, S) -> float:
 class Coupling(NamedTuple):
     """The coupling: neighbor operator W, strength ``eta`` and what the kernels read of W.
 
-    ``gram_objective`` forms the coupling term from one sparse product:
+    ``gram_objective`` forms the coupling term from one product with W:
     expanding |s_k - s_j|^2 = |s_k|^2 + |s_j|^2 - 2 <s_k, s_j>, the first two
     terms weighted by W[k, j] sum to <W 1, |s|^2> and <W^T 1, |s|^2>, and the
     third to -2 <S, S W^T>, so
@@ -192,16 +196,28 @@ class Coupling(NamedTuple):
     about machine epsilon times eta <spread, |s|^2>, not times the term.
     """
 
-    W: csr_matrix
+    W: np.ndarray  # the (8, height, width) weight planes of ``neighbor_weights``
     degree: np.ndarray  # W 1, the summed weight of each row
     spread: np.ndarray  # W 1 + W^T 1, each pixel's weight as sender and receiver
     eta: float  # the coupling strength
 
 
-def coupling(W: csr_matrix, eta: float) -> Coupling:
-    """Bundle W with its row sums, its row-plus-column sums and its strength ``eta``."""
-    degree = np.asarray(W.sum(axis=1)).ravel()
-    return Coupling(W, degree, degree + np.asarray(W.sum(axis=0)).ravel(), eta)
+def coupling(W, eta: float) -> Coupling:
+    """Bundle the weight planes W with their row sums, row-plus-column sums and ``eta``.
+
+    The sums run over every neighbor on the grid in the order of the N x N
+    matrix, cluster-gated zeros included: a row's weights by
+    ``np.add.reduceat``, a column's in ascending row order by
+    ``np.bincount``. These are the orders in which a sparse matrix library
+    sums the rows and columns of W stored in compressed-row form.
+    """
+    W = np.ascontiguousarray(W, dtype=np.float64)
+    _, height, width = W.shape
+    n = height * width
+    src, move, dst, starts = grid_pairs(width, height)
+    stored = W.reshape(len(OFFSETS), n)[move, src]
+    degree = np.add.reduceat(stored, starts) if stored.size else np.zeros(n)
+    return Coupling(W, degree, degree + np.bincount(dst, stored, minlength=n), eta)
 
 
 class Products(NamedTuple):
@@ -224,11 +240,37 @@ def image_energy(Y) -> float:
 def coupling_pull(graph: Coupling, S) -> np.ndarray:
     """S W^T: column k is the weighted sum of pixel k's neighbor columns.
 
-    scipy's sparse product is faster on a C-ordered dense operand than on
-    the F-ordered view S.T, so S^T goes in as a C-ordered copy (c x N, the
-    same bits).
+    One multiply-add per weight plane. In the row-major pixel order the
+    neighbor at (dy, dx) of pixel k is pixel k + dy * width + dx, so with the
+    rows of S laid end to end between zero margins of width + 1, every plane
+    multiplies one contiguous c x N window, shifted by that offset. Where a
+    neighbor is off the grid the plane's weight is 0: the value the window
+    reads there (a margin zero, a pixel at the other end of an image row, or
+    one of the adjacent row of S) is finite, so it adds an exact 0. The
+    planes are added in offset order to a zeroed sum, the order in which a
+    compressed-row sparse product sums row k of W, so the result has its
+    bits. The pixels are taken in blocks whose sum, product and window hold
+    ``_BLOCK_BYTES`` between them, so each block's eight multiply-adds run
+    in cache.
     """
-    return (graph.W @ np.ascontiguousarray(S.T)).T
+    c, n = S.shape
+    width = graph.W.shape[2]
+    margin = width + 1
+    flat = np.zeros(c * n + 2 * margin)
+    flat[margin:margin + c * n] = S.ravel()
+    starts = [margin + dy * width + dx for dy, dx in OFFSETS]
+    windows = [flat[start:start + c * n].reshape(c, n) for start in starts]
+    planes = graph.W.reshape(len(OFFSETS), n)
+    block = max(1, _BLOCK_BYTES // (3 * flat.itemsize * c))
+    pull = np.zeros((c, n))
+    term = np.empty((c, min(block, n)))
+    for start in range(0, n, block):
+        b = slice(start, start + block)
+        part = pull[:, b]
+        product = term[:, :part.shape[1]]
+        for plane, window in zip(planes, windows):
+            part += np.multiply(plane[b], window[:, b], out=product)
+    return pull
 
 
 def gram_step(
@@ -465,9 +507,10 @@ def run_unmixing(
 
     Every outer iteration updates the signatures (if the preset does),
     updates all abundance columns synchronously, projects each column onto
-    the simplex, and records the objective. The run stops when two
-    consecutive objectives differ by less than ``cfg.eps`` or after
-    ``cfg.max_iter`` iterations. An abundance update that is non-finite or
+    the simplex, and records the objective. The projection starts from the
+    support of the current iterate, which the new one most often keeps. The
+    run stops when two consecutive objectives differ by less than
+    ``cfg.eps`` or after ``cfg.max_iter`` iterations. An abundance update that is non-finite or
     reaches ``DIVERGENCE_BOUND`` in size has diverged and raises
     :class:`NumericalFailureError` before the projection sees it.
 
@@ -516,13 +559,15 @@ def run_unmixing(
     for iteration in range(1, cfg.max_iter + 1):
         if preset.update_a:
             A, products = signature_step(Yd, A, S, gram)
+        # the projection starts from the support of the current iterate
+        support = S > 0
         if preset.multiplicative:
             S = gram_multiplicative(products, S)
         else:
             S = S + gram_step(products, S, cfg.mu, graph, lam, cfg.q, pull)
         if not np.abs(S).max() < DIVERGENCE_BOUND:
             raise NumericalFailureError(f"abundance update diverged at iteration {iteration}")
-        S = project_simplex_columns(S)
+        S = project_simplex_columns(S, support=support)
         gram = S @ S.T
         if graph is not None:
             pull = coupling_pull(graph, S)

@@ -10,17 +10,22 @@ pixel k count.
 
 import numpy as np
 
-from hsunmix.regularizers import sparsity_gradient, sparsity_norm
+from hsunmix.regularizers import OFFSETS, sparsity_gradient, sparsity_norm
 
 
 def masked_neighbors(k, W, clusters=None):
-    """Neighbors of pixel k and their weights (row k of the CSR matrix W),
-    restricted to its cluster."""
+    """Neighbors of pixel k on the grid and their weights, read from the
+    weight planes W (row k of the network), restricted to its cluster."""
     if W is None:
         raise ValueError("coupling needs a neighbor graph")
-    row = slice(W.indptr[k], W.indptr[k + 1])
-    neighbors = W.indices[row]
-    weights = W.data[row]
+    _, height, width = W.shape
+    y, x = divmod(k, width)
+    moves = [
+        (o, y + dy, x + dx) for o, (dy, dx) in enumerate(OFFSETS)
+        if 0 <= y + dy < height and 0 <= x + dx < width
+    ]
+    neighbors = np.array([ny * width + nx for _, ny, nx in moves], dtype=np.intp)
+    weights = np.array([W[o, y, x] for o, _, _ in moves])
     if clusters is not None:
         keep = clusters.labels[neighbors] == clusters.labels[k]
         neighbors = neighbors[keep]

@@ -1,11 +1,15 @@
-"""The README's quick start runs as written and prints the summary it shows, and its spec-key
-table names every experiment spec field."""
+"""The README's quick start runs as written, with or without SciPy installed, and prints the
+summary it shows, and its spec-key table names every experiment spec field."""
 
+import os
 import re
 import shlex
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
+import hsunmix.cli
 from hsunmix.cli import main
 from hsunmix.experiment import ExperimentSpec
 
@@ -29,6 +33,25 @@ def test_quick_start_prints_the_documented_summary(tmp_path, monkeypatch, capsys
         capsys.readouterr()
         assert main(argv[1:]) == 0
     assert capsys.readouterr().out.strip() == expected
+
+
+def test_quick_start_runs_without_scipy(tmp_path):
+    # a None entry in sys.modules makes every import of scipy raise ImportError
+    commands, expected = quick_start()
+    src = Path(hsunmix.cli.__file__).resolve().parent.parent
+    code = "\n".join([
+        "import sys",
+        "sys.modules['scipy'] = None",
+        "from hsunmix.cli import main",
+        f"for argv in {[argv[1:] for argv in commands]!r}:",
+        "    assert main(argv) == 0, argv",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == expected
 
 
 def test_the_spec_key_table_lists_every_spec_field():

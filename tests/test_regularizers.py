@@ -7,11 +7,13 @@ import warnings
 
 import numpy as np
 import pytest
+from pixel_oracle import masked_neighbors
 from sort_projection import SHIFT_BOUND, sort_projection
 
 from hsunmix.errors import DegenerateDataError
 from hsunmix.regularizers import (
     _michelot_threshold,
+    build_neighborhood,
     estimate_sparsity_weight,
     neighbor_weights,
     project_simplex,
@@ -72,8 +74,8 @@ class TestEstimateSparsityWeight:
 
 
 def row_weights(W, k):
-    """The stored weights of row k of the CSR matrix W, in column order."""
-    return W.data[W.indptr[k]:W.indptr[k + 1]]
+    """The weights of pixel k's grid neighbors in the planes W, in neighbor order."""
+    return masked_neighbors(k, W)[1]
 
 
 class TestNeighborWeights:
@@ -110,10 +112,16 @@ class TestNeighborWeights:
     def test_neighborless_last_pixel_keeps_an_empty_row(self):
         # on a grid, only the one pixel of a 1x1 image has no neighbors
         W = neighbor_weights(HyperspectralImage(np.array([[1.0], [0.5]]), 1, 1))
-        assert W.shape == (1, 1)
-        assert W.indptr.tolist() == [0, 0]
-        assert W.indices.tolist() == []
-        assert W.data.tolist() == []
+        assert W.shape == (8, 1, 1)
+        assert row_weights(W, 0).tolist() == []
+        assert not W.any()
+
+    def test_weights_lie_on_the_grid_of_the_image(self):
+        rng = np.random.default_rng(4)
+        W = neighbor_weights(HyperspectralImage(rng.random((3, 35)) + 0.05, 7, 5))
+        grid = build_neighborhood(7, 5)
+        assert W.shape == grid.shape
+        assert np.all((W > 0) == (grid > 0))
 
     def test_orthogonal_neighbors_degenerate(self):
         # all similarities are exactly zero: normalization is impossible
@@ -285,6 +293,86 @@ class TestMichelotProjection:
             warnings.simplefilter("error")
             P = project_simplex_columns(V)
         assert np.array_equal(P, [[1.0, 0.625, 1.0], [0.0, 0.0, 0.0], [0.0, 0.375, 0.0]])
+
+
+def support_guesses(rng, P):
+    """Guesses of the support of the projections P, one kind per key."""
+    c, n = P.shape
+    true = P > 0
+    single = np.zeros((c, n), dtype=bool)
+    single[rng.integers(0, c, size=n), np.arange(n)] = True
+    return {
+        "true": true,
+        "superset": true | (rng.random((c, n)) < 0.3),
+        "random": rng.random((c, n)) < 0.5,
+        "single entry": single,
+        "full": np.ones((c, n), dtype=bool),
+        "empty": np.zeros((c, n), dtype=bool),
+    }
+
+
+class TestWarmStartedProjection:
+    """``project_simplex_columns(V, support=...)`` against the cold projection."""
+
+    @pytest.mark.parametrize("c", range(1, 17))
+    def test_every_guess_gives_the_cold_bits(self, c):
+        rng = np.random.default_rng(300 + c)
+        S = rng.dirichlet(np.ones(c), size=400).T
+        V = np.hstack([
+            rng.uniform(-1.0, 1.0, size=(c, 400)),
+            S + 0.05 * rng.normal(size=S.shape),
+            rng.normal(size=(c, 400)) * 10.0 ** rng.integers(-2, 4, size=400),
+        ])
+        cold = project_simplex_columns(V)
+        X = shifted_and_clamped(V)
+        for kind, guess in support_guesses(rng, cold).items():
+            assert np.array_equal(project_simplex_columns(V, support=guess), cold), kind
+            assert _michelot_threshold(X, guess)[1] <= c + 1, kind
+        # a float 0/1 guess reads as its boolean one
+        assert np.array_equal(project_simplex_columns(V, support=(cold > 0) * 1.0), cold)
+
+    @pytest.mark.parametrize("c", [4, 6, 10])
+    def test_the_true_support_settles_in_one_pass(self, c):
+        rng = np.random.default_rng(c)
+        V = rng.normal(size=(c, 500))
+        X = shifted_and_clamped(V)
+        cold_tau, cold_passes = _michelot_threshold(X)
+        tau, passes = _michelot_threshold(X, project_simplex_columns(V) > 0)
+        assert passes == 1 < cold_passes
+        assert np.array_equal(tau, cold_tau)
+
+    @pytest.mark.parametrize("c", range(1, 11))
+    def test_worst_case_stays_within_c_plus_one_passes(self, c):
+        V = one_drop_per_pass(c)[:, None]
+        X = shifted_and_clamped(V)
+        for entry in range(c):
+            guess = np.zeros((c, 1), dtype=bool)
+            guess[entry] = True
+            tau, passes = _michelot_threshold(X, guess)
+            assert passes <= c + 1
+            assert np.array_equal(tau, _michelot_threshold(X)[0])
+
+    def test_a_column_without_a_guessed_entry_starts_cold(self):
+        rng = np.random.default_rng(5)
+        V = rng.normal(size=(6, 40))
+        X = shifted_and_clamped(V)
+        guess = project_simplex_columns(V) > 0
+        guess[:, :20] = False
+        # alone, the unguessed columns take exactly the cold passes
+        tau, passes = _michelot_threshold(X[:, :20], guess[:, :20])
+        cold_tau, cold_passes = _michelot_threshold(X[:, :20])
+        assert np.array_equal(tau, cold_tau) and passes == cold_passes
+        assert np.array_equal(project_simplex_columns(V, support=guess), project_simplex_columns(V))
+
+    def test_a_guess_of_another_shape_is_refused(self):
+        V = np.array([[0.2, 0.9], [0.5, 0.4]])
+        with pytest.raises(ValueError, match="support has shape"):
+            project_simplex_columns(V, support=np.ones((2, 3), dtype=bool))
+
+    def test_feasible_columns_ignore_the_guess(self):
+        S = np.random.default_rng(6).dirichlet(np.ones(4), size=30).T
+        P = project_simplex_columns(S, support=np.zeros_like(S))
+        assert np.array_equal(P, S) and P is not S
 
 
 class TestSparsityTerms:

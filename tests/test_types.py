@@ -6,10 +6,9 @@ from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
 
 from hsunmix.initialize import random_init
-from hsunmix.regularizers import build_neighborhood
+from hsunmix.regularizers import OFFSETS, build_neighborhood
 from hsunmix.synth import generate_synthetic
 from hsunmix.types import (
     AbundanceMatrix,
@@ -36,39 +35,43 @@ def grid_neighbors(width, height, k):
     return out
 
 
-def neighbors(adjacency, k):
-    """Column indices of row k of a CSR adjacency matrix."""
-    return adjacency.indices[adjacency.indptr[k]:adjacency.indptr[k + 1]]
+def neighbors(planes, k):
+    """Row-major indices of the neighbors that 0/1 weight planes give pixel k, in plane order."""
+    _, height, width = planes.shape
+    y, x = divmod(k, width)
+    return [(y + dy) * width + x + dx for o, (dy, dx) in enumerate(OFFSETS) if planes[o, y, x]]
 
 
 class TestBuildNeighborhood:
-    def test_canonical_symmetric_csr_with_grid_degrees(self):
-        adjacency = build_neighborhood(5, 4)
-        assert isinstance(adjacency, csr_matrix)
-        assert adjacency.shape == (20, 20)
-        assert adjacency.has_sorted_indices and adjacency.has_canonical_format
-        assert np.array_equal(adjacency.data, np.ones(adjacency.nnz))
-        assert (adjacency != adjacency.T).nnz == 0
-        assert adjacency.diagonal().sum() == 0
+    def test_zero_one_planes_with_grid_degrees(self):
+        planes = build_neighborhood(5, 4)
+        assert planes.shape == (8, 4, 5) and planes.dtype == np.float64
+        assert set(np.unique(planes)) == {0.0, 1.0}
         degrees = np.array([
             [3, 5, 5, 5, 3],
             [5, 8, 8, 8, 5],
             [5, 8, 8, 8, 5],
             [3, 5, 5, 5, 3],
         ])
-        assert np.array_equal(np.diff(adjacency.indptr), degrees.ravel())
+        assert np.array_equal(planes.sum(axis=0), degrees)
+
+    def test_planes_list_the_king_moves_in_sorted_neighbor_order(self):
+        # no self-loop, and the order of a pixel's row of the N x N matrix
+        assert (0, 0) not in OFFSETS and len(set(OFFSETS)) == 8
+        assert all(abs(dy) <= 1 and abs(dx) <= 1 for dy, dx in OFFSETS)
+        assert sorted(OFFSETS) == list(OFFSETS)
 
     def test_center_of_3x3_has_8_neighbors(self):
         nbhd = build_neighborhood(3, 3)
-        assert neighbors(nbhd, 4).tolist() == [0, 1, 2, 3, 5, 6, 7, 8]
+        assert neighbors(nbhd, 4) == [0, 1, 2, 3, 5, 6, 7, 8]
 
     def test_corner_of_3x3_has_3_neighbors(self):
         nbhd = build_neighborhood(3, 3)
-        assert neighbors(nbhd, 0).tolist() == [1, 3, 4]
+        assert neighbors(nbhd, 0) == [1, 3, 4]
 
     def test_middle_of_1x5_row_has_2_neighbors(self):
         nbhd = build_neighborhood(5, 1)
-        assert neighbors(nbhd, 2).tolist() == [1, 3]
+        assert neighbors(nbhd, 2) == [1, 3]
 
     @pytest.mark.parametrize(
         "width,height", [(1, 1), (1, 5), (5, 1), (2, 7), (2, 2), (4, 3), (7, 5)]
@@ -76,17 +79,25 @@ class TestBuildNeighborhood:
     def test_matches_brute_force(self, width, height):
         nbhd = build_neighborhood(width, height)
         for k in range(width * height):
-            assert neighbors(nbhd, k).tolist() == grid_neighbors(width, height, k)
+            assert neighbors(nbhd, k) == grid_neighbors(width, height, k)
 
     def test_single_pixel_has_no_neighbors(self):
         nbhd = build_neighborhood(1, 1)
-        assert nbhd.shape == (1, 1) and nbhd.nnz == 0
+        assert nbhd.shape == (8, 1, 1) and not nbhd.any()
 
     def test_symmetry(self):
         nbhd = build_neighborhood(6, 4)
         for k in range(24):
+            assert k not in neighbors(nbhd, k)
             for j in neighbors(nbhd, k):
                 assert k in neighbors(nbhd, j)
+        # plane by plane: the opposite move of OFFSETS[o] is OFFSETS[7 - o]
+        for o, (dy, dx) in enumerate(OFFSETS):
+            assert OFFSETS[7 - o] == (-dy, -dx)
+            assert np.array_equal(
+                nbhd[o, max(0, -dy):4 - max(0, dy), max(0, -dx):6 - max(0, dx)],
+                nbhd[7 - o, max(0, dy):4 - max(0, -dy), max(0, dx):6 - max(0, -dx)],
+            )
 
     def test_rejects_nonpositive_dims(self):
         with pytest.raises(ValueError):

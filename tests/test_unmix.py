@@ -46,6 +46,7 @@ from hsunmix.unmix import (
     update_abundance_multiplicative,
     update_signatures,
 )
+from csr_network import as_csr, csr_grid, csr_pull, csr_sums, csr_weights
 from fcls_oracle import fcls_oracle
 from pixel_oracle import local_cost, pixel_step
 
@@ -158,7 +159,7 @@ class TestLocalCost:
                 y_energy, P, S, gram, graph, knobs["lam"], knobs["q"], coupling_pull(graph, S)
             )
             assert got == pytest.approx(want, rel=1e-12)
-        assert W.nnz == nbhd.nnz and not W.data.any()
+        assert W.shape == nbhd.shape and not W.any()
         assert got == gram_objective(y_energy, P, S, gram, lam=knobs["lam"], q=knobs["q"])
 
 
@@ -634,13 +635,55 @@ class TestUpdateSignatures:
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
 
 
-class TestCouplingPull:
-    def test_contiguous_operand_gives_the_same_bits(self):
-        rng = np.random.default_rng(15)
-        image = HyperspectralImage(rng.random((20, 40 * 40)) + 0.05, 40, 40)
-        graph = coupling(neighbor_weights(image), UnmixingConfig.eta)
-        S = rng.dirichlet(np.ones(6), size=40 * 40).T
-        assert np.array_equal(coupling_pull(graph, S), (graph.W @ S.T).T)
+def oracle_clusters(n, kind, rng):
+    """No clusters, three random ones, or every pixel alone."""
+    if kind == "none":
+        return None
+    labels = rng.integers(0, 3, size=n) if kind == "random" else np.arange(n)
+    k = labels.max() + 1
+    memberships = np.full((k, n), 0.1 / k)
+    memberships[labels, np.arange(n)] += 0.9
+    return ClusterAssignment(labels, memberships, np.ones((4, k)))
+
+
+class TestCsrOracle:
+    """The weight planes, their sums and the pull against a ``scipy.sparse`` build, bit for bit."""
+
+    GRIDS = [(1, 1), (1, 7), (7, 1), (2, 2), (5, 4), (40, 40)]
+
+    def _network(self, width, height, kind, seed=0):
+        rng = np.random.default_rng(seed)
+        image = HyperspectralImage(rng.random((4, width * height)) + 0.05, width, height)
+        clusters = oracle_clusters(width * height, kind, rng)
+        return image, clusters, neighbor_weights(image, clusters), csr_weights(image, clusters)
+
+    @pytest.mark.parametrize("kind", ["none", "random", "alone"])
+    @pytest.mark.parametrize("width,height", GRIDS)
+    def test_weights_sums_and_pull_have_the_bits_of_the_csr_build(self, width, height, kind):
+        image, clusters, W, oracle = self._network(width, height, kind)
+        stored = as_csr(W)
+        assert np.array_equal(stored.indptr, oracle.indptr)
+        assert np.array_equal(stored.indices, oracle.indices)
+        assert stored.data.tobytes() == oracle.data.tobytes()
+        # weight off the grid would be lost by as_csr; there is none
+        assert np.array_equal(W > 0, (W > 0) & (build_neighborhood(width, height) > 0))
+        graph = coupling(W, 0.1)
+        degree, spread = csr_sums(oracle)
+        assert graph.degree.tobytes() == degree.tobytes()
+        assert graph.spread.tobytes() == spread.tobytes()
+        S = np.random.default_rng(1).dirichlet(np.ones(6), size=image.n_pixels).T
+        assert coupling_pull(graph, S).tobytes() == np.ascontiguousarray(csr_pull(oracle, S)).tobytes()
+
+    @pytest.mark.parametrize("block_pixels", [1, 7, 333])
+    def test_the_pull_in_blocks_has_the_same_bits(self, monkeypatch, block_pixels):
+        _, _, W, oracle = self._network(40, 40, "random", seed=2)
+        graph = coupling(W, 0.1)
+        S = np.random.default_rng(3).dirichlet(np.ones(5), size=1600).T
+        monkeypatch.setattr(unmix, "_BLOCK_BYTES", 3 * S.itemsize * S.shape[0] * block_pixels)
+        assert coupling_pull(graph, S).tobytes() == np.ascontiguousarray(csr_pull(oracle, S)).tobytes()
+
+    def test_the_planes_of_the_grid_are_its_adjacency(self):
+        assert np.array_equal(as_csr(build_neighborhood(6, 5)).toarray(), csr_grid(6, 5).toarray())
 
 
 class TestRunUnmixing:
@@ -768,6 +811,28 @@ class TestRunUnmixing:
             assert np.array_equal(sparse.S.data, plain.S.data)
             assert sparse.cost_trace == plain.cost_trace
 
+    @pytest.mark.parametrize("variant", ["nmf", "sparse_distributed", "clustered_sparse_distributed"])
+    def test_each_projection_starts_from_the_support_of_the_iterate(self, monkeypatch, variant):
+        scene = generate_synthetic(bundled_library(), 4, width=12, height=10, snr_db=20.0, seed=3)
+        A0 = vca(scene.Y, 4)
+        S0 = fcls_abundances(scene.Y, A0)
+        clusters = fcm(scene.Y, 3, seed=0)
+        calls = []
+
+        def recorded(V, support=None):
+            calls.append((V.copy(), support.copy(), project_simplex_columns(V, support=support)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(unmix, "project_simplex_columns", recorded)
+        cfg = UnmixingConfig(variant=variant, q=0.5, max_iter=40, eps=1e-300)
+        result = run_unmixing(scene.Y, cfg, A0, S0, clusters)
+        assert len(calls) == result.iterations_run == 40
+        previous = S0.data
+        for V, support, got in calls:
+            assert np.array_equal(support, previous > 0)
+            assert np.array_equal(got, project_simplex_columns(V))
+            previous = got
+
     @pytest.mark.parametrize("variant", ["distributed", "clustered_sparse_distributed"])
     def test_a_one_pixel_image_couples_to_nothing(self, monkeypatch, variant):
         # the network of a 1x1 image is empty, so at q = 1 a coupled preset runs lq_nmf
@@ -785,7 +850,7 @@ class TestRunUnmixing:
         monkeypatch.setattr(unmix, "neighbor_weights", recorded)
         coupled = run_unmixing(image, UnmixingConfig(variant=variant, max_iter=30), A0, S0, one_cluster)
         plain = run_unmixing(image, UnmixingConfig(variant="lq_nmf", max_iter=30), A0, S0)
-        assert [W.shape + (W.nnz,) for W in networks] == [(1, 1, 0)]
+        assert [(W.shape, W.any()) for W in networks] == [((8, 1, 1), False)]
         assert coupled.cost_trace == plain.cost_trace
         assert np.array_equal(coupled.A.data, plain.A.data)
         assert np.array_equal(coupled.S.data, plain.S.data)
