@@ -51,14 +51,7 @@ from .types import (
     resolve_variant,
     validate_abundances,
 )
-from .unmix import (
-    StopReason,
-    UnmixingResult,
-    global_cost,
-    run_unmixing,
-    update_abundance_multiplicative,
-    update_signatures,
-)
+from .unmix import StopReason, UnmixingResult, run_unmixing
 
 __version__ = "0.1.0"
 
@@ -88,7 +81,6 @@ __all__ = [
     "fcm",
     "fcm_objective",
     "generate_synthetic",
-    "global_cost",
     "match_endmembers",
     "neighbor_weights",
     "parse_experiment_spec",
@@ -103,8 +95,6 @@ __all__ = [
     "sad",
     "sparsity_gradient",
     "sparsity_norm",
-    "update_abundance_multiplicative",
-    "update_signatures",
     "validate_abundances",
     "vca",
     "write_aggregate_csv",

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .types import ClusterAssignment, as_integer, as_matrix
+from .types import ClusterAssignment, as_integer, as_matrix, column_sq_norms
 
 # defaults of fcm's settings, read by the experiment spec and the ``cluster``
 # and ``unmix`` commands; fcm itself takes the cluster count explicitly
@@ -70,11 +70,11 @@ def fcm(
     picks = rng.choice(n_pixels, size=n_clusters, replace=False)
     centers = arr[:, picks]
 
-    y_sq = _sq_norms(arr)
+    y_sq = column_sq_norms(arr)
     d2 = _sq_distances(arr, centers, y_sq)
     memberships = None
     for iteration in range(1, max_iter + 1):
-        new_u = _memberships(arr, centers, m, d2)
+        new_u = _memberships(d2, m)
         d2 = None  # freed before the next distances are formed
         centers = _centers(arr, new_u, m, centers)
         converged = memberships is not None and np.max(np.abs(new_u - memberships)) < tol
@@ -116,17 +116,13 @@ def _distortion(u: np.ndarray, d2: np.ndarray, m: float) -> float:
     return float(np.sum(u**m * d2))
 
 
-def _sq_norms(x: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->j", x, x)
-
-
 def _sq_distances(arr: np.ndarray, centers: np.ndarray, y_sq: Optional[np.ndarray] = None) -> np.ndarray:
     """C x N squared distances; exactly zero wherever a pixel equals a center.
 
-    ``y_sq`` holds the pixel norms ``_sq_norms(arr)`` when the caller has them.
+    ``y_sq`` holds the pixel norms ``column_sq_norms(arr)`` when the caller has them.
     """
     if y_sq is None:
-        y_sq = _sq_norms(arr)
+        y_sq = column_sq_norms(arr)
     n_bands = arr.shape[0]
     # Rounding bound: with gamma_n = n u / (1 - n u), a computed dot product of
     # length L lies within gamma_L |x|.|y| of its value, in any summation
@@ -146,7 +142,7 @@ def _sq_distances(arr: np.ndarray, centers: np.ndarray, y_sq: Optional[np.ndarra
     sigma = 2.0 * n_bands * _SMALLEST_SUBNORMAL
     d2 = centers.T @ arr
     d2 *= -2.0
-    bound = _sq_norms(centers)[:, None] + y_sq
+    bound = column_sq_norms(centers)[:, None] + y_sq
     d2 += bound
     bound *= tau
     bound += sigma
@@ -156,20 +152,12 @@ def _sq_distances(arr: np.ndarray, centers: np.ndarray, y_sq: Optional[np.ndarra
         r, k = rows[start:start + step], cols[start:start + step]
         diff = arr[:, k]
         diff -= centers[:, r]
-        d2[r, k] = _sq_norms(diff)
+        d2[r, k] = column_sq_norms(diff)
     return d2
 
 
-def _memberships(
-    arr: np.ndarray, centers: np.ndarray, m: float, d2: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Memberships of the pixels in the clusters of ``centers``.
-
-    ``d2`` holds ``_sq_distances(arr, centers)`` when the caller has formed it.
-    """
-    if d2 is None:
-        d2 = _sq_distances(arr, centers)
-    n_clusters, n_pixels = d2.shape
+def _memberships(d2: np.ndarray, m: float) -> np.ndarray:
+    """Memberships of the pixels in the clusters, from their C x N squared distances ``d2``."""
     coincident = d2 == 0.0
     hit = coincident.any(axis=0)
     power = 1.0 / (m - 1.0)

@@ -78,9 +78,10 @@ def read_cube(path) -> HyperspectralImage:
             f"{path}: {kind} payload: expected {expected} bytes, got {len(payload)} "
             f"(payload starts at offset {_HEADER.size})"
         )
+    # a view of the payload: the image copies it only to swap a non-native byte order
     data = np.frombuffer(payload, dtype="<f8").reshape(bands, width * height)
     try:
-        return HyperspectralImage(data.astype(np.float64), width, height)
+        return HyperspectralImage(data, width, height)
     except ValueError as exc:
         raise CubeFormatError(f"{path}: {exc}") from None
 

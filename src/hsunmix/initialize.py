@@ -22,6 +22,7 @@ from .types import (
     SignatureMatrix,
     UnmixingConfig,
     as_matrix,
+    column_sq_norms,
 )
 from .unmix import StopReason, run_unmixing
 
@@ -71,7 +72,7 @@ def vca(Y, c: int, seed: int = 0) -> SignatureMatrix:
         )
     basis = eigvecs[:, : c - 1]
     reduced = basis.T @ centered
-    lift = float(np.max(np.sqrt((reduced * reduced).sum(axis=0))))
+    lift = float(np.max(np.sqrt(column_sq_norms(reduced))))
     z = np.vstack([reduced, np.full((1, n_pixels), lift)])
 
     selected = np.zeros((c, c))

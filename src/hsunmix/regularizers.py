@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateDataError
-from .types import ClusterAssignment, HyperspectralImage, as_matrix
+from .types import ClusterAssignment, HyperspectralImage, as_matrix, column_sq_norms
 
 SPARSITY_GUARD = 1e-12  # keeps the q-norm gradient finite at exact zeros
 
@@ -107,7 +107,7 @@ def neighbor_weights(image, clusters: Optional[ClusterAssignment] = None) -> np.
     arr, n = image.data, image.n_pixels
     if clusters is not None and clusters.labels.shape != (n,):
         raise ValueError("clusters do not match the pixel count")
-    norms = np.sqrt((arr * arr).sum(axis=0))
+    norms = np.sqrt(column_sq_norms(arr))
     if np.any(norms == 0):
         raise DegenerateDataError("image contains a zero-spectrum pixel")
     planes = np.zeros((len(OFFSETS), image.height, image.width))
@@ -170,8 +170,6 @@ def project_simplex_columns(V, support=None) -> np.ndarray:
     with np.errstate(over="ignore"):
         total = V.sum(axis=0)
         feasible = (bottom >= 0) & (np.abs(total - 1.0) <= _FEASIBLE_SLACK)
-        if feasible.all():
-            return V.copy()
         X = V - top
     # The top entry is now exactly 0, so tau >= -1 and no entry at or below
     # -1 is in a support: the clamp changes no result, and it keeps an entry

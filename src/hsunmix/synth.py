@@ -121,15 +121,14 @@ def generate_synthetic(
     S = planes.reshape(c, width * height)
     S = S / S.sum(axis=0)
 
-    if purity_cap < 1.0:
-        peak = S.max(axis=0)
-        over = peak > purity_cap
-        if np.any(over):
-            # blend toward the uniform mixture; the tiny overshoot keeps the
-            # capped maximum at or below the cap after rounding
-            beta = (peak[over] - purity_cap) / (peak[over] - 1.0 / c)
-            beta = np.minimum(beta * (1.0 + 1e-12), 1.0)
-            S[:, over] = (1.0 - beta) * S[:, over] + beta / c
+    peak = S.max(axis=0)
+    over = peak > purity_cap
+    # blend toward the uniform mixture; the tiny overshoot keeps the capped
+    # maximum at or below the cap after rounding. At purity_cap = 1 no column
+    # is over: a normalized nonnegative column never exceeds 1.
+    beta = (peak[over] - purity_cap) / (peak[over] - 1.0 / c)
+    beta = np.minimum(beta * (1.0 + 1e-12), 1.0)
+    S[:, over] = (1.0 - beta) * S[:, over] + beta / c
 
     product = A @ S
     if np.isinf(snr_db):
@@ -164,7 +163,7 @@ def check_scene_settings(c: int, width: int, height: int, patch: int, filter_siz
         raise ValueError("filter_size must be odd and positive")
     if not (0 < purity_cap <= 1):
         raise ValueError("purity_cap must lie in (0, 1]")
-    if purity_cap < 1.0 and purity_cap < 1.0 / c:
+    if purity_cap < 1.0 / c:
         raise ValueError("purity_cap below 1/c cannot be satisfied")
     if np.isnan(snr_db) or snr_db == -np.inf:
         raise ValueError("snr_db must be a finite value or +inf")

@@ -47,11 +47,23 @@ def read_only(arr: np.ndarray) -> np.ndarray:
     return view
 
 
+def column_sq_norms(x: np.ndarray) -> np.ndarray:
+    """The squared Euclidean norm of every column of the 2-D array ``x``."""
+    return np.einsum("ij,ij->j", x, x)
+
+
 def as_integer(value, name: str) -> int:
     """``value`` as an ``int``; numpy integers pass, and anything non-integral raises ``ValueError``."""
     if not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _check_entries(data: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{what} must be finite")
+    if np.any(data < 0):
+        raise ValueError(f"{what} must be nonnegative")
 
 
 class _Value:
@@ -81,10 +93,7 @@ class HyperspectralImage(_Value):
             raise ValueError(
                 f"width*height = {self.width * self.height} does not match pixel count {self.n_pixels}"
             )
-        if not np.all(np.isfinite(data)):
-            raise ValueError("image entries must be finite")
-        if np.any(data < 0):
-            raise ValueError("image entries must be nonnegative")
+        _check_entries(data, "image entries")
 
     @property
     def n_bands(self) -> int:
@@ -106,10 +115,7 @@ class SignatureMatrix(_Value):
     def __post_init__(self):
         data = read_only(as_matrix(self.data, "signature data"))
         object.__setattr__(self, "data", data)
-        if not np.all(np.isfinite(data)):
-            raise ValueError("signatures must be finite")
-        if np.any(data < 0):
-            raise ValueError("signatures must be nonnegative")
+        _check_entries(data, "signatures")
         if self.wavelengths is not None:
             wl = read_only(np.asarray(self.wavelengths, dtype=np.float64))
             if wl.shape != (data.shape[0],):
@@ -186,9 +192,13 @@ VARIANT_ALIASES = {"proposed": AlgorithmVariant.CLUSTERED_SPARSE_DISTRIBUTED.val
 
 
 def resolve_variant(name: str) -> str:
-    """Map CLI spellings (including the ``proposed`` alias) to variant names."""
-    name = name.strip()
-    name = VARIANT_ALIASES.get(name, name)
+    """Map CLI spellings (including the ``proposed`` alias) to variant names.
+
+    Anything else, a non-string included, raises ``ValueError``.
+    """
+    if isinstance(name, str):
+        name = name.strip()
+        name = VARIANT_ALIASES.get(name, name)
     return AlgorithmVariant(name).value
 
 
@@ -200,7 +210,9 @@ class UnmixingConfig:
     leave it ``None`` to estimate the weight from the image. It is ignored at
     ``q = 1``, where the solver leaves the inert l1 penalty out. The solver
     receives a clustering as an explicit :class:`ClusterAssignment`, so the
-    cluster count and the FCM seed are not solver settings.
+    cluster count and the FCM seed are not solver settings. ``variant``
+    takes a variant name, a member or the ``proposed`` alias and stores the
+    variant's name.
     """
 
     mu: float = 0.02
@@ -227,7 +239,7 @@ class UnmixingConfig:
             raise ValueError("max_iter must be at least 1")
         if not (self.eps > 0 and np.isfinite(self.eps)):
             raise ValueError("eps must be positive and finite")
-        object.__setattr__(self, "variant", AlgorithmVariant(self.variant).value)
+        object.__setattr__(self, "variant", resolve_variant(self.variant))
 
 
 def validate_abundances(S, tol: float = ASC_TOL) -> bool:

@@ -104,6 +104,7 @@ from .types import (
     SignatureMatrix,
     UnmixingConfig,
     as_matrix,
+    column_sq_norms,
 )
 
 MULT_GUARD = 1e-12  # added to multiplicative-update denominators
@@ -317,7 +318,7 @@ def gram_objective(
         # np.vdot, not a full einsum reduction: that one sums sequentially
         # and rounds about ten times worse on 40 x 40 scenes
         value += graph.eta * (
-            float(graph.spread @ np.einsum("ij,ij->j", S, S)) - 2.0 * float(np.vdot(S, pull))
+            float(graph.spread @ column_sq_norms(S)) - 2.0 * float(np.vdot(S, pull))
         )
     if lam > 0:
         value += lam * float(sparsity_norm(S, q).sum())

@@ -682,6 +682,10 @@ class TestSpecParsing:
         with pytest.raises(ValueError):
             parse_experiment_spec("variants = magic\n")
 
+    def test_non_string_variant_rejected_with_a_value_error(self):
+        with pytest.raises(ValueError, match="not a valid AlgorithmVariant"):
+            ExperimentSpec(variants=(None,))
+
     @pytest.mark.parametrize("key", ["mu", "purity_cap", "runs", "fix_signatures"])
     def test_none_only_for_optional_keys(self, key):
         with pytest.raises(ValueError, match=r"line 2"):

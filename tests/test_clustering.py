@@ -53,7 +53,7 @@ class TestFcmDegenerateCases:
         Y = np.random.default_rng(3).random((5, 6)) + 0.1
         Y[:, 1] = Y[:, 0]
         Y[:, 4] = Y[:, 3]
-        u = clustering._memberships(Y, Y[:, [0, 3]], FCM_M)
+        u = clustering._memberships(clustering._sq_distances(Y, Y[:, [0, 3]]), FCM_M)
         assert np.array_equal(u[:, [0, 1]], [[1.0, 1.0], [0.0, 0.0]])
         assert np.array_equal(u[:, [3, 4]], [[0.0, 0.0], [1.0, 1.0]])
         others = u[:, [2, 5]]
@@ -93,7 +93,7 @@ class TestGramDistances:
         d2 = clustering._sq_distances(Y, Y[:, [3, 20]])
         assert d2[0, 3] == d2[0, 11] == d2[1, 20] == 0.0
         assert np.count_nonzero(d2 == 0.0) == 3
-        u = clustering._memberships(Y, Y[:, [3, 20]], FCM_M)
+        u = clustering._memberships(d2, FCM_M)
         assert np.array_equal(u[:, [3, 11, 20]], [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
     @pytest.mark.parametrize("n_bands", [224, 1024])
@@ -116,7 +116,7 @@ class TestGramDistances:
         d2 = clustering._sq_distances(Y, V)
         assert d2[0, 0] == (V[17, 0] - y[17]) ** 2 > 0.0
         assert d2[1, 0] == (V[90, 1] - y[90]) ** 2 > 0.0
-        u = clustering._memberships(Y, V, FCM_M)
+        u = clustering._memberships(d2, FCM_M)
         assert np.all((u[:2, 0] > 0.0) & (u[:2, 0] < 1.0))
         assert u[:2, 0].sum() == pytest.approx(1.0, rel=0, abs=1e-12)
 

@@ -1,6 +1,7 @@
 """The README's quick start runs as written, with or without SciPy installed, and prints the
 summary it shows, and its spec-key table names every experiment spec field."""
 
+import math
 import os
 import re
 import shlex
@@ -59,3 +60,11 @@ def test_the_spec_key_table_lists_every_spec_field():
     first_cells = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
     keys = [key for cell in first_cells for key in re.findall(r"`(\w+)`", cell)]
     assert keys == [field.name for field in fields(ExperimentSpec)]
+
+
+def test_the_python_api_block_prints_two_finite_numbers(capsys):
+    section = README.read_text().split("## Python API", 1)[1].split("\n## ", 1)[0]
+    code = re.findall(r"```python\n(.*?)```", section, flags=re.S)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    numbers = [float(word) for word in capsys.readouterr().out.split()]
+    assert len(numbers) == 2 and all(math.isfinite(x) for x in numbers)

@@ -139,9 +139,10 @@ class TestNeighborWeights:
         with pytest.raises(ValueError, match="clusters do not match"):
             neighbor_weights(HyperspectralImage(Y, 3, 1), clusters)
 
-    def test_peak_memory_stays_below_one_and_a_quarter_images(self):
+    def test_peak_memory_stays_below_four_fifths_of_the_image(self):
         # the dot products gather N / 8 stored entries at a time, never
-        # L x nnz; the peak is the image-sized square in the pixel norms
+        # L x nnz, and the pixel norms form no image-sized square: the peak
+        # is the two gathered blocks, about 0.66 x the image here
         rng = np.random.default_rng(8)
         Y = rng.random((100, 50 * 50)) + 0.05
         image = HyperspectralImage(Y, 50, 50)
@@ -151,7 +152,7 @@ class TestNeighborWeights:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * Y.nbytes, f"peak {peak / Y.nbytes:.2f} x the image"
+        assert peak < 0.8 * Y.nbytes, f"peak {peak / Y.nbytes:.2f} x the image"
 
 
 class TestProjectSimplex:

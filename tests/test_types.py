@@ -9,7 +9,7 @@ import pytest
 
 from hsunmix.initialize import random_init
 from hsunmix.regularizers import OFFSETS, build_neighborhood
-from hsunmix.synth import generate_synthetic
+from hsunmix.synth import bundled_library, generate_synthetic
 from hsunmix.types import (
     AbundanceMatrix,
     AlgorithmVariant,
@@ -17,6 +17,7 @@ from hsunmix.types import (
     HyperspectralImage,
     SignatureMatrix,
     UnmixingConfig,
+    column_sq_norms,
     validate_abundances,
 )
 from hsunmix.unmix import run_unmixing
@@ -281,6 +282,7 @@ class TestUnmixingConfig:
             {"eps": -1e-8},
             {"eps": np.inf},
             {"variant": "unknown"},
+            {"variant": None},
             {"sparsity_weight": -0.1},
         ],
     )
@@ -292,3 +294,22 @@ class TestUnmixingConfig:
         cfg = UnmixingConfig(variant=AlgorithmVariant.NMF)
         assert type(cfg.variant) is str
         assert cfg.variant == "nmf"
+
+    def test_proposed_alias_is_stored_as_the_variant_it_names(self):
+        cfg = UnmixingConfig(variant="proposed")
+        assert type(cfg.variant) is str
+        assert cfg.variant == AlgorithmVariant.CLUSTERED_SPARSE_DISTRIBUTED.value
+
+
+@pytest.mark.parametrize("shape", [(224, 1600), (100, 2500), (5, 1600), (224, 37)])
+def test_column_sq_norms_equal_the_sum_of_squares_bit_for_bit(shape):
+    # on C-ordered arrays the einsum reduction sums each column in the order
+    # of (x * x).sum(axis=0), so swapping one for the other keeps every bit
+    x = np.random.default_rng(shape[1]).random(shape)
+    assert np.array_equal(column_sq_norms(x), (x * x).sum(axis=0))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_column_sq_norms_equal_the_sum_of_squares_on_synthetic_scenes(seed):
+    Y = generate_synthetic(bundled_library(), 6, width=40, height=40, seed=seed).Y.data
+    assert np.array_equal(column_sq_norms(Y), (Y * Y).sum(axis=0))
