@@ -19,6 +19,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import stat
 import struct
 from typing import Mapping, Sequence
 
@@ -43,7 +45,7 @@ def write_cube(path, image: HyperspectralImage) -> None:
 
 
 def read_cube(path) -> HyperspectralImage:
-    """Read a binary cube written by :func:`write_cube`.
+    """Read a binary cube written by :func:`write_cube` into one array, from a regular file.
 
     A malformed file raises :class:`CubeFormatError` whose message starts
     with ``path`` and gives the byte offset of the fault; a payload shorter or
@@ -71,15 +73,19 @@ def read_cube(path) -> HyperspectralImage:
         if interleave != INTERLEAVE_BAND_SEQUENTIAL:
             raise CubeFormatError(f"{path}: unsupported interleave code {interleave} at offset 21")
         expected = width * height * bands * 8
-        payload = fh.read()
-    if len(payload) != expected:
-        kind = "truncated" if len(payload) < expected else "oversized"
+        status = os.fstat(fh.fileno())
+        if not stat.S_ISREG(status.st_mode):
+            raise CubeFormatError(f"{path}: not a regular file")
+        actual = status.st_size - _HEADER.size  # checked before the header's claim sizes an array
+        if actual == expected:
+            data = np.empty((bands, width * height), dtype="<f8")
+            actual = fh.readinto(data)
+    if actual != expected:
+        kind = "truncated" if actual < expected else "oversized"
         raise CubeFormatError(
-            f"{path}: {kind} payload: expected {expected} bytes, got {len(payload)} "
+            f"{path}: {kind} payload: expected {expected} bytes, got {actual} "
             f"(payload starts at offset {_HEADER.size})"
         )
-    # a view of the payload: the image copies it only to swap a non-native byte order
-    data = np.frombuffer(payload, dtype="<f8").reshape(bands, width * height)
     try:
         return HyperspectralImage(data, width, height)
     except ValueError as exc:

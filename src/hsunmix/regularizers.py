@@ -72,17 +72,20 @@ def build_neighborhood(width: int, height: int) -> np.ndarray:
     return planes
 
 
-def grid_pairs(width: int, height: int):
-    """The neighbor pairs of a width x height grid, in the row-major order of the N x N matrix.
+def plane_slices(width: int, height: int):
+    """Per king move, two equal slices ``(pixels, neighbors)`` of the row-major pixel order.
 
-    Returns ``(pixel, move, neighbor, starts)``: for every pair the pixel,
-    the index in ``OFFSETS`` of the move to its neighbor, and the neighbor's
-    pixel index, sorted by pixel and then by neighbor; and the index where
-    each pixel's pairs start.
+    ``neighbors`` = ``pixels`` + dy * width + dx for the move (dy, dx) of
+    ``OFFSETS``, row wraps included (``build_neighborhood`` zeroes them).
+    Entry 7 - o is entry o swapped.
     """
-    pixel, move = np.nonzero(build_neighborhood(width, height).reshape(len(OFFSETS), -1).T)
-    shifts = np.array([dy * width + dx for dy, dx in OFFSETS])
-    return pixel, move, pixel + shifts[move], np.searchsorted(pixel, np.arange(width * height))
+    n = width * height
+    slices = []
+    for dy, dx in OFFSETS:
+        shift = dy * width + dx
+        first, length = max(-shift, 0), max(n - abs(shift), 0)
+        slices.append((slice(first, first + length), slice(first + shift, first + shift + length)))
+    return slices
 
 
 def neighbor_weights(image, clusters: Optional[ClusterAssignment] = None) -> np.ndarray:
@@ -98,9 +101,10 @@ def neighbor_weights(image, clusters: Optional[ClusterAssignment] = None) -> np.
 
     With ``clusters`` given, the weights to neighbors in another cluster are
     then set to zero, and the coupling only sees same-cluster neighbors; the
-    remaining weights are not renormalized. The spectral dot products are
-    formed N / 8 neighbor pairs at a time, so the two gathered blocks of
-    spectra hold a quarter of the image between them.
+    remaining weights are not renormalized. Each forward move (E, SW, S, SE)
+    takes its dot products from one ``einsum`` over two shifted column slices
+    of the image, with no gathered copy, and its mirror's plane gets the same
+    values; the normalizer is the sum of the planes.
     """
     if not isinstance(image, HyperspectralImage):
         raise ValueError("image must be a HyperspectralImage")
@@ -110,23 +114,23 @@ def neighbor_weights(image, clusters: Optional[ClusterAssignment] = None) -> np.
     norms = np.sqrt(column_sq_norms(arr))
     if np.any(norms == 0):
         raise DegenerateDataError("image contains a zero-spectrum pixel")
-    planes = np.zeros((len(OFFSETS), image.height, image.width))
+    planes = build_neighborhood(image.width, image.height)
     if n == 1:
         return planes
-    src, move, dst, starts = grid_pairs(image.width, image.height)
-    dots = np.empty(dst.size)
-    chunk = max(1, n // 8)
-    for start in range(0, dst.size, chunk):
-        part = slice(start, start + chunk)
-        dots[part] = np.einsum("ij,ij->j", arr[:, src[part]], arr[:, dst[part]])
-    theta = dots / (norms[src] * norms[dst])
-    denom = np.add.reduceat(theta, starts)
+    flat = planes.reshape(len(OFFSETS), n)
+    moves = plane_slices(image.width, image.height)
+    for o, (pixels, neighbors) in enumerate(moves[4:], start=4):  # E, SW, S, SE
+        dots = np.einsum("ij,ij->j", arr[:, pixels], arr[:, neighbors])
+        theta = dots / (norms[pixels] * norms[neighbors])
+        flat[o, pixels] *= theta
+        flat[7 - o, neighbors] *= theta
+    denom = flat.sum(axis=0)
     if np.any(denom == 0):
         raise DegenerateDataError("a pixel has zero total similarity to its neighbors")
-    weights = theta / denom[src]
+    flat /= denom
     if clusters is not None:
-        weights = weights * (clusters.labels[src] == clusters.labels[dst])
-    planes.reshape(len(OFFSETS), n)[move, src] = weights
+        for plane, (pixels, neighbors) in zip(flat, moves):
+            plane[pixels] *= clusters.labels[pixels] == clusters.labels[neighbors]
     return planes
 
 

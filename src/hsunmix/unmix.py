@@ -52,17 +52,18 @@ kernels only through A^T Y and A^T A (``Products``), by the Gram identities
 and the coupling term of the objective by the identity derived in
 ``Coupling``, for the neighbor operator W: the N x N matrix whose row k
 holds pixel k's weights on the 8-connected grid of the image, cluster-gated
-for the cluster mask. ``neighbor_weights`` forms it as eight weight planes,
-one per king move, and ``coupling_pull`` applies it with one multiply-add
-per plane. |Y|^2 and W, with its row sums W 1, its spread W 1 + W^T 1 and eta
-(``coupling``), are formed once per run. For the presets that update A,
-``signature_step`` forms the new A and its A^T Y and A^T A in one pass over
-the image, every iteration; ``fcls`` forms A^T Y and A^T A once per run
-(``signature_products``). The abundance Gram matrix S S^T and the coupling
-pull S W^T (``coupling_pull``) are formed once per iteration, after the
-projection, and read by the objective and by the next step. The rest of an
-iteration is c x N work, the pull included, apart from the one pass of
-``signature_step`` over the L x N image.
+for the cluster mask. ``neighbor_weights`` forms it from shifted slices of
+the image as eight weight planes, one per king move, and ``coupling_pull``
+applies it with one multiply-add per plane. |Y|^2 and W, with its row sums
+W 1, its spread W 1 + W^T 1 (plane sums) and eta (``coupling``), are formed
+once per run. For the presets that update A, ``signature_step`` forms the
+new A and its A^T Y and A^T A in one pass over the image, every iteration;
+``fcls`` forms A^T Y and A^T A once per run (``signature_products``). The
+abundance Gram matrix S S^T and the coupling pull S W^T (``coupling_pull``)
+are formed once per iteration, after the projection, and read by the
+objective and by the next step. The rest of an iteration is c x N work, the
+pull included, apart from the one pass of ``signature_step`` over the L x N
+image.
 
 The Gram form of the residual rounds at about machine epsilon times |Y|^2,
 not times |Y - A S|^2. On 40 x 40 scenes with |Y|^2 of about 2e4, noiseless
@@ -90,8 +91,8 @@ from .errors import NumericalFailureError
 from .regularizers import (
     OFFSETS,
     estimate_sparsity_weight,
-    grid_pairs,
     neighbor_weights,
+    plane_slices,
     project_simplex_columns,
     sparsity_gradient,
     sparsity_norm,
@@ -206,19 +207,18 @@ class Coupling(NamedTuple):
 def coupling(W, eta: float) -> Coupling:
     """Bundle the weight planes W with their row sums, row-plus-column sums and ``eta``.
 
-    The sums run over every neighbor on the grid in the order of the N x N
-    matrix, cluster-gated zeros included: a row's weights by
-    ``np.add.reduceat``, a column's in ascending row order by
-    ``np.bincount``. These are the orders in which a sparse matrix library
-    sums the rows and columns of W stored in compressed-row form.
+    The planes must be zero off the grid. W 1 is the sum of the planes; W^T 1
+    adds each plane shifted onto the neighbors it weights, in descending
+    offset order, so every column is summed in ascending row order.
     """
     W = np.ascontiguousarray(W, dtype=np.float64)
     _, height, width = W.shape
-    n = height * width
-    src, move, dst, starts = grid_pairs(width, height)
-    stored = W.reshape(len(OFFSETS), n)[move, src]
-    degree = np.add.reduceat(stored, starts) if stored.size else np.zeros(n)
-    return Coupling(W, degree, degree + np.bincount(dst, stored, minlength=n), eta)
+    planes = W.reshape(len(OFFSETS), height * width)
+    degree = planes.sum(axis=0)
+    received = np.zeros(height * width)
+    for plane, (pixels, neighbors) in zip(planes[::-1], plane_slices(width, height)[::-1]):
+        received[neighbors] += plane[pixels]
+    return Coupling(W, degree, degree + received, eta)
 
 
 class Products(NamedTuple):

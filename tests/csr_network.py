@@ -5,8 +5,10 @@ plane per king move: the 8-connected grid as ``(B_h kron B_w) - I`` in
 canonical CSR form, the cosine-similarity weights stored on that pattern
 (cluster-gated weights kept as explicit zeros), the row and column sums of
 ``W.sum`` and the pull ``S W^T`` as a sparse product. ``as_csr`` reads weight
-planes back into the same CSR layout, so tests can compare the two bit for
-bit.
+planes back into the same CSR layout, so tests can compare the two: the
+pattern and the zeros exactly, the weights and sums within a rounding bound
+(the two builds form the dot products and sums in different orders), and
+the pull of the planes bit for bit against ``csr_pull`` of their own CSR form.
 """
 
 import numpy as np

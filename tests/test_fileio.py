@@ -1,6 +1,8 @@
 """Binary cube format, spectral library CSV, and JSON run reports."""
 
 import json
+import os
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -47,6 +49,34 @@ class TestCubeRoundtrip:
         write_cube(p2, img)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_the_read_holds_one_copy_of_the_payload(self, tmp_path):
+        # the payload is read into the image's own array; the entry checks
+        # add one boolean mask of an eighth of it at a time, no second copy
+        img = random_image(np.random.default_rng(3), width=50, height=50, bands=100)
+        path = tmp_path / "big.cube"
+        write_cube(path, img)
+        tracemalloc.start()
+        try:
+            back = read_cube(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.data.tobytes() == img.data.tobytes()
+        assert peak < 1.2 * img.data.nbytes, f"peak {peak / img.data.nbytes:.2f} x the payload"
+
+    def test_a_pipe_is_refused(self, tmp_path):
+        # its size is unknown before the read, and the header's claim alone
+        # must not size an allocation
+        write_cube(tmp_path / "a.cube", random_image(np.random.default_rng(4)))
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, (tmp_path / "a.cube").read_bytes())
+            os.close(write_end)
+            with pytest.raises(CubeFormatError, match="not a regular file"):
+                read_cube(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+
 
 class TestCubeErrors:
     def _valid_bytes(self, tmp_path):
@@ -74,6 +104,16 @@ class TestCubeErrors:
         assert msg.startswith(f"{bad}: truncated payload")
         assert str(len(raw) - 22) in msg  # expected payload size
         assert str(len(raw) - 22 - 8) in msg  # actual payload size
+
+    def test_a_header_claiming_too_much_allocates_nothing(self, tmp_path):
+        # 2^60 bytes declared: the file's size is checked before any allocation
+        raw = self._valid_bytes(tmp_path)
+        raw[8:20] = (2**19).to_bytes(4, "little") * 3
+        bad = tmp_path / "huge.cube"
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(CubeFormatError) as err:
+            read_cube(bad)
+        assert str(err.value).startswith(f"{bad}: truncated payload: expected {2**60} bytes, got ")
 
     def test_truncated_header(self, tmp_path):
         bad = tmp_path / "tiny.cube"
