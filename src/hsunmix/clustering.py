@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .types import ClusterAssignment, as_integer, as_matrix, column_sq_norms
+from .types import BLOCK_BYTES, ClusterAssignment, as_integer, as_matrix, column_sq_norms
 
 # defaults of fcm's settings, read by the experiment spec and the ``cluster``
 # and ``unmix`` commands; fcm itself takes the cluster count explicitly
@@ -32,9 +32,6 @@ FCM_MAX_ITER = 300
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _SMALLEST_SUBNORMAL = np.finfo(np.float64).smallest_subnormal
-# entries recomputed from explicit differences at a time: each chunk forms two
-# L x chunk temporaries of at most this many bytes
-_RECOMPUTE_BYTES = 1 << 18
 
 
 def fcm(
@@ -147,7 +144,9 @@ def _sq_distances(arr: np.ndarray, centers: np.ndarray, y_sq: Optional[np.ndarra
     bound *= tau
     bound += sigma
     rows, cols = np.nonzero(~(d2 > bound))
-    step = max(1, _RECOMPUTE_BYTES // (8 * n_bands))
+    # each chunk of recomputed entries forms two L x chunk temporaries of at
+    # most BLOCK_BYTES each
+    step = max(1, BLOCK_BYTES // (8 * n_bands))
     for start in range(0, rows.size, step):
         r, k = rows[start:start + step], cols[start:start + step]
         diff = arr[:, k]

@@ -36,8 +36,8 @@ _HEADER = struct.Struct("<8sIIIBB")
 
 
 def write_cube(path, image: HyperspectralImage) -> None:
-    """Write an image as a binary cube."""
-    payload = np.ascontiguousarray(image.data, dtype="<f8").tobytes()
+    """Write an image as a binary cube, from the image's own buffer, as ``read_cube`` reads into one."""
+    payload = np.ascontiguousarray(image.data, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, image.width, image.height, image.n_bands,
                               DTYPE_FLOAT64_LE, INTERLEAVE_BAND_SEQUENTIAL))

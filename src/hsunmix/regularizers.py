@@ -1,21 +1,23 @@
-"""Regularization building blocks: pixel graph, sparsity weight, simplex projection.
+"""Regularization building blocks: pixel network, sparsity weight, simplex projection.
 
-These are the small numerical kernels the solver composes: the pixel graph
-(the 8-connected grid adjacency and its cosine-similarity weights, gated by
-cluster when asked), a data-driven estimate of the sparsity penalty weight,
-the Euclidean projection onto the unit simplex, and the (sub)gradient of
-the q-norm sparsity penalty. The angles used for scoring (SAD, AAD) are
-computed in :mod:`hsunmix.metrics`.
+These are the small numerical kernels the solver composes: the pixel
+network (the 8-connected grid, its cosine-similarity weights, gated by
+cluster when asked, their ``coupling`` and its ``coupling_pull``), a
+data-driven estimate of the sparsity penalty weight, the Euclidean
+projection onto the unit simplex, and the (sub)gradient of the q-norm
+sparsity penalty. Only this module knows how the network's weight planes
+are laid out. The angles used for scoring (SAD, AAD) are computed in
+:mod:`hsunmix.metrics`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import DegenerateDataError
-from .types import ClusterAssignment, HyperspectralImage, as_matrix, column_sq_norms
+from .types import BLOCK_BYTES, ClusterAssignment, HyperspectralImage, as_matrix, column_sq_norms
 
 SPARSITY_GUARD = 1e-12  # keeps the q-norm gradient finite at exact zeros
 
@@ -134,6 +136,79 @@ def neighbor_weights(image, clusters: Optional[ClusterAssignment] = None) -> np.
     return planes
 
 
+class Coupling(NamedTuple):
+    """The coupling: neighbor operator W, strength ``eta`` and what the kernels read of W.
+
+    ``unmix.gram_objective`` forms the coupling term from one product with W:
+    expanding |s_k - s_j|^2 = |s_k|^2 + |s_j|^2 - 2 <s_k, s_j>, the first two
+    terms weighted by W[k, j] sum to <W 1, |s|^2> and <W^T 1, |s|^2>, and the
+    third to -2 <S, S W^T>, so
+
+        sum_kj W[k, j] |s_k - s_j|^2 = <W 1 + W^T 1, |s|^2> - 2 <S, S W^T>
+
+    with |s|^2 the squared norm of every abundance column. The right side
+    is a difference of two sums as large as <spread, |s|^2>, so it rounds at
+    about machine epsilon times eta <spread, |s|^2>, not times the term.
+    """
+
+    W: np.ndarray  # the (8, height, width) weight planes of ``neighbor_weights``
+    degree: np.ndarray  # W 1, the summed weight of each row
+    spread: np.ndarray  # W 1 + W^T 1, each pixel's weight as sender and receiver
+    eta: float  # the coupling strength
+
+
+def coupling(W, eta: float) -> Coupling:
+    """Bundle the weight planes W with their row sums, row-plus-column sums and ``eta``.
+
+    The planes must be zero off the grid. W 1 is the sum of the planes; W^T 1
+    adds each plane shifted onto the neighbors it weights, in descending
+    offset order, so every column is summed in ascending row order.
+    """
+    W = np.ascontiguousarray(W, dtype=np.float64)
+    _, height, width = W.shape
+    planes = W.reshape(len(OFFSETS), height * width)
+    degree = planes.sum(axis=0)
+    received = np.zeros(height * width)
+    for plane, (pixels, neighbors) in zip(planes[::-1], plane_slices(width, height)[::-1]):
+        received[neighbors] += plane[pixels]
+    return Coupling(W, degree, degree + received, eta)
+
+
+def coupling_pull(graph: Coupling, S) -> np.ndarray:
+    """S W^T: column k is the weighted sum of pixel k's neighbor columns.
+
+    One multiply-add per weight plane. With the rows of S laid end to end
+    between zero margins of width + 1, every plane multiplies one contiguous
+    c x N window, shifted by the plane's offset in the row-major pixel order
+    (``plane_slices``). Where a neighbor is off the grid the plane's weight
+    is 0: the value the window reads there (a margin zero, a pixel at the
+    other end of an image row, or one of the adjacent row of S) is finite,
+    so it adds an exact 0. The planes are added in offset order to a zeroed
+    sum, the order in which a compressed-row sparse product sums row k of W,
+    so the result has its bits. The pixels are taken in blocks whose sum,
+    product and window hold ``BLOCK_BYTES`` between them, so each block's
+    eight multiply-adds run in cache.
+    """
+    c, n = S.shape
+    _, height, width = graph.W.shape
+    margin = width + 1
+    flat = np.zeros(c * n + 2 * margin)
+    flat[margin:margin + c * n] = S.ravel()
+    starts = [margin + neighbors.start - pixels.start for pixels, neighbors in plane_slices(width, height)]
+    windows = [flat[start:start + c * n].reshape(c, n) for start in starts]
+    planes = graph.W.reshape(len(OFFSETS), n)
+    block = max(1, BLOCK_BYTES // (3 * flat.itemsize * c))
+    pull = np.zeros((c, n))
+    term = np.empty((c, min(block, n)))
+    for start in range(0, n, block):
+        b = slice(start, start + block)
+        part = pull[:, b]
+        product = term[:, :part.shape[1]]
+        for plane, window in zip(planes, windows):
+            part += np.multiply(plane[b], window[:, b], out=product)
+    return pull
+
+
 def project_simplex_columns(V, support=None) -> np.ndarray:
     """Euclidean projection of every column of V onto the unit simplex.
 
@@ -205,15 +280,15 @@ def _michelot_threshold(X, support=None):
     """
     c = X.shape[0]
     mask = np.empty_like(X)  # the active entries as 0/1, then those entries
-    if support is None:
-        tau = (X.sum(axis=0) - 1.0) / c
+    if support is None:  # every entry guessed
+        mask.fill(1.0)
     else:
         np.not_equal(support, 0, out=mask, casting="unsafe")
+    count = mask.sum(axis=0)
+    if not count.all():  # a column without a guessed entry starts from all of them
+        mask[:, count == 0] = 1.0
         count = mask.sum(axis=0)
-        if not count.all():  # a column without a guessed entry starts from all of them
-            mask[:, count == 0] = 1.0
-            count = mask.sum(axis=0)
-        tau = (np.multiply(mask, X, out=mask).sum(axis=0) - 1.0) / count
+    tau = (np.multiply(mask, X, out=mask).sum(axis=0) - 1.0) / count
     for passes in range(1, c + 2):
         np.greater(X, tau, out=mask, casting="unsafe")
         count = mask.sum(axis=0)

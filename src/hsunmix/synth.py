@@ -18,6 +18,7 @@ import numpy as np
 
 from .fileio import read_spectral_library
 from .types import (
+    BLOCK_BYTES,
     AbundanceMatrix,
     HyperspectralImage,
     SignatureMatrix,
@@ -33,10 +34,6 @@ SCENE_HEIGHT = 40
 SCENE_PATCH = 8  # side of the single-material blocks
 SCENE_FILTER = 7  # side of the smoothing window
 SCENE_PURITY_CAP = 0.8
-
-# the noise scaling tests and clips the image in blocks of rows of about this
-# many bytes, so its temporaries stay small next to the image
-_NOISE_BLOCK_BYTES = 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -224,9 +221,9 @@ def _scaled_truncated_noise(product: np.ndarray, draw: np.ndarray, snr_db: float
     so every entry of T stays truncated at the final scale.
 
     ``draw`` is scaled in place and returned as the noise. The truncation
-    test and the clipping run over blocks of rows of ``_NOISE_BLOCK_BYTES``,
-    so the only image-sized temporaries are the squares summed for the
-    energies, one at a time.
+    test and the clipping run over blocks of rows of ``BLOCK_BYTES``, so the
+    only image-sized temporaries are the squares summed for the energies,
+    one at a time.
     """
     signal_energy = float(np.sum(product * product))
     if signal_energy == 0:
@@ -236,7 +233,7 @@ def _scaled_truncated_noise(product: np.ndarray, draw: np.ndarray, snr_db: float
         raise ValueError(f"snr_db = {snr_db:g} asks for a noise energy beyond the range of a double")
 
     truncated_energy, free_energy = 0.0, float(np.sum(draw * draw))
-    rows = max(1, _NOISE_BLOCK_BYTES // draw[0].nbytes)
+    rows = max(1, BLOCK_BYTES // draw[0].nbytes)
     blocks = [slice(r, r + rows) for r in range(0, len(draw), rows)]
     truncated = np.zeros(product.shape, dtype=bool)
     grown = np.empty_like(truncated)

@@ -52,18 +52,16 @@ kernels only through A^T Y and A^T A (``Products``), by the Gram identities
 and the coupling term of the objective by the identity derived in
 ``Coupling``, for the neighbor operator W: the N x N matrix whose row k
 holds pixel k's weights on the 8-connected grid of the image, cluster-gated
-for the cluster mask. ``neighbor_weights`` forms it from shifted slices of
-the image as eight weight planes, one per king move, and ``coupling_pull``
-applies it with one multiply-add per plane. |Y|^2 and W, with its row sums
-W 1, its spread W 1 + W^T 1 (plane sums) and eta (``coupling``), are formed
-once per run. For the presets that update A, ``signature_step`` forms the
-new A and its A^T Y and A^T A in one pass over the image, every iteration;
-``fcls`` forms A^T Y and A^T A once per run (``signature_products``). The
-abundance Gram matrix S S^T and the coupling pull S W^T (``coupling_pull``)
-are formed once per iteration, after the projection, and read by the
-objective and by the next step. The rest of an iteration is c x N work, the
-pull included, apart from the one pass of ``signature_step`` over the L x N
-image.
+for the cluster mask. The network, its storage and its kernels live in
+:mod:`hsunmix.regularizers`. |Y|^2 and the ``coupling`` of W (its row
+sums, its spread and eta) are formed once per run. For the presets that
+update A, ``signature_step`` forms the new A and its A^T Y and A^T A in
+one pass over the image, every iteration; ``fcls`` forms A^T Y and A^T A
+once per run (``signature_products``). The abundance Gram matrix S S^T and
+the coupling pull S W^T (``coupling_pull``) are formed once per iteration,
+after the projection, and read by the objective and by the next step. The
+rest of an iteration is c x N work, the pull included, apart from the one
+pass of ``signature_step`` over the L x N image.
 
 The Gram form of the residual rounds at about machine epsilon times |Y|^2,
 not times |Y - A S|^2. On 40 x 40 scenes with |Y|^2 of about 2e4, noiseless
@@ -89,15 +87,17 @@ import numpy as np
 
 from .errors import NumericalFailureError
 from .regularizers import (
-    OFFSETS,
+    Coupling,
+    coupling,
+    coupling_pull,
     estimate_sparsity_weight,
     neighbor_weights,
-    plane_slices,
     project_simplex_columns,
     sparsity_gradient,
     sparsity_norm,
 )
 from .types import (
+    BLOCK_BYTES,
     AbundanceMatrix,
     AlgorithmVariant,
     ClusterAssignment,
@@ -112,13 +112,10 @@ MULT_GUARD = 1e-12  # added to multiplicative-update denominators
 # An abundance update this large (or non-finite) has diverged. The simplex
 # projection handles any finite column; this bound only marks the step.
 DIVERGENCE_BOUND = 1.0 / np.finfo(np.float64).eps
-# ``signature_step`` reads the image in blocks of whole band rows of about
-# this many bytes, so a block stays in a 2 MiB L2 cache between its two
-# products. Below _MIN_BLOCK_BANDS rows a block saves less than the extra
-# calls cost, and the image is read as one block. Both were chosen by timing
-# the kernel at 224 bands on 24 x 24 to 200 x 200 scenes (BENCH_21.json).
-# ``coupling_pull`` takes the pixels in blocks of the same size.
-_BLOCK_BYTES = 1024 * 1024
+# ``signature_step`` reads the image in blocks of whole band rows of
+# ``BLOCK_BYTES``. Below this many rows a block saves less than the extra
+# calls cost, and the image is read as one block; chosen by timing the
+# kernel at 224 bands on 24 x 24 to 200 x 200 scenes (BENCH_21.json).
 _MIN_BLOCK_BANDS = 16
 # ``gram_fcls`` stops after this many passes per endmember, the iteration
 # limit of Lawson & Hanson's NNLS; no scene or random problem checked, with
@@ -183,44 +180,6 @@ def global_cost(Y, A, S) -> float:
     return float(np.sum(resid * resid))
 
 
-class Coupling(NamedTuple):
-    """The coupling: neighbor operator W, strength ``eta`` and what the kernels read of W.
-
-    ``gram_objective`` forms the coupling term from one product with W:
-    expanding |s_k - s_j|^2 = |s_k|^2 + |s_j|^2 - 2 <s_k, s_j>, the first two
-    terms weighted by W[k, j] sum to <W 1, |s|^2> and <W^T 1, |s|^2>, and the
-    third to -2 <S, S W^T>, so
-
-        sum_kj W[k, j] |s_k - s_j|^2 = <W 1 + W^T 1, |s|^2> - 2 <S, S W^T>
-
-    with |s|^2 the squared norm of every abundance column. The right side
-    is a difference of two sums as large as <spread, |s|^2>, so it rounds at
-    about machine epsilon times eta <spread, |s|^2>, not times the term.
-    """
-
-    W: np.ndarray  # the (8, height, width) weight planes of ``neighbor_weights``
-    degree: np.ndarray  # W 1, the summed weight of each row
-    spread: np.ndarray  # W 1 + W^T 1, each pixel's weight as sender and receiver
-    eta: float  # the coupling strength
-
-
-def coupling(W, eta: float) -> Coupling:
-    """Bundle the weight planes W with their row sums, row-plus-column sums and ``eta``.
-
-    The planes must be zero off the grid. W 1 is the sum of the planes; W^T 1
-    adds each plane shifted onto the neighbors it weights, in descending
-    offset order, so every column is summed in ascending row order.
-    """
-    W = np.ascontiguousarray(W, dtype=np.float64)
-    _, height, width = W.shape
-    planes = W.reshape(len(OFFSETS), height * width)
-    degree = planes.sum(axis=0)
-    received = np.zeros(height * width)
-    for plane, (pixels, neighbors) in zip(planes[::-1], plane_slices(width, height)[::-1]):
-        received[neighbors] += plane[pixels]
-    return Coupling(W, degree, degree + received, eta)
-
-
 class Products(NamedTuple):
     """What the abundance kernels need of the image for fixed signatures A."""
 
@@ -236,42 +195,6 @@ def signature_products(Y, A) -> Products:
 def image_energy(Y) -> float:
     """|Y|^2, the constant term of the Gram-form residual."""
     return float(np.vdot(Y, Y))
-
-
-def coupling_pull(graph: Coupling, S) -> np.ndarray:
-    """S W^T: column k is the weighted sum of pixel k's neighbor columns.
-
-    One multiply-add per weight plane. In the row-major pixel order the
-    neighbor at (dy, dx) of pixel k is pixel k + dy * width + dx, so with the
-    rows of S laid end to end between zero margins of width + 1, every plane
-    multiplies one contiguous c x N window, shifted by that offset. Where a
-    neighbor is off the grid the plane's weight is 0: the value the window
-    reads there (a margin zero, a pixel at the other end of an image row, or
-    one of the adjacent row of S) is finite, so it adds an exact 0. The
-    planes are added in offset order to a zeroed sum, the order in which a
-    compressed-row sparse product sums row k of W, so the result has its
-    bits. The pixels are taken in blocks whose sum, product and window hold
-    ``_BLOCK_BYTES`` between them, so each block's eight multiply-adds run
-    in cache.
-    """
-    c, n = S.shape
-    width = graph.W.shape[2]
-    margin = width + 1
-    flat = np.zeros(c * n + 2 * margin)
-    flat[margin:margin + c * n] = S.ravel()
-    starts = [margin + dy * width + dx for dy, dx in OFFSETS]
-    windows = [flat[start:start + c * n].reshape(c, n) for start in starts]
-    planes = graph.W.reshape(len(OFFSETS), n)
-    block = max(1, _BLOCK_BYTES // (3 * flat.itemsize * c))
-    pull = np.zeros((c, n))
-    term = np.empty((c, min(block, n)))
-    for start in range(0, n, block):
-        b = slice(start, start + block)
-        part = pull[:, b]
-        product = term[:, :part.shape[1]]
-        for plane, window in zip(planes, windows):
-            part += np.multiply(plane[b], window[:, b], out=product)
-    return pull
 
 
 def gram_step(
@@ -431,7 +354,7 @@ def signature_step(Y, A, S, gram) -> Tuple[np.ndarray, Products]:
     A_new is formed and its share A_new[b]^T Y[b] of A_new^T Y added while
     the block is still in cache, one trip through memory where two full
     products take two (cache blocking as in Goto & van de Geijn, ACM TOMS
-    2008). A block holds ``_BLOCK_BYTES`` of Y; when that is fewer than
+    2008). A block holds ``BLOCK_BYTES`` of Y; when that is fewer than
     ``_MIN_BLOCK_BANDS`` rows, Y is one block and the kernel is exactly the
     two full products. Summing A_new^T Y over blocks rounds differently from
     one product, by a few ulps.
@@ -440,7 +363,7 @@ def signature_step(Y, A, S, gram) -> Tuple[np.ndarray, Products]:
     C-ordered Y; it rounds differently from Y @ S.T, by a few ulps.
     """
     n_bands, n_pixels = Y.shape
-    rows = _BLOCK_BYTES // (Y.itemsize * max(n_pixels, 1))
+    rows = BLOCK_BYTES // (Y.itemsize * max(n_pixels, 1))
     if rows < _MIN_BLOCK_BANDS:
         rows = n_bands
     A_new = np.empty(A.shape)

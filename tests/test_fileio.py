@@ -64,6 +64,19 @@ class TestCubeRoundtrip:
         assert back.data.tobytes() == img.data.tobytes()
         assert peak < 1.2 * img.data.nbytes, f"peak {peak / img.data.nbytes:.2f} x the payload"
 
+    def test_the_write_makes_no_copy_of_the_payload(self, tmp_path):
+        # the image's own buffer goes to the file, as the read fills one
+        img = random_image(np.random.default_rng(5), width=50, height=50, bands=100)
+        path = tmp_path / "big.cube"
+        tracemalloc.start()
+        try:
+            write_cube(path, img)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert read_cube(path).data.tobytes() == img.data.tobytes()
+        assert peak < 0.1 * img.data.nbytes, f"peak {peak / img.data.nbytes:.3f} x the payload"
+
     def test_a_pipe_is_refused(self, tmp_path):
         # its size is unknown before the read, and the header's claim alone
         # must not size an allocation

@@ -7,6 +7,7 @@ from dataclasses import fields, is_dataclass
 import numpy as np
 import pytest
 
+from hsunmix import clustering, synth
 from hsunmix.initialize import random_init
 from hsunmix.regularizers import OFFSETS, build_neighborhood
 from hsunmix.synth import bundled_library, generate_synthetic
@@ -313,3 +314,32 @@ def test_column_sq_norms_equal_the_sum_of_squares_bit_for_bit(shape):
 def test_column_sq_norms_equal_the_sum_of_squares_on_synthetic_scenes(seed):
     Y = generate_synthetic(bundled_library(), 6, width=40, height=40, seed=seed).Y.data
     assert np.array_equal(column_sq_norms(Y), (Y * Y).sum(axis=0))
+
+
+def _noisy_scene():
+    # at 5 dB the noise scaling truncates entries and runs several rounds;
+    # a 1-byte block makes every one of the 224 band rows its own block
+    scene = generate_synthetic(bundled_library(), 4, width=12, height=10, patch=4,
+                               filter_size=3, snr_db=5.0, seed=3)
+    assert (scene.Y.data == 0).any()
+    return scene.Y.data, scene.noise
+
+
+def _recomputed_distances():
+    # 6 spectra that differ by about 1e-9 relative, repeated over 200 pixels:
+    # every one of the 1200 distances lies below the Gram form's rounding
+    # bound and is recomputed, one entry per chunk at a 1-byte block
+    rng = np.random.default_rng(24)
+    spectra = (rng.random((100, 1)) + 0.05) * (1 + 1e-9 * rng.random((1, 6)))
+    d2 = clustering._sq_distances(spectra[:, rng.integers(0, 6, size=200)], spectra)
+    assert (d2 == 0).sum() == 200 and (d2 > 0).any()
+    return (d2,)
+
+
+@pytest.mark.parametrize("module, run", [(synth, _noisy_scene), (clustering, _recomputed_distances)],
+                         ids=["noise-scaling", "fcm-recompute"])
+def test_a_tiny_block_size_gives_the_bits_of_the_default(monkeypatch, module, run):
+    default = run()
+    monkeypatch.setattr(module, "BLOCK_BYTES", 1)
+    for got, want in zip(run(), default):
+        assert got.tobytes() == want.tobytes()

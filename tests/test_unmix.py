@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 import hsunmix
-from hsunmix import unmix
+from hsunmix import regularizers, unmix
 from hsunmix.clustering import fcm
 from hsunmix.errors import NumericalFailureError
 from hsunmix.initialize import fcls_abundances, vca
 from hsunmix.regularizers import (
     build_neighborhood,
+    coupling,
+    coupling_pull,
     neighbor_weights,
     project_simplex_columns,
     sparsity_norm,
@@ -32,8 +34,6 @@ from hsunmix.unmix import (
     PRESETS,
     AlgorithmVariant,
     StopReason,
-    coupling,
-    coupling_pull,
     global_cost,
     gram_fcls,
     gram_multiplicative,
@@ -563,7 +563,7 @@ class TestSignatureStep:
     def test_matches_the_two_full_products(self, monkeypatch, L, N, block_rows, blocks):
         Y, A, S = self._problem(L, N)
         if block_rows is not None:
-            monkeypatch.setattr(unmix, "_BLOCK_BYTES", block_rows * Y.itemsize * N)
+            monkeypatch.setattr(unmix, "BLOCK_BYTES", block_rows * Y.itemsize * N)
         gram = S @ S.T
         log = {"paused": False, "products": 0}
         A_new, P = signature_step(CountedImage.watch(Y, log), A, S, gram)
@@ -583,7 +583,7 @@ class TestSignatureStep:
         # 224 x 10 000 is one block at the default size, seven at 32 rows
         Y, A, S = self._problem(224, 10_000)
         if block_rows is not None:
-            monkeypatch.setattr(unmix, "_BLOCK_BYTES", block_rows * Y.itemsize * Y.shape[1])
+            monkeypatch.setattr(unmix, "BLOCK_BYTES", block_rows * Y.itemsize * Y.shape[1])
         gram = S @ S.T
         tracemalloc.start()
         try:
@@ -715,7 +715,7 @@ class TestCsrOracle:
         _, _, W, _ = self._network(40, 40, "random", seed=2)
         graph = coupling(W, 0.1)
         S = np.random.default_rng(3).dirichlet(np.ones(5), size=1600).T
-        monkeypatch.setattr(unmix, "_BLOCK_BYTES", 3 * S.itemsize * S.shape[0] * block_pixels)
+        monkeypatch.setattr(regularizers, "BLOCK_BYTES", 3 * S.itemsize * S.shape[0] * block_pixels)
         assert coupling_pull(graph, S).tobytes() == np.ascontiguousarray(csr_pull(as_csr(W), S)).tobytes()
 
     def test_the_planes_of_the_grid_are_its_adjacency(self):
