@@ -21,6 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import NumericalFailureError
 from .types import BLOCK_BYTES, ClusterAssignment, as_integer, as_matrix, column_sq_norms
 
 # defaults of fcm's settings, read by the experiment spec and the ``cluster``
@@ -32,6 +33,7 @@ FCM_MAX_ITER = 300
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _SMALLEST_SUBNORMAL = np.finfo(np.float64).smallest_subnormal
+_FLOAT_MAX = np.finfo(np.float64).max
 
 
 def fcm(
@@ -54,6 +56,9 @@ def fcm(
     ``on_iteration`` receives (iteration, memberships, centers, objective)
     after every center update; the objective is the weighted squared
     distortion and never increases between iterations.
+
+    Pixels whose squared distances could overflow raise
+    :class:`NumericalFailureError` before the first iteration.
     """
     arr = as_matrix(Y, "image")
     n_pixels = arr.shape[1]
@@ -68,6 +73,10 @@ def fcm(
     centers = arr[:, picks]
 
     y_sq = column_sq_norms(arr)
+    # a center is a weighted mean of pixels, so no squared distance, and no
+    # partial sum of one, exceeds 4 max |y|^2
+    if not y_sq.max() <= _FLOAT_MAX / 4:
+        raise NumericalFailureError("squared distances between the pixel spectra overflow")
     d2 = _sq_distances(arr, centers, y_sq)
     memberships = None
     for iteration in range(1, max_iter + 1):

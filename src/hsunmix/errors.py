@@ -10,7 +10,7 @@ class DegenerateDataError(ValueError):
 
 
 class NumericalFailureError(RuntimeError):
-    """An iterative solver produced a non-finite or diverging value."""
+    """A computation overflowed, or an iterative solver produced a non-finite or diverging value."""
 
 
 class CubeFormatError(ValueError):

@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DegenerateDataError
+from .errors import DegenerateDataError, NumericalFailureError
 from .types import (
     AbundanceMatrix,
     HyperspectralImage,
@@ -35,12 +35,17 @@ def vca(Y, c: int, seed: int = 0) -> SignatureMatrix:
     Each step draws a random direction, removes its component along the span
     of the endmembers selected so far, and keeps the pixel with the largest
     absolute projection onto what remains. The returned columns are actual
-    pixels of Y. Deterministic for a fixed seed.
+    pixels of Y. Deterministic for a fixed seed. Data whose squared norm
+    overflows raises :class:`NumericalFailureError`.
     """
     arr = as_matrix(Y, "image")
     n_bands, n_pixels = arr.shape
     if not (1 <= c <= min(n_bands, n_pixels)):
         raise ValueError(f"c must lie in [1, {min(n_bands, n_pixels)}]")
+    # |Y|^2 bounds every sum below: the band sums, the Gram matrix of the
+    # centered data and the squared norms of its pixels
+    if not np.isfinite(np.vdot(arr, arr)):
+        raise NumericalFailureError("the squared norm of the data overflows")
     rng = np.random.default_rng(seed)
 
     mean = arr.mean(axis=1, keepdims=True)

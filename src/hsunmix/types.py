@@ -153,7 +153,8 @@ class ClusterAssignment(_Value):
     """Fuzzy clustering result: hard labels, soft memberships, cluster centers.
 
     Labels are the column argmax of the membership matrix (ties resolve to the
-    lowest cluster index), membership columns sum to 1.
+    lowest cluster index), membership columns sum to 1 within ``ASC_TOL``,
+    and the centers, like signatures, are finite and nonnegative.
     """
 
     labels: np.ndarray
@@ -172,10 +173,11 @@ class ClusterAssignment(_Value):
             raise ValueError("labels must have one entry per pixel")
         if centers.shape[1] != n_clusters:
             raise ValueError("centers must have one column per cluster")
-        if np.any(memberships < 0) or np.any(memberships > 1):
-            raise ValueError("memberships must lie in [0, 1]")
-        if np.any(np.abs(memberships.sum(axis=0) - 1.0) > ASC_TOL):
-            raise ValueError("membership columns must sum to 1")
+        if not validate_abundances(memberships) or np.any(memberships > 1):
+            raise ValueError(
+                f"memberships must be finite, lie in [0, 1] and sum to 1 per column within {ASC_TOL:g}"
+            )
+        _check_entries(centers, "centers")
         if not np.array_equal(labels, np.argmax(memberships, axis=0)):
             raise ValueError("labels must be the argmax of the membership columns")
 

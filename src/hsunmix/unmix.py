@@ -163,11 +163,11 @@ class UnmixingResult:
 
 
 def _factors(Y, A, S):
-    """Image, signature and abundance matrices, checked for matching shapes."""
+    """Image, signature and abundance matrices, checked for matching shapes; ``S`` may be None."""
     Yd = as_matrix(Y, "image")
     Ad = as_matrix(A, "signatures")
-    Sd = as_matrix(S, "abundances")
-    if Ad.shape[0] != Yd.shape[0] or Ad.shape[1] != Sd.shape[0] or Sd.shape[1] != Yd.shape[1]:
+    Sd = None if S is None else as_matrix(S, "abundances")
+    if Ad.shape[0] != Yd.shape[0] or (Sd is not None and Sd.shape != (Ad.shape[1], Yd.shape[1])):
         raise ValueError("incompatible shapes for image, signatures, abundances")
     return Yd, Ad, Sd
 
@@ -395,30 +395,6 @@ def update_abundance_multiplicative(Y, A, S) -> np.ndarray:
     return gram_multiplicative(signature_products(Yd, Ad), Sd)
 
 
-def _solve_fcls(Y: HyperspectralImage, init_A, on_iteration) -> UnmixingResult:
-    """The exact ``fcls`` solve of ``run_unmixing``: one call of ``gram_fcls``."""
-    Yd = as_matrix(Y, "image")
-    # the estimate must not share the caller's array
-    A = as_matrix(init_A, "signatures").copy()
-    if A.shape[0] != Yd.shape[0]:
-        raise ValueError("incompatible shapes for image, signatures")
-    products = signature_products(Yd, A)
-    if not (np.isfinite(products.AtY).all() and np.isfinite(products.AtA).all()):
-        raise NumericalFailureError("A^T Y or A^T A of the fcls solve is non-finite")
-    S, solved = gram_fcls(products)
-    j = gram_objective(image_energy(Yd), products, S, S @ S.T)
-    if not np.isfinite(j):
-        raise NumericalFailureError("objective of the fcls solve is non-finite")
-    if on_iteration is not None:
-        on_iteration(1, A, S, j)
-    return UnmixingResult(
-        A=SignatureMatrix(A),
-        S=AbundanceMatrix(S),
-        cost_trace=[j],
-        stop_reason=StopReason.CONVERGED if solved else StopReason.MAX_ITER,
-    )
-
-
 def run_unmixing(
     Y,
     cfg: UnmixingConfig,
@@ -439,10 +415,13 @@ def run_unmixing(
     :class:`NumericalFailureError` before the projection sees it.
 
     ``init_S=None`` is accepted by ``fcls`` only, which then solves for the
-    abundances once with ``gram_fcls`` instead of the loop, reading no other
-    field of ``cfg``. Its cost trace holds one value and ``on_iteration`` is
-    called once; the stop reason is ``max_iter`` if the kernel's pass cap
-    stopped a pixel short of the optimum, else ``converged``.
+    abundances once with ``gram_fcls`` instead of the loop. Its cost trace
+    holds one value and ``on_iteration`` is called once; the stop reason is
+    ``max_iter`` if the kernel's pass cap stopped a pixel short of the
+    optimum, else ``converged``. Both ``fcls`` paths run one prologue with
+    the loop: the same checks and, for a preset that keeps A fixed, A^T Y and
+    A^T A formed once. A non-finite |Y|^2, A^T Y or A^T A raises
+    :class:`NumericalFailureError` there, before any kernel reads it.
 
     ``clusters`` is required by the clustered variant and ignored elsewhere.
     ``on_iteration`` receives (iteration, A, S, objective) after each pass;
@@ -454,25 +433,39 @@ def run_unmixing(
     preset = PRESETS[variant]
     if preset.cluster_mask and clusters is None:
         raise ValueError("the clustered variant requires a ClusterAssignment")
-    if init_S is None:
-        if variant is not AlgorithmVariant.FCLS:
-            raise ValueError("only the fcls variant runs without start abundances")
-        return _solve_fcls(Y, init_A, on_iteration)
+    if init_S is None and variant is not AlgorithmVariant.FCLS:
+        raise ValueError("only the fcls variant runs without start abundances")
     Yd, A, S = _factors(Y, init_A, init_S)
-    # fcls returns its start as the estimate, which must not share the caller's
-    # array; S is replaced before anything could write to it
+    # fcls returns its signatures as the estimate, which must not share the
+    # caller's array; S is replaced before anything could write to it
     A = A.copy()
+    # every preset's objective holds |Y|^2, so no run could record a finite one
+    y_energy = image_energy(Yd)
+    if not np.isfinite(y_energy):
+        raise NumericalFailureError("|Y|^2 of the objective is non-finite")
+    products = None
+    if not preset.update_a:
+        products = signature_products(Yd, A)
+        if not (np.isfinite(products.AtY).all() and np.isfinite(products.AtA).all()):
+            raise NumericalFailureError("A^T Y or A^T A of the fcls solve is non-finite")
+    if S is None:
+        S, solved = gram_fcls(products)
+        j = gram_objective(y_energy, products, S, S @ S.T)
+        if not np.isfinite(j):
+            raise NumericalFailureError("objective of the fcls solve is non-finite")
+        if on_iteration is not None:
+            on_iteration(1, A, S, j)
+        reason = StopReason.CONVERGED if solved else StopReason.MAX_ITER
+        return UnmixingResult(SignatureMatrix(A), AbundanceMatrix(S), [j], reason)
 
     lam = 0.0
     if preset.sparse and cfg.q < 1:
         lam = cfg.sparsity_weight
         if lam is None:
             lam = estimate_sparsity_weight(Yd)
-    y_energy = image_energy(Yd)
     graph = None
     if preset.coupled and cfg.eta > 0:
         graph = coupling(neighbor_weights(Y, clusters if preset.cluster_mask else None), cfg.eta)
-    products = None if preset.update_a else signature_products(Yd, A)
     # S S^T and S W^T of the current iterate, read by the objective and the next step
     gram = S @ S.T
     pull = None if graph is None else coupling_pull(graph, S)
@@ -507,9 +500,4 @@ def run_unmixing(
             break
         j_prev = j
 
-    return UnmixingResult(
-        A=SignatureMatrix(A),
-        S=AbundanceMatrix(S),
-        cost_trace=trace,
-        stop_reason=reason,
-    )
+    return UnmixingResult(SignatureMatrix(A), AbundanceMatrix(S), trace, reason)

@@ -1035,3 +1035,43 @@ def test_importing_the_cli_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+@pytest.fixture(scope="module")
+def scaled_dir(scene_dir, tmp_path_factory):
+    """The scene's image scaled by 1e150, whose squares stay finite, and by 1e155, whose squares overflow."""
+    out = tmp_path_factory.mktemp("scaled")
+    Y = read_cube(scene_dir / "Y.cube")
+    for scale in ("1e150", "1e155"):
+        write_cube(out / f"{scale}.cube", HyperspectralImage(float(scale) * Y.data, Y.width, Y.height))
+    return out
+
+
+def _run_hsunmix(*args):
+    """Run the CLI as its own process, so stderr holds every warning NumPy prints."""
+    src = Path(hsunmix.cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run(
+        [sys.executable, "-m", "hsunmix", *map(str, args)], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+# the entries are finite, so either cube is a valid image
+@pytest.mark.parametrize("command, message", [
+    (["cluster"], "squared distances between the pixel spectra overflow"),
+    (["unmix", "--variant", "nmf", "--endmembers", "3"], "the squared norm of the data overflows"),  # at vca
+], ids=["cluster", "unmix"])
+def test_an_image_whose_squares_overflow_fails_before_any_warning(scaled_dir, tmp_path, command, message):
+    proc = _run_hsunmix(command[0], scaled_dir / "1e155.cube", *command[1:], "--out", tmp_path / "o")
+    assert proc.returncode == 1
+    assert "Warning" not in proc.stderr
+    assert proc.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["cluster"], ["unmix", "--variant", "nmf", "--endmembers", "3", "--max-iter", "5"],
+], ids=["cluster", "unmix"])
+def test_an_image_whose_squares_stay_finite_runs(scaled_dir, tmp_path, command):
+    proc = _run_hsunmix(command[0], scaled_dir / "1e150.cube", *command[1:], "--out", tmp_path / "o")
+    assert proc.returncode == 0
+    assert proc.stderr == ""

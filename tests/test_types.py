@@ -194,6 +194,18 @@ class TestClusterAssignment:
         with pytest.raises(ValueError):
             ClusterAssignment(np.array([1, 1]), u, np.ones((3, 2)))
 
+    # NaN passes every comparison the range and column-sum tests make
+    def test_a_nan_membership_column_is_rejected(self):
+        u = np.array([[0.9, np.nan], [0.1, np.nan]])
+        with pytest.raises(ValueError, match="memberships must be finite"):
+            ClusterAssignment(np.array([0, 0]), u, np.ones((3, 2)))
+
+    def test_a_nan_center_is_rejected(self):
+        centers = np.ones((3, 2))
+        centers[1, 1] = np.nan
+        with pytest.raises(ValueError, match="centers must be finite"):
+            ClusterAssignment(np.array([0, 1]), np.array([[0.9, 0.2], [0.1, 0.8]]), centers)
+
 
 U = np.array([[0.9, 0.2], [0.1, 0.8]])  # memberships (or abundances) of two pixels
 ONES = np.ones((3, 2))

@@ -494,16 +494,23 @@ class TestGramFcls:
         assert result.stop_reason is StopReason.MAX_ITER
         assert np.array_equal(np.sort(result.S.data, axis=0)[-1], np.ones(30))
 
+    # both fcls paths, the exact solve and the loop from the FCLS start, run
+    # one prologue: the same checks, in the same order, with the same errors
+    @pytest.mark.parametrize("start", [True, False], ids=["fcls-start", "no-start"])
     @pytest.mark.parametrize("image_scale, signature_scale, what", [
         (1.0, 1e160, "A\\^T A"),  # the products overflow
         (1e155, 1.0, "objective"),  # |Y|^2 overflows, the products do not
     ])
-    def test_an_overflowing_solve_raises_typed_error(self, image_scale, signature_scale, what):
+    def test_an_overflowing_solve_raises_typed_error(self, image_scale, signature_scale, what, start):
         rng = np.random.default_rng(61)
         image, A, _ = random_problem(rng, L=8, width=6, height=5)
+        S0 = fcls_abundances(image, A) if start else None
         image = HyperspectralImage(image_scale * image.data, 6, 5)
-        with np.errstate(over="ignore"), pytest.raises(NumericalFailureError, match=what):
-            run_unmixing(image, UnmixingConfig(variant="fcls"), signature_scale * A, None)
+        # the typed error comes before any NumPy warning, an "invalid value" one included
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailureError, match=what):
+                run_unmixing(image, UnmixingConfig(variant="fcls"), signature_scale * A, S0)
 
     @pytest.mark.parametrize("variant", [v.value for v in AlgorithmVariant if v is not AlgorithmVariant.FCLS])
     def test_only_fcls_runs_without_a_start(self, variant):
@@ -512,11 +519,13 @@ class TestGramFcls:
         with pytest.raises(ValueError, match="start abundances"):
             run_unmixing(image, UnmixingConfig(variant=variant), A, None, split_clusters(6, 5, 8))
 
-    def test_fcls_without_a_start_checks_the_band_count(self):
+    @pytest.mark.parametrize("start", [True, False], ids=["fcls-start", "no-start"])
+    def test_fcls_without_a_start_checks_the_band_count(self, start):
         rng = np.random.default_rng(63)
         image, A, _ = random_problem(rng, L=8, width=6, height=5)
+        S0 = fcls_abundances(image, A) if start else None
         with pytest.raises(ValueError, match="incompatible shapes"):
-            run_unmixing(image, UnmixingConfig(variant="fcls"), A[:-1], None)
+            run_unmixing(image, UnmixingConfig(variant="fcls"), A[:-1], S0)
 
 
 class CountedImage(np.ndarray):
@@ -920,6 +929,18 @@ class TestRunUnmixing:
             warnings.simplefilter("error")
             with pytest.raises(NumericalFailureError):
                 run_unmixing(image, cfg, A0, S0)
+
+    # fcls takes this case in TestGramFcls.test_an_overflowing_solve_raises_typed_error
+    @pytest.mark.parametrize("variant", [v.value for v in AlgorithmVariant if v is not AlgorithmVariant.FCLS])
+    def test_an_image_whose_energy_overflows_fails_before_any_warning(self, variant):
+        # finite entries whose squares overflow: every preset's objective holds |Y|^2
+        image, A0, S0 = self._setup(seed=9)
+        image = HyperspectralImage(1e155 * image.data, image.width, image.height)
+        cfg = UnmixingConfig(variant=variant, q=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailureError, match="\\|Y\\|\\^2"):
+                run_unmixing(image, cfg, A0, S0, split_clusters(5, 4, 8))
 
 
 class TestMultiplicativeAbundanceStep:
