@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NumericalFailureError
-from .types import BLOCK_BYTES, ClusterAssignment, as_integer, as_matrix, column_sq_norms
+from .types import BLOCK_BYTES, ClusterAssignment, HyperspectralImage, as_integer, as_matrix, column_sq_norms
 
 # defaults of fcm's settings, read by the experiment spec and the ``cluster``
 # and ``unmix`` commands; fcm itself takes the cluster count explicitly
@@ -37,7 +37,7 @@ _FLOAT_MAX = np.finfo(np.float64).max
 
 
 def fcm(
-    Y,
+    Y: HyperspectralImage,
     n_clusters: int,
     m: float = FCM_M,
     tol: float = FCM_TOL,
@@ -45,7 +45,7 @@ def fcm(
     seed: int = 0,
     on_iteration: Optional[Callable[[int, np.ndarray, np.ndarray, float], None]] = None,
 ) -> ClusterAssignment:
-    """Cluster the pixel spectra of Y into ``n_clusters`` fuzzy groups.
+    """Cluster the pixel spectra of the image Y into ``n_clusters`` fuzzy groups.
 
     Memberships follow the inverse-distance rule
     u_ck proportional to (1 / ||y_k - v_c||^2)^(1/(m-1)), centers are the
@@ -60,10 +60,9 @@ def fcm(
     Pixels whose squared distances could overflow raise
     :class:`NumericalFailureError` before the first iteration.
     """
-    arr = as_matrix(Y, "image")
-    n_pixels = arr.shape[1]
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("data must be finite")
+    if not isinstance(Y, HyperspectralImage):
+        raise ValueError("Y must be a HyperspectralImage")
+    arr, n_pixels = Y.data, Y.n_pixels
     if not (1 <= n_clusters <= n_pixels):
         raise ValueError("n_clusters must lie in [1, pixel count]")
     check_fcm_settings(m, tol, max_iter)

@@ -27,7 +27,7 @@ from .types import (
 from .unmix import StopReason, run_unmixing
 
 
-def vca(Y, c: int, seed: int = 0) -> SignatureMatrix:
+def vca(Y: HyperspectralImage, c: int, seed: int = 0) -> SignatureMatrix:
     """Vertex component analysis: select ``c`` pixels as endmember candidates.
 
     The data are reduced to c-1 principal components of the mean-removed
@@ -38,7 +38,9 @@ def vca(Y, c: int, seed: int = 0) -> SignatureMatrix:
     pixels of Y. Deterministic for a fixed seed. Data whose squared norm
     overflows raises :class:`NumericalFailureError`.
     """
-    arr = as_matrix(Y, "image")
+    if not isinstance(Y, HyperspectralImage):
+        raise ValueError("Y must be a HyperspectralImage")
+    arr = Y.data
     n_bands, n_pixels = arr.shape
     if not (1 <= c <= min(n_bands, n_pixels)):
         raise ValueError(f"c must lie in [1, {min(n_bands, n_pixels)}]")

@@ -16,8 +16,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DegenerateDataError
-from .types import BLOCK_BYTES, ClusterAssignment, HyperspectralImage, as_matrix, column_sq_norms
+from .errors import DegenerateDataError, NumericalFailureError
+from .types import BLOCK_BYTES, ClusterAssignment, HyperspectralImage, as_matrix, check_q, column_sq_norms
 
 SPARSITY_GUARD = 1e-12  # keeps the q-norm gradient finite at exact zeros
 
@@ -310,10 +310,13 @@ def sparsity_norm(s, q: float):
     """Guarded q-norm: (sum_i (|s_i| + guard)^q)^(1/q), guard = ``SPARSITY_GUARD``.
 
     Accepts a vector or a matrix of column vectors (reduction over axis 0).
+    A norm past the float range, as at a tiny q, where the 1/q power of a
+    power sum of at least 1 overflows, raises :class:`NumericalFailureError`.
     """
-    _check_q(q)
+    check_q(q)
     s = np.asarray(s, dtype=np.float64)
-    return ((np.abs(s) + SPARSITY_GUARD) ** q).sum(axis=0) ** (1.0 / q)
+    with np.errstate(over="ignore"):
+        return _in_float_range(((np.abs(s) + SPARSITY_GUARD) ** q).sum(axis=0) ** (1.0 / q), "norm", q)
 
 
 def sparsity_gradient(s, q: float) -> np.ndarray:
@@ -328,18 +331,23 @@ def sparsity_gradient(s, q: float) -> np.ndarray:
     uniform shift that the simplex projection cancels: after projection a
     q = 1 step changes nothing and promotes no sparsity. Only q < 1 does.
 
-    Accepts a vector or a matrix of column vectors.
+    Accepts a vector or a matrix of column vectors. A gradient past the float
+    range, as at a tiny q, where the (q-1)/q power of the power sum
+    underflows, raises :class:`NumericalFailureError`.
     """
-    _check_q(q)
+    check_q(q)
     s = np.asarray(s, dtype=np.float64)
     if q == 1.0:
         return np.where(s < 0, -1.0, 1.0)
     base = np.abs(s) + SPARSITY_GUARD
     num = s * base ** (q - 2.0)
     den = (base**q).sum(axis=0) ** ((q - 1.0) / q)
-    return num / den
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return _in_float_range(num / den, "gradient", q)
 
 
-def _check_q(q: float) -> None:
-    if not (0 < q <= 1):
-        raise ValueError("q must lie in (0, 1]")
+def _in_float_range(x, what: str, q: float):
+    """``x``, unless an entry of it is not finite, which raises :class:`NumericalFailureError`."""
+    if not np.isfinite(x).all():
+        raise NumericalFailureError(f"the sparsity {what} at q = {q:g} leaves the float range")
+    return x

@@ -60,6 +60,12 @@ def as_integer(value, name: str) -> int:
     return int(value)
 
 
+def check_q(q: float) -> None:
+    """Raise ``ValueError`` unless the sparsity norm exponent q lies in (0, 1]."""
+    if not (0 < q <= 1):
+        raise ValueError("q must lie in (0, 1]")
+
+
 def _check_entries(data: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(data)):
         raise ValueError(f"{what} must be finite")
@@ -231,8 +237,7 @@ class UnmixingConfig:
             raise ValueError("mu must be positive and finite")
         if not (self.eta >= 0 and np.isfinite(self.eta)):
             raise ValueError("eta must be nonnegative and finite")
-        if not (0 < self.q <= 1):
-            raise ValueError("q must lie in (0, 1]")
+        check_q(self.q)
         if self.sparsity_weight is not None and not (
             self.sparsity_weight >= 0 and np.isfinite(self.sparsity_weight)
         ):

@@ -429,11 +429,10 @@ def run_unmixing(
     """
     if not isinstance(Y, HyperspectralImage):
         raise ValueError("Y must be a HyperspectralImage")
-    variant = AlgorithmVariant(cfg.variant)
-    preset = PRESETS[variant]
+    preset = PRESETS[AlgorithmVariant(cfg.variant)]
     if preset.cluster_mask and clusters is None:
         raise ValueError("the clustered variant requires a ClusterAssignment")
-    if init_S is None and variant is not AlgorithmVariant.FCLS:
+    if init_S is None and preset.update_a:
         raise ValueError("only the fcls variant runs without start abundances")
     Yd, A, S = _factors(Y, init_A, init_S)
     # fcls returns its signatures as the estimate, which must not share the
@@ -476,15 +475,14 @@ def run_unmixing(
     for iteration in range(1, cfg.max_iter + 1):
         if preset.update_a:
             A, products = signature_step(Yd, A, S, gram)
-        # the projection starts from the support of the current iterate
-        support = S > 0
         if preset.multiplicative:
-            S = gram_multiplicative(products, S)
+            V = gram_multiplicative(products, S)
         else:
-            S = S + gram_step(products, S, cfg.mu, graph, lam, cfg.q, pull)
-        if not np.abs(S).max() < DIVERGENCE_BOUND:
+            V = S + gram_step(products, S, cfg.mu, graph, lam, cfg.q, pull)
+        if not np.abs(V).max() < DIVERGENCE_BOUND:
             raise NumericalFailureError(f"abundance update diverged at iteration {iteration}")
-        S = project_simplex_columns(S, support=support)
+        # the current iterate is its own support hint: S >= 0, so it is nonzero on its support
+        S = project_simplex_columns(V, support=S)
         gram = S @ S.T
         if graph is not None:
             pull = coupling_pull(graph, S)

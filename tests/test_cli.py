@@ -1068,6 +1068,19 @@ def test_an_image_whose_squares_overflow_fails_before_any_warning(scaled_dir, tm
     assert proc.stderr == f"error: {message}\n"
 
 
+# at a tiny q the (q-1)/q power of the sparsity gradient's power sum
+# underflows, and the quotient divides by zero or overflows
+@pytest.mark.parametrize("settings", [
+    ["--q", "0.001"], ["--q", "0.0015", "--sparsity-weight", "1e-300"],
+], ids=["q0.001", "q0.0015"])
+def test_a_tiny_q_fails_before_any_warning(scene_dir, tmp_path, settings):
+    proc = _run_hsunmix("unmix", scene_dir / "Y.cube", "--endmembers", "3", "--max-iter", "20", *settings,
+                        "--out", tmp_path / "o")
+    assert proc.returncode == 1
+    assert "Warning" not in proc.stderr
+    assert proc.stderr == f"error: the sparsity gradient at q = {settings[1]} leaves the float range\n"
+
+
 @pytest.mark.parametrize("command", [
     ["cluster"], ["unmix", "--variant", "nmf", "--endmembers", "3", "--max-iter", "5"],
 ], ids=["cluster", "unmix"])

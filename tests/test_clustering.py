@@ -213,6 +213,11 @@ class TestFcmProperties:
 
 
 class TestFcmValidation:
+    def test_a_plain_array_is_refused(self):
+        Y = np.random.default_rng(0).random((2, 6)) + 0.1
+        with pytest.raises(ValueError, match="Y must be a HyperspectralImage"):
+            fcm(Y, 2)
+
     def test_too_many_clusters_rejected(self):
         Y = np.ones((2, 3)) * 0.5
         with pytest.raises(ValueError):

@@ -108,6 +108,12 @@ class TestVca:
         b = vca(make_image(Y), 3, seed=11)
         assert np.array_equal(a.data, b.data)
 
+    def test_a_plain_array_is_refused(self):
+        rng = np.random.default_rng(6)
+        _, _, Y = random_scene_with_pure_pixels(rng, L=7, c=3, n_mixed=25)
+        with pytest.raises(ValueError, match="Y must be a HyperspectralImage"):
+            vca(Y, 3)
+
 
 class TestRandomInit:
     def test_valid_and_deterministic(self):

@@ -10,8 +10,9 @@ import pytest
 from pixel_oracle import masked_neighbors
 from sort_projection import SHIFT_BOUND, sort_projection
 
-from hsunmix.errors import DegenerateDataError
+from hsunmix.errors import DegenerateDataError, NumericalFailureError
 from hsunmix.regularizers import (
+    SPARSITY_GUARD,
     _michelot_threshold,
     build_neighborhood,
     estimate_sparsity_weight,
@@ -410,6 +411,28 @@ class TestSparsityTerms:
         G = sparsity_gradient(S, 0.5)
         for j in range(6):
             assert np.allclose(G[:, j], sparsity_gradient(S[:, j], 0.5), rtol=1e-14)
+
+    @pytest.mark.parametrize("kernel", [sparsity_norm, sparsity_gradient])
+    def test_a_tiny_q_fails_with_a_typed_error_not_a_warning(self, kernel):
+        # a simplex column's power sum is at least 1: its 1/q power
+        # overflows, its (q-1)/q power underflows to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailureError, match="at q = 0.001 leaves the float range"):
+                kernel(np.full((6, 4), 1 / 6), 0.001)
+
+    def test_a_finite_result_keeps_the_bits_of_the_formula(self):
+        S = np.random.default_rng(8).dirichlet(np.ones(5), size=20).T
+        base = S + SPARSITY_GUARD
+        sums = (base**0.5).sum(axis=0)
+        assert np.array_equal(sparsity_norm(S, 0.5), sums ** (1.0 / 0.5))
+        assert np.array_equal(sparsity_gradient(S, 0.5), S * base ** (0.5 - 2.0) / sums ** ((0.5 - 1.0) / 0.5))
+
+    @pytest.mark.parametrize("kernel", [sparsity_norm, sparsity_gradient])
+    @pytest.mark.parametrize("q", [0.0, 1.5])
+    def test_a_q_outside_the_range_is_refused(self, kernel, q):
+        with pytest.raises(ValueError, match=r"q must lie in \(0, 1\]"):
+            kernel(np.full((3, 2), 1 / 3), q)
 
     @pytest.mark.parametrize("q", [0.5, 1.0])
     def test_gradient_matches_finite_differences(self, q):
