@@ -12,7 +12,7 @@ are laid out. The angles used for scoring (SAD, AAD) are computed in
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -155,10 +155,11 @@ class Coupling(NamedTuple):
     degree: np.ndarray  # W 1, the summed weight of each row
     spread: np.ndarray  # W 1 + W^T 1, each pixel's weight as sender and receiver
     eta: float  # the coupling strength
+    shifts: Tuple[int, ...]  # dy * width + dx of every plane's move, in the row-major pixel order
 
 
 def coupling(W, eta: float) -> Coupling:
-    """Bundle the weight planes W with their row sums, row-plus-column sums and ``eta``.
+    """Bundle the weight planes W with their row sums, row-plus-column sums, ``eta`` and shifts.
 
     The planes must be zero off the grid. W 1 is the sum of the planes; W^T 1
     adds each plane shifted onto the neighbors it weights, in descending
@@ -171,45 +172,48 @@ def coupling(W, eta: float) -> Coupling:
     received = np.zeros(height * width)
     for plane, (pixels, neighbors) in zip(planes[::-1], plane_slices(width, height)[::-1]):
         received[neighbors] += plane[pixels]
-    return Coupling(W, degree, degree + received, eta)
+    shifts = tuple(dy * width + dx for dy, dx in OFFSETS)
+    return Coupling(W, degree, degree + received, eta, shifts)
 
 
-def coupling_pull(graph: Coupling, S) -> np.ndarray:
+def coupling_pull(graph: Coupling, S, out: Optional[np.ndarray] = None) -> np.ndarray:
     """S W^T: column k is the weighted sum of pixel k's neighbor columns.
 
     One multiply-add per weight plane. With the rows of S laid end to end
     between zero margins of width + 1, every plane multiplies one contiguous
     c x N window, shifted by the plane's offset in the row-major pixel order
-    (``plane_slices``). Where a neighbor is off the grid the plane's weight
+    (``graph.shifts``). Where a neighbor is off the grid the plane's weight
     is 0: the value the window reads there (a margin zero, a pixel at the
     other end of an image row, or one of the adjacent row of S) is finite,
     so it adds an exact 0. The planes are added in offset order to a zeroed
     sum, the order in which a compressed-row sparse product sums row k of W,
     so the result has its bits. The pixels are taken in blocks whose sum,
     product and window hold ``BLOCK_BYTES`` between them, so each block's
-    eight multiply-adds run in cache.
+    eight multiply-adds run in cache. The sum is written to ``out`` if given,
+    an array of S's shape that is not S.
     """
     c, n = S.shape
-    _, height, width = graph.W.shape
-    margin = width + 1
-    flat = np.zeros(c * n + 2 * margin)
-    flat[margin:margin + c * n] = S.ravel()
-    starts = [margin + neighbors.start - pixels.start for pixels, neighbors in plane_slices(width, height)]
-    windows = [flat[start:start + c * n].reshape(c, n) for start in starts]
+    margin = graph.W.shape[2] + 1
+    size = c * n
+    flat = np.empty(size + 2 * margin)
+    flat[:margin] = flat[margin + size:] = 0.0
+    flat[margin:margin + size] = S.ravel()
+    windows = [flat[margin + shift:margin + shift + size].reshape(c, n) for shift in graph.shifts]
     planes = graph.W.reshape(len(OFFSETS), n)
     block = max(1, BLOCK_BYTES // (3 * flat.itemsize * c))
-    pull = np.zeros((c, n))
+    pull = np.empty((c, n)) if out is None else out
+    pull.fill(0.0)
     term = np.empty((c, min(block, n)))
     for start in range(0, n, block):
         b = slice(start, start + block)
         part = pull[:, b]
         product = term[:, :part.shape[1]]
-        for plane, window in zip(planes, windows):
-            part += np.multiply(plane[b], window[:, b], out=product)
+        for plane, window in zip(planes[:, b], windows):
+            part += np.multiply(plane, window[:, b], out=product)
     return pull
 
 
-def project_simplex_columns(V, support=None) -> np.ndarray:
+def project_simplex_columns(V, support=None, bound=None) -> np.ndarray:
     """Euclidean projection of every column of V onto the unit simplex.
 
     Michelot's active-set iteration (Math. Programming 1986; see Condat,
@@ -229,6 +233,12 @@ def project_simplex_columns(V, support=None) -> np.ndarray:
     iterate of a solver. The iteration then starts from the mean excess of
     the guessed entries; a column without a guessed entry starts as without
     a hint. The result is the same, bit for bit; a good guess saves passes.
+
+    ``bound`` marks a diverged input, such as the update of a solver that has
+    left every meaningful scale: a column holding NaN, an infinity or an entry
+    of size ``bound`` or more then raises :class:`NumericalFailureError`
+    instead. The test reads the top and bottom entries the projection forms
+    anyway, so it costs no pass over V.
     """
     V = np.asarray(V, dtype=np.float64)
     if V.ndim != 2:
@@ -237,12 +247,18 @@ def project_simplex_columns(V, support=None) -> np.ndarray:
         raise ValueError(f"support has shape {np.shape(support)}, the columns {V.shape}")
     top = V.max(axis=0)
     bottom = V.min(axis=0)
-    # max and min propagate NaN, so between them they see every non-finite entry
-    bad = ~(np.isfinite(top) & np.isfinite(bottom))
-    if bad.any():
-        columns = np.flatnonzero(bad)
-        raise ValueError(
-            f"cannot project onto the simplex: {columns.size} column(s) hold NaN or inf, "
+    # max and min propagate NaN, so between them they see every non-finite
+    # entry, and a comparison with NaN is false
+    limit = np.inf if bound is None else bound
+    inside = (top < limit) & (bottom > -limit)
+    if not inside.all():
+        columns = np.flatnonzero(~inside)
+        if bound is None:
+            error, what = ValueError, "NaN or inf"
+        else:
+            error, what = NumericalFailureError, f"NaN, inf or an entry of size {bound:g} or more"
+        raise error(
+            f"cannot project onto the simplex: {columns.size} column(s) hold {what}, "
             f"the first at index {columns[0]}"
         )
     # a finite column can still sum past the float range; it is not feasible
@@ -277,6 +293,10 @@ def _michelot_threshold(X, support=None):
     through at most c nested sets, and one pass confirms the last: the loop
     is capped at c + 1 passes. The last tau is always the mean excess of the
     final set, formed the same way, so every start gives the same bits.
+    From the second pass on, the current and the next active set are both
+    the entries above a threshold, so they are nested, and a pass that keeps
+    every column's count keeps every set: its taus would be the last ones,
+    bit for bit, and it stops before forming them.
     """
     c = X.shape[0]
     mask = np.empty_like(X)  # the active entries as 0/1, then those entries
@@ -291,7 +311,9 @@ def _michelot_threshold(X, support=None):
     tau = (np.multiply(mask, X, out=mask).sum(axis=0) - 1.0) / count
     for passes in range(1, c + 2):
         np.greater(X, tau, out=mask, casting="unsafe")
-        count = mask.sum(axis=0)
+        count, last = mask.sum(axis=0), count
+        if passes > 1 and (count == last).all():
+            break
         tau, previous = (np.multiply(mask, X, out=mask).sum(axis=0) - 1.0) / count, tau
         if (tau == previous).all():
             break

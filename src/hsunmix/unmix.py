@@ -200,6 +200,7 @@ def image_energy(Y) -> float:
 def gram_step(
     P: Products, S, mu: float, graph: Optional[Coupling] = None,
     lam: float = 0.0, q: float = 1.0, pull: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Diffusion-LMS abundance step of every pixel at once, before projection.
 
@@ -211,11 +212,16 @@ def gram_step(
     terms are minus half the gradient of pixel k's local cost in s_k. The
     residual part is ``AtY - AtA S``; the neighbor sum is
     ``S W^T - S diag(W 1)``. With a ``graph``, ``pull`` must be S W^T
-    (``coupling_pull(graph, S)``).
+    (``coupling_pull(graph, S)``). The step is written to ``out`` if given,
+    an array of S's shape that is none of the inputs.
     """
-    step = mu * (P.AtY - P.AtA @ S)
+    step = np.matmul(P.AtA, S, out=out)
+    np.subtract(P.AtY, step, out=step)
+    np.multiply(step, mu, out=step)
     if graph is not None:
-        step += (mu * graph.eta) * (pull - S * graph.degree)
+        term = np.multiply(S, graph.degree)
+        np.subtract(pull, term, out=term)
+        step += np.multiply(term, mu * graph.eta, out=term)
     if lam > 0:
         step -= (mu * lam) * sparsity_gradient(S, q)
     return step
@@ -248,9 +254,15 @@ def gram_objective(
     return value
 
 
-def gram_multiplicative(P: Products, S) -> np.ndarray:
-    """Multiplicative abundance update S * AtY / (AtA S + guard)."""
-    return S * P.AtY / (P.AtA @ S + MULT_GUARD)
+def gram_multiplicative(P: Products, S, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Multiplicative abundance update S * AtY / (AtA S + guard).
+
+    The update is written to ``out`` if given, an array of S's shape that is
+    none of the inputs.
+    """
+    denominator = np.matmul(P.AtA, S, out=out)
+    denominator += MULT_GUARD
+    return np.divide(S * P.AtY, denominator, out=denominator)
 
 
 def gram_fcls(P: Products) -> Tuple[np.ndarray, bool]:
@@ -407,12 +419,16 @@ def run_unmixing(
 
     Every outer iteration updates the signatures (if the preset does),
     updates all abundance columns synchronously, projects each column onto
-    the simplex, and records the objective. The projection starts from the
-    support of the current iterate, which the new one most often keeps. The
-    run stops when two consecutive objectives differ by less than
-    ``cfg.eps`` or after ``cfg.max_iter`` iterations. An abundance update that is non-finite or
-    reaches ``DIVERGENCE_BOUND`` in size has diverged and raises
-    :class:`NumericalFailureError` before the projection sees it.
+    the simplex, and records the objective. Without the sparsity term, the
+    projection starts from the support of the current iterate, which the new
+    one most often keeps; the sparsity term moves the support, and there the
+    guess would cost passes. The run stops when two consecutive objectives
+    differ by less than ``cfg.eps`` or after ``cfg.max_iter`` iterations. An
+    abundance update that is non-finite or reaches ``DIVERGENCE_BOUND`` in
+    size has diverged and raises :class:`NumericalFailureError`; the
+    projection tells from the top and bottom entry of every column, which it
+    forms anyway. The update is written to one buffer held for the run, and
+    the coupling pull S W^T to another.
 
     ``init_S=None`` is accepted by ``fcls`` only, which then solves for the
     abundances once with ``gram_fcls`` instead of the loop. Its cost trace
@@ -469,6 +485,15 @@ def run_unmixing(
     gram = S @ S.T
     pull = None if graph is None else coupling_pull(graph, S)
 
+    # the abundance update, in one buffer for the run: the projection returns
+    # a new S. It is C-ordered whatever the start's layout, as a fresh update
+    # is; in Fortran order the step's product and the projection's sums
+    # would round otherwise.
+    V = np.empty(S.shape)
+    # the current iterate is its own support hint (S >= 0 is nonzero on its
+    # support), unless the sparsity term moves the support: there it costs passes
+    hinted = lam == 0
+
     trace: List[float] = []
     j_prev: Optional[float] = None
     reason = StopReason.MAX_ITER
@@ -476,16 +501,16 @@ def run_unmixing(
         if preset.update_a:
             A, products = signature_step(Yd, A, S, gram)
         if preset.multiplicative:
-            V = gram_multiplicative(products, S)
+            gram_multiplicative(products, S, out=V)
         else:
-            V = S + gram_step(products, S, cfg.mu, graph, lam, cfg.q, pull)
-        if not np.abs(V).max() < DIVERGENCE_BOUND:
-            raise NumericalFailureError(f"abundance update diverged at iteration {iteration}")
-        # the current iterate is its own support hint: S >= 0, so it is nonzero on its support
-        S = project_simplex_columns(V, support=S)
+            np.add(S, gram_step(products, S, cfg.mu, graph, lam, cfg.q, pull, out=V), out=V)
+        try:
+            S = project_simplex_columns(V, support=S if hinted else None, bound=DIVERGENCE_BOUND)
+        except NumericalFailureError as error:
+            raise NumericalFailureError(f"abundance update diverged at iteration {iteration}") from error
         gram = S @ S.T
         if graph is not None:
-            pull = coupling_pull(graph, S)
+            pull = coupling_pull(graph, S, out=pull)  # the step has read the last one
 
         j = gram_objective(y_energy, products, S, gram, graph, lam, cfg.q, pull)
         if not np.isfinite(j):

@@ -208,6 +208,28 @@ class TestProjectSimplex:
             with pytest.raises(ValueError, match="1 column.*NaN or inf.*index 3"):
                 project_simplex_columns(V)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e16, -1e16, 1.7e308])
+    def test_a_column_past_the_bound_is_a_numerical_failure(self, bad):
+        V = np.full((3, 5), 0.2)
+        V[1, 3] = V[2, 4] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailureError, match="2 column.*size 1e\\+16 or more.*index 3"):
+                project_simplex_columns(V, bound=1e16)
+            if np.isfinite(bad):  # without a bound, a finite column lands on the simplex
+                top, rest = (1.0, 0.0) if bad > 0 else (0.0, 0.5)
+                assert np.array_equal(project_simplex_columns(V)[:, 3:], [[rest, rest], [top, rest], [rest, top]])
+            else:
+                with pytest.raises(ValueError, match="2 column.*NaN or inf.*index 3"):
+                    project_simplex_columns(V)
+
+    def test_a_column_within_the_bound_projects_as_without_it(self):
+        rng = np.random.default_rng(9)
+        V = rng.normal(size=(4, 200)) * 10.0 ** rng.integers(-2, 16, size=200)
+        V[0, :2] = np.nextafter(1e16, 0.0), -np.nextafter(1e16, 0.0)
+        guess = rng.random(V.shape) < 0.5
+        assert project_simplex_columns(V, guess, bound=1e16).tobytes() == project_simplex_columns(V, guess).tobytes()
+
 
 def one_drop_per_pass(c):
     """A column from which Michelot's iteration drops one entry per pass.
@@ -376,6 +398,36 @@ class TestWarmStartedProjection:
         S = np.random.default_rng(6).dirichlet(np.ones(4), size=30).T
         P = project_simplex_columns(S, support=np.zeros_like(S))
         assert np.array_equal(P, S) and P is not S
+
+    @pytest.mark.parametrize("c", [2, 5, 9, 13])
+    def test_a_pass_that_keeps_every_count_ends_as_a_full_pass(self, c):
+        # Michelot's iteration with every pass formed in full; ties (rounded
+        # entries) and wrong guesses make columns settle in different passes
+        def full_passes(X, support):
+            mask = np.empty_like(X)
+            np.not_equal(support, 0, out=mask, casting="unsafe")
+            mask[:, mask.sum(axis=0) == 0] = 1.0
+            tau = (np.multiply(mask, X).sum(axis=0) - 1.0) / mask.sum(axis=0)
+            for passes in range(1, c + 2):
+                np.greater(X, tau, out=mask, casting="unsafe")
+                tau, previous = (np.multiply(mask, X).sum(axis=0) - 1.0) / mask.sum(axis=0), tau
+                if (tau == previous).all():
+                    break
+            return tau, passes
+
+        rng = np.random.default_rng(500 + c)
+        for trial in range(100):
+            n = (1, 3, 40)[trial % 3]
+            V = rng.normal(size=(c, n)) * 10.0 ** rng.uniform(-3, 1, size=n)
+            if trial % 2:
+                V = np.round(V, 1)
+            X = shifted_and_clamped(V)
+            right = project_simplex_columns(V) > 0
+            # a guess rolled off the support has its counts but not its sets
+            for guess in (np.ones_like(V), rng.random(V.shape) < 0.3, right, np.roll(right, 1, axis=0)):
+                tau, passes = _michelot_threshold(X, guess)
+                want_tau, want_passes = full_passes(X, guess)
+                assert tau.tobytes() == want_tau.tobytes() and passes == want_passes
 
 
 class TestSparsityTerms:

@@ -16,6 +16,7 @@ from hsunmix.regularizers import (
     build_neighborhood,
     coupling,
     coupling_pull,
+    estimate_sparsity_weight,
     neighbor_weights,
     project_simplex_columns,
     sparsity_norm,
@@ -273,28 +274,50 @@ class TestAbundanceStepMatchesOracle:
         assert np.array_equal(result.S.data, S1)
         assert result.cost_trace == [J]
 
-    def test_loop_reuses_the_pull_of_the_projected_iterate(self):
+    @pytest.mark.parametrize("variant, q, order", [
+        ("nmf", 1.0, "C"), ("lq_nmf", 0.5, "C"), ("distributed", 1.0, "C"),
+        ("clustered_sparse_distributed", 0.5, "C"), ("fcls", 1.0, "C"),
+        ("nmf", 1.0, "F"), ("distributed", 1.0, "F"),
+    ])
+    def test_loop_reuses_the_pull_of_the_projected_iterate(self, variant, q, order):
         # The loop forms S W^T once per iteration for the objective and the
-        # next step; composing the one-call kernels must give the same bits.
+        # next step, and writes the update and the pull to buffers it holds
+        # for the run; the one-call kernels on fresh arrays give the same bits.
+        # A start in Fortran order must not lay out the update buffer: its
+        # products would round as another BLAS call, its sums in another order.
         rng = np.random.default_rng(34)
-        image, _, _ = random_problem(rng, L=8, width=6, height=5)
+        image, _, _ = random_problem(rng, L=8, width=7, height=5)
+        Y = image.data
         A = rng.random((8, 3)) + 0.3
-        S = np.ascontiguousarray(rng.dirichlet(np.ones(3), size=30).T)
-        cfg = UnmixingConfig(variant="distributed", max_iter=4, eps=1e-300)
-        result = run_unmixing(image, cfg, A, S)
-        graph = coupling(neighbor_weights(image), cfg.eta)
+        S = np.asarray(rng.dirichlet(np.ones(3), size=35).T, order=order)
+        clusters = split_clusters(7, 5, 8)
+        cfg = UnmixingConfig(variant=variant, q=q, max_iter=25, eps=1e-300)
+        seen = []  # the hook's arrays, and copies of them as it got them
+        result = run_unmixing(image, cfg, A, S, clusters,
+                              on_iteration=lambda _, A, S, j: seen.append((A, S, A.copy(), S.copy())))
+        # the loop reuses its temporaries only: no hook array was written later
+        assert all(np.array_equal(A, A0) and np.array_equal(S, S0) for A, S, A0, S0 in seen)
+        preset = PRESETS[AlgorithmVariant(variant)]
+        lam = estimate_sparsity_weight(Y) if preset.sparse and q < 1 else 0.0
+        graph = None
+        if preset.coupled:
+            graph = coupling(neighbor_weights(image, clusters if preset.cluster_mask else None), cfg.eta)
+        P = signature_products(Y, A)
         trace = []
         for _ in range(cfg.max_iter):
-            A = update_signatures(image.data, A, S)
-            P = signature_products(image.data, A)
-            S = project_simplex_columns(
-                S + gram_step(P, S, cfg.mu, graph, pull=coupling_pull(graph, S))
-            )
-            trace.append(gram_objective(
-                image_energy(image.data), P, S, S @ S.T, graph, pull=coupling_pull(graph, S)
-            ))
-        assert np.array_equal(result.A.data, A)
-        assert np.array_equal(result.S.data, S)
+            if preset.update_a:
+                A, P = signature_step(Y, A, S, S @ S.T)
+            if preset.multiplicative:
+                V = gram_multiplicative(P, S)
+            else:
+                pull = None if graph is None else coupling_pull(graph, S)
+                V = S + gram_step(P, S, cfg.mu, graph, lam, q, pull)
+            S = project_simplex_columns(V)
+            pull = None if graph is None else coupling_pull(graph, S)
+            trace.append(gram_objective(image_energy(Y), P, S, S @ S.T, graph, lam, q, pull))
+        assert result.iterations_run == 25
+        assert result.A.data.tobytes() == A.tobytes()
+        assert result.S.data.tobytes() == S.tobytes()
         assert result.cost_trace == trace
 
     @pytest.mark.parametrize("variant", ["nmf", "fcls"])
@@ -739,6 +762,20 @@ class TestCsrOracle:
         monkeypatch.setattr(regularizers, "BLOCK_BYTES", 3 * S.itemsize * S.shape[0] * block_pixels)
         assert coupling_pull(graph, S).tobytes() == np.ascontiguousarray(csr_pull(as_csr(W), S)).tobytes()
 
+    @pytest.mark.parametrize("width,height", [(1, 7), (7, 1), (5, 4), (2, 9), (9, 2)])
+    def test_a_pull_after_another_has_the_bits_of_its_own_product(self, width, height):
+        # the loop writes each pull over the last: a sum that kept a term of
+        # the first S, or of the NaN the buffer starts with, would show here
+        _, _, W, _ = self._network(width, height, "random", seed=4)
+        graph, stored = coupling(W, 0.1), as_csr(W)
+        rng = np.random.default_rng(5)
+        first, second = (rng.dirichlet(np.ones(4), size=width * height).T for _ in range(2))
+        out = np.full_like(first, np.nan)
+        for S in (first, second):
+            want = np.ascontiguousarray(csr_pull(stored, S)).tobytes()
+            assert coupling_pull(graph, S).tobytes() == want
+            assert coupling_pull(graph, S, out=out) is out and out.tobytes() == want
+
     def test_the_planes_of_the_grid_are_its_adjacency(self):
         assert np.array_equal(as_csr(build_neighborhood(6, 5)).toarray(), csr_grid(6, 5).toarray())
 
@@ -868,27 +905,43 @@ class TestRunUnmixing:
             assert np.array_equal(sparse.S.data, plain.S.data)
             assert sparse.cost_trace == plain.cost_trace
 
-    @pytest.mark.parametrize("variant", ["nmf", "sparse_distributed", "clustered_sparse_distributed"])
-    def test_each_projection_starts_from_the_support_of_the_iterate(self, monkeypatch, variant):
+    @staticmethod
+    def _projections(monkeypatch, variant, q):
+        """The (V, support, bound, result) of every projection a 40-iteration run makes."""
         scene = generate_synthetic(bundled_library(), 4, width=12, height=10, snr_db=20.0, seed=3)
         A0 = vca(scene.Y, 4)
         S0 = fcls_abundances(scene.Y, A0)
         clusters = fcm(scene.Y, 3, seed=0)
         calls = []
 
-        def recorded(V, support=None):
-            calls.append((V.copy(), support.copy(), project_simplex_columns(V, support=support)))
-            return calls[-1][2]
+        def recorded(V, support=None, bound=None):
+            got = project_simplex_columns(V, support=support, bound=bound)
+            calls.append((V.copy(), None if support is None else support.copy(), bound, got))
+            return got
 
         monkeypatch.setattr(unmix, "project_simplex_columns", recorded)
-        cfg = UnmixingConfig(variant=variant, q=0.5, max_iter=40, eps=1e-300)
+        cfg = UnmixingConfig(variant=variant, q=q, max_iter=40, eps=1e-300)
         result = run_unmixing(scene.Y, cfg, A0, S0, clusters)
         assert len(calls) == result.iterations_run == 40
-        previous = S0.data
-        for V, support, got in calls:
+        return S0.data, calls
+
+    @pytest.mark.parametrize("variant", ["nmf", "sparse_distributed", "clustered_sparse_distributed"])
+    def test_each_projection_starts_from_the_support_of_the_iterate(self, monkeypatch, variant):
+        # q = 1 leaves the sparsity term out, so every preset passes the hint
+        previous, calls = self._projections(monkeypatch, variant, 1.0)
+        for V, support, bound, got in calls:
             assert np.array_equal(support != 0, previous > 0)
+            assert bound == unmix.DIVERGENCE_BOUND
             assert np.array_equal(got, project_simplex_columns(V))
             previous = got
+
+    @pytest.mark.parametrize("variant", ["lq_nmf", "sparse_distributed", "clustered_sparse_distributed"])
+    def test_the_sparsity_term_projects_without_a_hint(self, monkeypatch, variant):
+        # the q < 1 term moves the support, where the hint would cost passes
+        _, calls = self._projections(monkeypatch, variant, 0.5)
+        for V, support, bound, got in calls:
+            assert support is None and bound == unmix.DIVERGENCE_BOUND
+            assert np.array_equal(got, project_simplex_columns(V))
 
     @pytest.mark.parametrize("variant", ["distributed", "clustered_sparse_distributed"])
     def test_a_one_pixel_image_couples_to_nothing(self, monkeypatch, variant):
