@@ -198,7 +198,7 @@ def _cmd_experiment(args) -> int:
         print(f"[{done}/{total}] {row['variant']} snr={row['snr_db']:g} clusters={row['clusters']} "
               f"run={row['run']} rms_sad={row['rms_sad']:.4g}", flush=True)
 
-    rows, aggregates = run_experiment(spec, library.data, args.jobs, None if args.quiet else progress)
+    rows, aggregates = run_experiment(spec, library, args.jobs, None if args.quiet else progress)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_rows_csv(out / "runs.csv", rows)

@@ -38,7 +38,7 @@ from .synth import (
 )
 from .types import (
     AbundanceMatrix, AlgorithmVariant, HyperspectralImage, SignatureMatrix, UnmixingConfig, as_integer,
-    as_matrix, resolve_variant,
+    resolve_variant,
 )
 from .unmix import PRESETS, run_unmixing
 
@@ -328,7 +328,7 @@ def _run_group(args) -> List[dict]:
 
 def run_experiment(
     spec: ExperimentSpec,
-    library: np.ndarray,
+    library: Union[SignatureMatrix, np.ndarray],
     jobs: int = 1,
     progress: Optional[Callable[[int, int, dict], None]] = None,
 ) -> Tuple[List[dict], List[dict]]:
@@ -341,14 +341,14 @@ def run_experiment(
     snr levels, cluster counts, runs); ``progress(done, total, row)`` gets
     each row as soon as its group returns, in group order, the same for
     every ``jobs``. Aggregates hold the per-cell means of rms_sad and
-    rms_aad over the Monte-Carlo runs. A spec with more endmembers than
-    ``library`` has columns fails before any cell.
+    rms_aad over the Monte-Carlo runs. A bad ``library``, or one with fewer
+    columns than the spec's endmembers, fails before any cell.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    library = as_matrix(library, "library")
+    # both checked before the pool starts: a cell would fail only inside its worker
+    library = SignatureMatrix(library).data
     if spec.endmembers > library.shape[1]:
-        # checked before the pool starts: a cell would fail only inside its worker
         raise ValueError(
             f"endmembers = {spec.endmembers} exceeds the {library.shape[1]} signatures of the library"
         )

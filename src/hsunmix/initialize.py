@@ -21,7 +21,6 @@ from .types import (
     HyperspectralImage,
     SignatureMatrix,
     UnmixingConfig,
-    as_matrix,
     column_sq_norms,
 )
 from .unmix import StopReason, run_unmixing
@@ -123,8 +122,8 @@ def fcls_abundances(Y: HyperspectralImage, signatures) -> AbundanceMatrix:
     the kernel's pass cap stops a pixel short of the optimum, a
     ``RuntimeWarning`` says so; that pixel's column is still feasible.
     """
-    A = as_matrix(signatures, "signatures")
-    if not np.any(A):
+    A = SignatureMatrix(signatures)
+    if not np.any(A.data):
         raise DegenerateDataError("signatures are identically zero")
     result = run_unmixing(Y, UnmixingConfig(variant="fcls"), A, None)
     if result.stop_reason is StopReason.MAX_ITER:

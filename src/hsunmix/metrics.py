@@ -51,17 +51,25 @@ def _column_angles(X, Z) -> np.ndarray:
     """Angle, in radians, between column k of X and column k of Z, for every k.
 
     Columns are reduced as contiguous rows, so a pair gets the same bits in
-    any layout and in any call; a zero column raises ``ValueError``.
+    any layout and in any call. A zero column raises ``ValueError``, and so
+    does a pair whose squared norms or their product are not finite: a
+    column holding NaN or an infinity, or two whose norms multiply past
+    about 1e154. Neither emits a NumPy warning.
     """
     P = np.ascontiguousarray(np.transpose(X), dtype=np.float64)
     Q = np.ascontiguousarray(np.transpose(Z), dtype=np.float64)
-    p2 = (P * P).sum(axis=1)
-    q2 = (Q * Q).sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p2 = (P * P).sum(axis=1)
+        q2 = (Q * Q).sum(axis=1)
+        norms2 = p2 * q2
     if np.any(p2 == 0) or np.any(q2 == 0):
         raise ValueError("the angle of a zero vector is undefined")
+    # a finite norms2 bounds every product and sum below by Cauchy-Schwarz
+    if not np.all(np.isfinite(norms2)):
+        raise ValueError("the angle of a non-finite or overflowing vector is undefined")
     # sqrt of the product (not product of sqrts) makes identical inputs
     # yield cosine exactly 1, so the angles of self-pairs are exactly 0
-    cos = (P * Q).sum(axis=1) / np.sqrt(p2 * q2)
+    cos = (P * Q).sum(axis=1) / np.sqrt(norms2)
     return np.arccos(np.clip(cos, -1.0, 1.0))
 
 

@@ -170,9 +170,10 @@ def coupling(W, eta: float) -> Coupling:
     planes = W.reshape(len(OFFSETS), height * width)
     degree = planes.sum(axis=0)
     received = np.zeros(height * width)
-    for plane, (pixels, neighbors) in zip(planes[::-1], plane_slices(width, height)[::-1]):
+    moves = plane_slices(width, height)
+    for plane, (pixels, neighbors) in zip(planes[::-1], moves[::-1]):
         received[neighbors] += plane[pixels]
-    shifts = tuple(dy * width + dx for dy, dx in OFFSETS)
+    shifts = tuple(neighbors.start - pixels.start for pixels, neighbors in moves)
     return Coupling(W, degree, degree + received, eta, shifts)
 
 

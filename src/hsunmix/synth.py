@@ -23,7 +23,6 @@ from .types import (
     HyperspectralImage,
     SignatureMatrix,
     _Value,
-    as_matrix,
     read_only,
 )
 
@@ -88,16 +87,15 @@ def generate_synthetic(
     ``snr_db=inf`` produces a noise-free scene.
     All randomness comes from ``seed``.
     """
-    lib = as_matrix(library, "library")
-    wavelengths = getattr(library, "wavelengths", None)
-    n_bands, n_available = lib.shape
+    library = library if isinstance(library, SignatureMatrix) else SignatureMatrix(library)
+    n_available = library.data.shape[1]
     check_scene_settings(c, width, height, patch, filter_size, snr_db, purity_cap)
     if c > n_available:
         raise ValueError(f"c must lie in [1, {n_available}]")
 
     rng = np.random.default_rng(seed)
     chosen = np.sort(rng.choice(n_available, size=c, replace=False))
-    A = lib[:, chosen]
+    A = library.data[:, chosen]
 
     blocks_y = -(-height // patch)
     blocks_x = -(-width // patch)
@@ -136,12 +134,10 @@ def generate_synthetic(
         )
     Y = product + noise
 
-    names = None
-    if getattr(library, "names", None) is not None:
-        names = [library.names[j] for j in chosen]
+    names = None if library.names is None else [library.names[j] for j in chosen]
     return SyntheticScene(
         Y=HyperspectralImage(Y, width, height),
-        A_true=SignatureMatrix(A, wavelengths=wavelengths, names=names),
+        A_true=SignatureMatrix(A, wavelengths=library.wavelengths, names=names),
         S_true=AbundanceMatrix(S),
         noise=noise,
     )

@@ -67,6 +67,8 @@ def check_q(q: float) -> None:
 
 
 def _check_entries(data: np.ndarray, what: str) -> None:
+    if data.size == 0:
+        raise ValueError(f"{what} must not be empty, got shape {data.shape}")
     if not np.all(np.isfinite(data)):
         raise ValueError(f"{what} must be finite")
     if np.any(data < 0):

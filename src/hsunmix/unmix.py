@@ -439,18 +439,20 @@ def run_unmixing(
     A^T A formed once. A non-finite |Y|^2, A^T Y or A^T A raises
     :class:`NumericalFailureError` there, before any kernel reads it.
 
-    ``clusters`` is required by the clustered variant and ignored elsewhere.
+    The start is checked first, by its value types. ``clusters`` is required
+    by the clustered variant and ignored elsewhere.
     ``on_iteration`` receives (iteration, A, S, objective) after each pass;
     the arrays must not be modified.
     """
     if not isinstance(Y, HyperspectralImage):
         raise ValueError("Y must be a HyperspectralImage")
     preset = PRESETS[AlgorithmVariant(cfg.variant)]
-    if preset.cluster_mask and clusters is None:
+    if preset.cluster_mask and not isinstance(clusters, ClusterAssignment):
         raise ValueError("the clustered variant requires a ClusterAssignment")
     if init_S is None and preset.update_a:
         raise ValueError("only the fcls variant runs without start abundances")
-    Yd, A, S = _factors(Y, init_A, init_S)
+    S = None if init_S is None else AbundanceMatrix(init_S)
+    Yd, A, S = _factors(Y, SignatureMatrix(init_A), S)
     # fcls returns its signatures as the estimate, which must not share the
     # caller's array; S is replaced before anything could write to it
     A = A.copy()

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from itertools import product
@@ -593,6 +594,22 @@ class TestExperimentCommand:
         rc = main(["experiment", str(spec_path), "--jobs", "2", "--out", str(tmp_path / "o")])
         assert rc == 2
         assert capsys.readouterr().err == "error: endmembers = 9 exceeds the 8 signatures of the library\n"
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("bad, message", [(np.nan, "finite"), (-0.1, "nonnegative")])
+    def test_a_bad_library_fails_before_any_cell(self, monkeypatch, jobs, bad, message):
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell or the worker pool started")
+
+        monkeypatch.setattr(hsunmix.experiment, "ProcessPoolExecutor", no_cell)
+        monkeypatch.setattr(hsunmix.experiment, "_run_group", no_cell)
+        library = bundled_library().data.copy()
+        library[10, 2] = bad
+        spec = ExperimentSpec(variants=("nmf",), snr_levels=(25,), runs=1, width=8, height=8, endmembers=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^signatures must be {message}$"):
+                run_experiment(spec, library, jobs=jobs)
 
     def test_without_quiet_each_row_prints_one_progress_line(self, tmp_path, capsys):
         spec_path = tmp_path / "sweep.spec"

@@ -159,6 +159,19 @@ class TestFclsAbundances:
         S = fcls_abundances(make_image(Y), SignatureMatrix(A)).data
         assert np.max(np.abs(S - S_true)) < 1e-12
 
+    @pytest.mark.parametrize("bad, message", [(np.nan, "finite"), (-0.1, "nonnegative")])
+    def test_bad_signatures_are_refused_before_the_solve(self, monkeypatch, bad, message):
+        def no_solve(*args):
+            raise AssertionError("gram_fcls ran")
+
+        monkeypatch.setattr(hsunmix.unmix, "gram_fcls", no_solve)
+        A = np.ones((4, 2))
+        A[1, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^signatures must be {message}$"):
+                fcls_abundances(make_image(np.ones((4, 3))), A)
+
     def test_all_zero_signatures_are_refused(self):
         with pytest.raises(DegenerateDataError, match="identically zero"):
             fcls_abundances(make_image(np.ones((4, 3))), SignatureMatrix(np.zeros((4, 2))))

@@ -1,6 +1,7 @@
 """Angle metrics, endmember matching, and evaluation reports."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,24 @@ class TestSad:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             sad(np.zeros(3), np.ones(3))
+
+    @pytest.mark.parametrize("a, b", [
+        ([np.nan, 1.0], [1.0, 2.0]),
+        ([1.0, 2.0], [np.inf, 1.0]),
+        ([-np.inf, 1.0], [1.0, 2.0]),
+        ([1e200, 1.0], [1e200, 2.0]),  # the squared norms overflow
+        ([1e155, 1.0], [1e155, 2.0]),  # only their product does
+    ])
+    def test_non_finite_or_overflowing_vector_rejected(self, a, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite or overflowing"):
+                sad(np.array(a), np.array(b))
+
+    def test_large_finite_vectors_keep_their_angle(self):
+        # norms multiplying below the float range still give the angle
+        a, b = np.array([1e150, 0.0]), np.array([1e3, 1e3])
+        assert sad(a, b) == pytest.approx(np.pi / 4, abs=1e-15)
 
 
 class TestAad:
@@ -207,6 +226,18 @@ class TestEvaluateMatrices:
         want = np.sqrt(np.mean(np.asarray(report.per_endmember_sad) ** 2))
         assert report.rms_sad == pytest.approx(want, rel=1e-12)
         assert sorted(report.matching) == [0, 1, 2]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_estimate_rejected(self, library_truth, bad):
+        A, S = library_truth
+        S_bad = S.copy()
+        S_bad[2, 7] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite or overflowing"):
+                evaluate_matrices(A, S, A, S_bad)
+            with pytest.raises(ValueError, match="non-finite or overflowing"):
+                evaluate_matrices(A, S, 1e200 * A, S)
 
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(7)

@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,25 @@ class TestGenerateSynthetic:
         cols = {tuple(library.data[:, j]) for j in range(library.data.shape[1])}
         for j in range(4):
             assert tuple(scene.A_true.data[:, j]) in cols
+
+    @pytest.mark.parametrize("bad, message", [(np.nan, "finite"), (-0.1, "nonnegative")])
+    def test_a_bad_library_is_refused_by_the_signature_check(self, library, bad, message):
+        data = library.data.copy()
+        data[10, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^signatures must be {message}$"):
+                generate_synthetic(data, 3, width=8, height=8, snr_db=25.0)
+
+    def test_a_signature_library_keeps_its_metadata_and_an_array_has_none(self, library):
+        scene = generate_synthetic(library, 4, width=8, height=8, snr_db=25.0, seed=9)
+        plain = generate_synthetic(library.data, 4, width=8, height=8, snr_db=25.0, seed=9)
+        chosen = [library.names.index(name) for name in scene.A_true.names]
+        assert np.array_equal(scene.A_true.data, library.data[:, chosen])
+        assert np.array_equal(scene.A_true.wavelengths, library.wavelengths)
+        assert plain.A_true.names is None and plain.A_true.wavelengths is None
+        assert np.array_equal(plain.A_true.data, scene.A_true.data)
+        assert np.array_equal(plain.Y.data, scene.Y.data)
 
     def test_library_too_small_rejected(self, library):
         with pytest.raises(ValueError):

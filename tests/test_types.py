@@ -155,11 +155,20 @@ class TestHyperspectralImage:
         with pytest.raises(ValueError):
             HyperspectralImage(data, width=2, height=2)
 
+    def test_an_image_without_bands_is_rejected(self):
+        with pytest.raises(ValueError, match="image entries must not be empty"):
+            HyperspectralImage(np.ones((0, 4)), width=2, height=2)
+
 
 class TestSignatureAndAbundanceMatrices:
     def test_signature_rejects_negative(self):
         with pytest.raises(ValueError):
             SignatureMatrix(np.array([[1.0, -0.1], [0.5, 0.5]]))
+
+    @pytest.mark.parametrize("shape", [(0, 2), (3, 0)])
+    def test_signature_rejects_an_empty_matrix(self, shape):
+        with pytest.raises(ValueError, match="signatures must not be empty"):
+            SignatureMatrix(np.ones(shape))
 
     def test_wavelength_length_checked(self):
         with pytest.raises(ValueError, match="wavelengths length"):

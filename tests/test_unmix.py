@@ -638,16 +638,26 @@ class TestSignatureStep:
         assert peak < 0.1 * Y.nbytes, f"peak {peak / Y.nbytes:.3f} x the image"
 
 
+def signature_update(Y, A, S):
+    """The signatures of ``signature_step``, the kernel the solver runs."""
+    return signature_step(Y, A, S, S @ S.T)[0]
+
+
+def multiplicative_abundances(Y, A, S):
+    """The abundances of ``gram_multiplicative``, the kernel the ``nmf`` loop runs."""
+    return gram_multiplicative(signature_products(Y, A), S)
+
+
 class TestUpdateSignatures:
     def test_exact_factorization_is_fixed_point(self):
         rng = np.random.default_rng(7)
         A = rng.random((5, 3)) + 0.2
         S = rng.dirichlet(np.ones(3), size=9).T
-        out = update_signatures(A @ S, A, S)
+        out = signature_update(A @ S, A, S)
         assert np.max(np.abs(out - A)) < 1e-9
 
     def test_scalar_hand_value(self):
-        out = update_signatures(np.array([[4.0]]), np.array([[2.0]]), np.array([[1.0]]))
+        out = signature_update(np.array([[4.0]]), np.array([[2.0]]), np.array([[1.0]]))
         assert out[0, 0] == pytest.approx(4.0, rel=1e-9)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -658,7 +668,7 @@ class TestUpdateSignatures:
         A = rng.random((L, c)) + 0.05
         S = rng.random((c, N)) + 0.05
         before = global_cost(Y, A, S)
-        after = global_cost(Y, update_signatures(Y, A, S), S)
+        after = global_cost(Y, signature_update(Y, A, S), S)
         assert after <= before + 1e-10
 
     def test_preserves_nonnegativity(self):
@@ -666,7 +676,7 @@ class TestUpdateSignatures:
         Y = rng.random((6, 10)) + 0.01
         A = rng.random((6, 2)) + 0.01
         S = rng.random((2, 10)) + 0.01
-        assert np.all(update_signatures(Y, A, S) >= 0.0)
+        assert np.all(signature_update(Y, A, S) >= 0.0)
 
     def test_transposed_product_matches_the_direct_form(self):
         # Y S^T is formed as (S Y^T)^T; the two round apart by a few ulps
@@ -675,7 +685,7 @@ class TestUpdateSignatures:
         A = rng.random((224, 6)) + 0.01
         S = rng.dirichlet(np.ones(6), size=1600).T
         want = A * (Y @ S.T) / (A @ S @ S.T + MULT_GUARD)
-        got = update_signatures(Y, A, S)
+        got = signature_update(Y, A, S)
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
 
 
@@ -776,6 +786,11 @@ class TestCsrOracle:
             assert coupling_pull(graph, S).tobytes() == want
             assert coupling_pull(graph, S, out=out) is out and out.tobytes() == want
 
+    @pytest.mark.parametrize("width,height", GRIDS + [(3, 9)])
+    def test_the_shifts_are_the_offsets_of_the_moves(self, width, height):
+        graph = coupling(build_neighborhood(width, height), 0.1)
+        assert graph.shifts == tuple(dy * width + dx for dy, dx in regularizers.OFFSETS)
+
     def test_the_planes_of_the_grid_are_its_adjacency(self):
         assert np.array_equal(as_csr(build_neighborhood(6, 5)).toarray(), csr_grid(6, 5).toarray())
 
@@ -791,8 +806,45 @@ class TestRunUnmixing:
     def test_requires_clusters_for_clustered_variant(self):
         image, A0, S0 = self._setup()
         cfg = UnmixingConfig(variant="clustered_sparse_distributed")
-        with pytest.raises(ValueError):
-            run_unmixing(image, cfg, A0, S0)
+        labels = fcm(image, 2, seed=0).labels
+        for clusters in (None, labels):
+            with pytest.raises(ValueError, match="requires a ClusterAssignment"):
+                run_unmixing(image, cfg, A0, S0, clusters)
+
+    @staticmethod
+    def _bad_starts(A0, S0):
+        """(init_A, init_S, message) of starts the value types refuse, each from A0 and S0."""
+        on_simplex = "abundance columns must be nonnegative and sum to 1"
+        bad = []
+        for value, message in ((np.nan, "signatures must be finite"), (-0.1, "signatures must be nonnegative")):
+            A = A0.data.copy()
+            A[2, 1] = value
+            bad.append((A, S0, message))
+        S_nan, S_negative = S0.data.copy(), S0.data.copy()
+        S_nan[1, 3] = np.nan
+        S_negative[:, 3] = [1.2, -0.1, -0.1]
+        bad += [(A0, S, on_simplex) for S in (S_nan, S_negative, 3 * S0.data)]
+        return bad
+
+    # fcls runs both with a start (the loop) and without one (the exact solve)
+    @pytest.mark.parametrize("variant, start", [(v.value, True) for v in AlgorithmVariant] + [("fcls", False)])
+    def test_a_bad_start_is_refused_before_any_kernel_runs(self, monkeypatch, variant, start):
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("a kernel ran")
+
+        for kernel in ("signature_products", "signature_step", "gram_fcls", "neighbor_weights"):
+            monkeypatch.setattr(unmix, kernel, no_kernel)
+        image, A0, S0 = self._setup()
+        clusters = split_clusters(5, 4, 8)
+        cfg = UnmixingConfig(variant=variant, max_iter=5)
+        cases = self._bad_starts(A0, S0)
+        if not start:
+            cases = [(A, None, message) for A, S, message in cases if S is S0]
+        for A, S, message in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="^" + message):
+                    run_unmixing(image, cfg, A, S, clusters)
 
     @pytest.mark.parametrize("variant", [v.value for v in AlgorithmVariant])
     def test_every_iterate_feasible(self, variant):
@@ -1017,7 +1069,7 @@ class TestMultiplicativeAbundanceStep:
         A = rng.random((L, c)) + 0.05
         S = rng.random((c, N)) + 0.05
         before = global_cost(Y, A, S)
-        after = global_cost(Y, A, update_abundance_multiplicative(Y, A, S))
+        after = global_cost(Y, A, multiplicative_abundances(Y, A, S))
         assert after <= before + 1e-10
 
     def test_preserves_nonnegativity(self):
@@ -1025,4 +1077,19 @@ class TestMultiplicativeAbundanceStep:
         Y = rng.random((5, 8)) + 0.01
         A = rng.random((5, 2)) + 0.01
         S = rng.random((2, 8)) + 0.01
-        assert np.all(update_abundance_multiplicative(Y, A, S) >= 0.0)
+        assert np.all(multiplicative_abundances(Y, A, S) >= 0.0)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_the_image_level_entry_points_give_the_kernels_bits(seed):
+    # update_signatures and update_abundance_multiplicative are checked
+    # wrappers of the loop's kernels; global_cost is the residual form the
+    # loop's Gram-form objective is checked against, and keeps its own bits
+    rng = np.random.default_rng(70 + seed)
+    Y = rng.random((224, 300)) + 0.05
+    A = rng.random((224, 5)) + 0.05
+    S = rng.dirichlet(np.ones(5), size=300).T
+    assert np.array_equal(update_signatures(Y, A, S), signature_update(Y, A, S))
+    assert np.array_equal(update_abundance_multiplicative(Y, A, S), multiplicative_abundances(Y, A, S))
+    resid = Y - A @ S
+    assert global_cost(Y, A, S) == float(np.sum(resid * resid))
