@@ -141,7 +141,7 @@ def check(matrix: np.ndarray):
     probe = generate_synthetic(
         SignatureMatrix(matrix, WAVELENGTHS), 6, snr_db=25.0, seed=0
     )
-    weight = estimate_sparsity_weight(probe.Y.data)
+    weight = estimate_sparsity_weight(probe.Y)
     if weight >= MAX_SPARSITY_WEIGHT:
         issues.append(f"probe-scene sparsity weight {weight:.3f} >= {MAX_SPARSITY_WEIGHT}")
     return issues, min_angle, top, low, weight

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ from .synth import (
     bundled_library, generate_synthetic,
 )
 from .types import (
-    VARIANT_ALIASES, AbundanceMatrix, AlgorithmVariant, HyperspectralImage, UnmixingConfig, resolve_variant,
+    VARIANT_ALIASES, AbundanceMatrix, AlgorithmVariant, HyperspectralImage, UnmixingConfig,
 )
 from .unmix import run_unmixing
 
@@ -57,12 +57,20 @@ def _load_library(path):
     return read_spectral_library(path)
 
 
-def _truth_abundances(path, cube: HyperspectralImage) -> AbundanceMatrix:
-    """The ``--truth-s`` cube as abundances; a column off the simplex raises, naming ``path``."""
+def _read_truth(args, bands: int, endmembers: int, pixels: int):
+    """``--truth-a`` and ``--truth-s``, checked for their shapes and the simplex; an error names the file."""
+    A_true, S_true = read_spectral_library(args.truth_a), read_cube(args.truth_s)
+    for flag, path, matrix, shape, axes in (
+        ("--truth-a", args.truth_a, A_true, (bands, endmembers), "bands x endmembers"),
+        ("--truth-s", args.truth_s, S_true, (endmembers, pixels), "endmembers x pixels"),
+    ):
+        if matrix.data.shape != shape:
+            found, expected = (" x ".join(map(str, s)) for s in (matrix.data.shape, shape))
+            raise ValueError(f"{flag} {path} is {found}, expected {expected} ({axes})")
     try:
-        return AbundanceMatrix(cube.data)
+        return A_true, AbundanceMatrix(S_true.data)
     except ValueError as exc:
-        raise ValueError(f"--truth-s {path}: {exc}") from None
+        raise ValueError(f"--truth-s {args.truth_s}: {exc}") from None
 
 
 def _cmd_synth(args) -> int:
@@ -119,41 +127,23 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_unmix(args) -> int:
     image = read_cube(args.cube)
-    variant = resolve_variant(args.variant)
+    # every solver setting is the flag of its name, --variant included
+    cfg = UnmixingConfig(**{f.name: getattr(args, f.name) for f in fields(UnmixingConfig)})
     n_clusters = args.clusters
     if n_clusters is None:
         n_clusters = FCM_CLUSTERS
     elif n_clusters < 1:
         raise ValueError("clusters must be at least 1")
-    elif not needs_clusters(variant):
-        print(f"warning: --clusters has no effect for variant {variant}", file=sys.stderr)
+    elif not needs_clusters(cfg.variant):
+        print(f"warning: --clusters has no effect for variant {cfg.variant}", file=sys.stderr)
 
-    cfg = UnmixingConfig(
-        mu=args.mu,
-        eta=args.eta,
-        q=args.q,
-        sparsity_weight=args.sparsity_weight,
-        max_iter=args.max_iter,
-        eps=args.eps,
-        variant=variant,
-    )
-    truth = None
-    if args.truth_a is not None or args.truth_s is not None:
-        if args.truth_a is None or args.truth_s is None:
-            raise ValueError("--truth-a and --truth-s must be given together")
-        truth = read_spectral_library(args.truth_a), read_cube(args.truth_s)
-        # checked here: a mismatch would otherwise surface only when scoring, after the solve
-        for flag, path, matrix, (rows, cols), axes in (
-            ("--truth-a", args.truth_a, truth[0], (image.n_bands, args.endmembers), "bands x endmembers"),
-            ("--truth-s", args.truth_s, truth[1], (args.endmembers, image.n_pixels), "endmembers x pixels"),
-        ):
-            if matrix.data.shape != (rows, cols):
-                found = " x ".join(map(str, matrix.data.shape))
-                raise ValueError(f"{flag} {path} is {found}, expected {rows} x {cols} ({axes})")
-        truth = truth[0], _truth_abundances(args.truth_s, truth[1])
+    if (args.truth_a is None) != (args.truth_s is None):
+        raise ValueError("--truth-a and --truth-s must be given together")
+    # read here: a mismatch would otherwise surface only when scoring, after the solve
+    truth = None if args.truth_a is None else _read_truth(args, image.n_bands, args.endmembers, image.n_pixels)
 
     # clustering checks --clusters against the pixel count, so it runs before the costlier start
-    clusters = fcm(image, n_clusters, seed=args.seed) if needs_clusters(variant) else None
+    clusters = fcm(image, n_clusters, seed=args.seed) if needs_clusters(cfg.variant) else None
     A0, S0 = initial_estimates(image, args.endmembers, args.init, args.seed)
     result = run_unmixing(image, cfg, A0, S0, clusters)
 
@@ -169,7 +159,7 @@ def _cmd_unmix(args) -> int:
     write_report(out / "report.json", report, result.cost_trace,
                  dict(asdict(cfg), clusters=n_clusters, seed=args.seed))
     line = (
-        f"{variant}: {result.iterations_run} iterations "
+        f"{cfg.variant}: {result.iterations_run} iterations "
         f"({result.stop_reason.value}), final cost {result.cost_trace[-1]:.6g}"
     )
     if report is not None:
@@ -179,9 +169,8 @@ def _cmd_unmix(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    A_true = read_spectral_library(args.truth_a)
-    S_true = _truth_abundances(args.truth_s, read_cube(args.truth_s))
     A_est, S_est = read_spectral_library(args.est_a), read_cube(args.est_s)
+    A_true, S_true = _read_truth(args, *A_est.data.shape, S_est.n_pixels)
     report = evaluate_matrices(A_true.data, S_true.data, A_est.data, S_est.data)
     if args.out is not None:
         write_report(args.out, report, [], {})

@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 from typing import Callable, List, Optional, Sequence, Tuple, Union, get_args, get_origin, get_type_hints
 
@@ -87,8 +87,9 @@ def needs_clusters(variant: str) -> bool:
 class ExperimentSpec:
     """Full description of one experiment sweep.
 
-    The solver settings default to those of :class:`UnmixingConfig`, the
-    FCM settings and the cluster count to the ``FCM_*`` constants of
+    The solver settings are the :class:`UnmixingConfig` fields but ``variant``,
+    by name and with its defaults, plus ``q_lq``, the ``q`` of ``lq_nmf``; the
+    FCM settings and the cluster count default to the ``FCM_*`` constants of
     :mod:`hsunmix.clustering`. The scenes, the cluster counts, the FCM
     settings (if a variant clusters) and every config are checked on
     construction, so a bad setting fails before any cell runs. No list may
@@ -157,16 +158,11 @@ class ExperimentSpec:
             self.config(variant)
 
     def config(self, variant: str) -> UnmixingConfig:
-        """Solver settings of one cell; ``lq_nmf`` runs at ``q_lq``, the rest at ``q``."""
-        return UnmixingConfig(
-            mu=self.mu,
-            eta=self.eta,
-            q=self.q_lq if variant == AlgorithmVariant.LQ_NMF else self.q,
-            sparsity_weight=self.sparsity_weight,
-            max_iter=self.max_iter,
-            eps=self.eps,
-            variant=variant,
-        )
+        """Solver settings of one cell, each the spec field of its name; ``lq_nmf`` runs at ``q_lq``."""
+        settings = {f.name: getattr(self, f.name) for f in fields(UnmixingConfig) if f.name != "variant"}
+        if variant == AlgorithmVariant.LQ_NMF:
+            settings["q"] = self.q_lq
+        return UnmixingConfig(**settings, variant=variant)
 
     def scene_settings(self, snr: float) -> dict:
         """Settings of ``generate_synthetic`` for the scenes at ``snr`` dB, all but library and seed."""

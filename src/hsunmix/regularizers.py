@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from .errors import DegenerateDataError, NumericalFailureError
-from .types import BLOCK_BYTES, ClusterAssignment, HyperspectralImage, as_matrix, check_q, column_sq_norms
+from .types import BLOCK_BYTES, ClusterAssignment, HyperspectralImage, check_q, column_sq_norms
 
 SPARSITY_GUARD = 1e-12  # keeps the q-norm gradient finite at exact zeros
 
@@ -31,7 +31,7 @@ _FEASIBLE_SLACK = 64 * np.finfo(np.float64).eps
 OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
 
-def estimate_sparsity_weight(Y) -> float:
+def estimate_sparsity_weight(Y: HyperspectralImage) -> float:
     """Data-driven weight for the sparsity penalty.
 
     Averages, over band rows y of the image matrix, the normalized gap
@@ -41,7 +41,9 @@ def estimate_sparsity_weight(Y) -> float:
 
     A single-pixel image has no spread to measure, so the weight is 0.
     """
-    arr = as_matrix(Y, "image")
+    if not isinstance(Y, HyperspectralImage):
+        raise ValueError("Y must be a HyperspectralImage")
+    arr = Y.data
     n_bands, n_pixels = arr.shape
     if n_pixels == 1:
         return 0.0

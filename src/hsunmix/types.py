@@ -66,9 +66,13 @@ def check_q(q: float) -> None:
         raise ValueError("q must lie in (0, 1]")
 
 
-def _check_entries(data: np.ndarray, what: str) -> None:
+def _check_not_empty(data: np.ndarray, what: str) -> None:
     if data.size == 0:
         raise ValueError(f"{what} must not be empty, got shape {data.shape}")
+
+
+def _check_entries(data: np.ndarray, what: str) -> None:
+    _check_not_empty(data, what)
     if not np.all(np.isfinite(data)):
         raise ValueError(f"{what} must be finite")
     if np.any(data < 0):
@@ -129,6 +133,8 @@ class SignatureMatrix(_Value):
             wl = read_only(np.asarray(self.wavelengths, dtype=np.float64))
             if wl.shape != (data.shape[0],):
                 raise ValueError("wavelengths length must equal the band count")
+            if not np.all(np.isfinite(wl)):
+                raise ValueError("wavelengths must be finite")
             object.__setattr__(self, "wavelengths", wl)
         if self.names is not None:
             names = tuple(str(n) for n in self.names)
@@ -149,6 +155,7 @@ class AbundanceMatrix(_Value):
     def __post_init__(self):
         data = read_only(as_matrix(self.data, "abundance data"))
         object.__setattr__(self, "data", data)
+        _check_not_empty(data, "abundances")
         if not validate_abundances(data, ASC_TOL):
             raise ValueError(
                 "abundance columns must be nonnegative and sum to 1 within "
@@ -170,12 +177,16 @@ class ClusterAssignment(_Value):
     centers: np.ndarray
 
     def __post_init__(self):
-        labels = read_only(np.asarray(self.labels, dtype=np.int64))
+        with np.errstate(invalid="ignore"):  # a NaN label casts to some integer, and then differs
+            labels = read_only(np.asarray(self.labels).astype(np.int64, copy=False))
+        if not np.array_equal(labels, self.labels):
+            raise ValueError("labels must be integers")
         memberships = read_only(as_matrix(self.memberships, "memberships"))
         centers = read_only(as_matrix(self.centers, "centers"))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "memberships", memberships)
         object.__setattr__(self, "centers", centers)
+        _check_not_empty(memberships, "memberships")
         n_clusters, n_pixels = memberships.shape
         if labels.shape != (n_pixels,):
             raise ValueError("labels must have one entry per pixel")

@@ -73,8 +73,9 @@ sum to at most 1 and abundance columns on the simplex have |s|^2 <= 1, so
 that scale is at most 2 eta N: about 7e-14 at the default eta = 0.1 on a
 40 x 40 scene.
 
-``global_cost`` and ``update_abundance_multiplicative`` keep an image-level
-form: the first is the Gram form's reference, and perfbench replays both.
+``update_signatures``, ``update_abundance_multiplicative`` and ``global_cost``
+keep an image-level form: the last is the Gram form's reference, and perfbench
+replays all three.
 """
 
 from __future__ import annotations
@@ -479,7 +480,7 @@ def run_unmixing(
     if preset.sparse and cfg.q < 1:
         lam = cfg.sparsity_weight
         if lam is None:
-            lam = estimate_sparsity_weight(Yd)
+            lam = estimate_sparsity_weight(Y)
     graph = None
     if preset.coupled and cfg.eta > 0:
         graph = coupling(neighbor_weights(Y, clusters if preset.cluster_mask else None), cfg.eta)

@@ -9,7 +9,7 @@ import sys
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from itertools import product
 from pathlib import Path
 
@@ -68,6 +68,17 @@ def degenerate_dir(tmp_path_factory):
     write_cube(out / "pixel.cube", HyperspectralImage(pixel, Y.width, Y.height))
     write_cube(out / "band.cube", HyperspectralImage(band, Y.width, Y.height))
     return out
+
+
+# one valid value off the default per solver setting, every UnmixingConfig field
+# but the variant: a field added to the config alone fails the table's test
+SOLVER_SETTINGS = [f.name for f in fields(UnmixingConfig) if f.name != "variant"]
+SOLVER_VALUES = {"mu": 0.03, "eta": 0.2, "q": 0.7, "sparsity_weight": 0.01, "max_iter": 3, "eps": 1e-9}
+
+
+def test_the_solver_table_has_one_off_default_row_per_setting():
+    assert sorted(SOLVER_VALUES) == sorted(SOLVER_SETTINGS)
+    assert all(value != getattr(UnmixingConfig(), name) for name, value in SOLVER_VALUES.items())
 
 
 OFF_SIMPLEX = "abundance columns must be nonnegative and sum to 1 within 1e-09"
@@ -240,16 +251,16 @@ class TestUnmixCommand:
         assert report["matching"] is None
         assert len(report["cost_trace"]) >= 1
 
-    @pytest.mark.parametrize("flag,value,key", [
-        ("--mu", "0.01", "mu"), ("--eta", "0.3", "eta"), ("--sparsity-weight", "0.2", "sparsity_weight"),
-    ])
-    def test_solver_flags_land_in_the_report_config(self, scene_dir, tmp_path, flag, value, key):
+    # the setting's flag is its name; a later --max-iter overrides the 2 that keeps the others short
+    @pytest.mark.parametrize("name", SOLVER_SETTINGS)
+    def test_solver_flags_land_in_the_report_config(self, scene_dir, tmp_path, name):
         out = tmp_path / "o"
+        value = SOLVER_VALUES[name]
         rc = main(["unmix", str(scene_dir / "Y.cube"), "--endmembers", "3", "--clusters", "2",
-                   "--max-iter", "2", flag, value, "--out", str(out)])
+                   "--max-iter", "2", "--" + name.replace("_", "-"), repr(value), "--out", str(out)])
         assert rc == 0
         config = json.loads((out / "report.json").read_text())["config"]
-        assert config == dict(asdict(UnmixingConfig(max_iter=2)), clusters=2, seed=0, **{key: float(value)})
+        assert config == dict(asdict(UnmixingConfig(**{"max_iter": 2, name: value})), clusters=2, seed=0)
 
     @pytest.mark.parametrize("flag", [["--clusters", "4"], ["--clusters=4"]], ids=["space", "equals"])
     def test_clusters_flag_warns_for_non_clustered_variant(
@@ -470,6 +481,30 @@ class TestEvalCommand:
         )
         assert rc == 2
         assert capsys.readouterr().err == f"error: --truth-s {bad}: {OFF_SIMPLEX}\n"
+        assert not (tmp_path / "scores.json").exists()
+
+    # the estimates' shapes are the expectation: a 3-endmember truth against
+    # 2-endmember estimates, and a truth cube of the wrong height
+    @pytest.mark.parametrize("est_columns,truth_s,message", [
+        (2, "S_true.cube", "--truth-a {dir}/A_true.csv is 224 x 3, expected 224 x 2 (bands x endmembers)"),
+        (3, "Y.cube", "--truth-s {dir}/Y.cube is 224 x 64, expected 3 x 64 (endmembers x pixels)"),
+    ], ids=["signatures", "abundances"])
+    def test_truth_of_the_wrong_shape_names_its_file(
+        self, scene_dir, tmp_path, capsys, est_columns, truth_s, message
+    ):
+        est_a = tmp_path / "A_est.csv"
+        A_true = read_spectral_library(scene_dir / "A_true.csv")
+        write_spectral_library(est_a, SignatureMatrix(A_true.data[:, :est_columns]))
+        rc = main(
+            [
+                "eval",
+                "--truth-a", str(scene_dir / "A_true.csv"), "--truth-s", str(scene_dir / truth_s),
+                "--est-a", str(est_a), "--est-s", str(scene_dir / "S_true.cube"),
+                "--out", str(tmp_path / "scores.json"),
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == "error: " + message.format(dir=scene_dir) + "\n"
         assert not (tmp_path / "scores.json").exists()
 
     def test_out_is_a_report_with_the_scores_of_unmix(self, scene_dir, tmp_path):
@@ -776,6 +811,21 @@ class TestSpecParsing:
         cfg = spec.config(spec.variants[0])
         assert cfg == UnmixingConfig()
         assert spec.config("lq_nmf").q == spec.q_lq
+        args = build_parser().parse_args(["unmix", "Y.cube", "--out", "out"])
+        assert {name: getattr(args, name) for name in SOLVER_SETTINGS} == {
+            name: getattr(cfg, name) for name in SOLVER_SETTINGS
+        }
+        assert resolve_variant(args.variant) == cfg.variant
+
+    @pytest.mark.parametrize("name", SOLVER_SETTINGS)
+    def test_a_solver_key_reaches_the_config_of_every_variant(self, name):
+        value = SOLVER_VALUES[name]
+        spec = parse_experiment_spec(f"variants = nmf, proposed, lq_nmf\n{name} = {value!r}\n")
+        for variant in ("nmf", "clustered_sparse_distributed"):
+            assert spec.config(variant) == UnmixingConfig(**{name: value}, variant=variant)
+        # lq_nmf takes every setting but q, which it reads from q_lq
+        expected = UnmixingConfig(**{name: value, "q": spec.q_lq}, variant="lq_nmf")
+        assert spec.config("lq_nmf") == expected
 
     def test_fcm_defaults_are_the_clustering_defaults(self):
         spec = parse_experiment_spec("")

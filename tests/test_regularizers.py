@@ -42,30 +42,39 @@ def simplex_projection_oracle(v):
     return best
 
 
+def image_of(Y):
+    """``Y`` as a one-row image, the shape the weight does not depend on."""
+    return HyperspectralImage(Y, Y.shape[1], 1)
+
+
 class TestEstimateSparsityWeight:
     def test_constant_rows_give_zero(self):
         Y = np.ones((2, 4))
-        assert estimate_sparsity_weight(Y) == 0.0
+        assert estimate_sparsity_weight(image_of(Y)) == 0.0
 
     def test_one_hot_rows_hand_value(self):
         Y = np.array([[1.0, 0, 0, 0], [1.0, 0, 0, 0]])
         expected = (1 / np.sqrt(2)) * 2 * (2 - 1) / np.sqrt(3)
-        assert np.isclose(estimate_sparsity_weight(Y), expected, rtol=0, atol=1e-15)
+        assert np.isclose(estimate_sparsity_weight(image_of(Y)), expected, rtol=0, atol=1e-15)
         assert np.isclose(expected, 0.816496580927726, rtol=0, atol=1e-15)
 
     def test_single_pixel_gives_zero(self):
-        assert estimate_sparsity_weight(np.array([[3.0], [1.0]])) == 0.0
+        assert estimate_sparsity_weight(image_of(np.array([[3.0], [1.0]]))) == 0.0
 
     def test_zero_row_rejected(self):
         with pytest.raises(DegenerateDataError, match="all-zero band row"):
-            estimate_sparsity_weight(np.array([[0.0, 0.0], [1.0, 2.0]]))
+            estimate_sparsity_weight(image_of(np.array([[0.0, 0.0], [1.0, 2.0]])))
+
+    def test_a_plain_array_is_refused(self):
+        with pytest.raises(ValueError, match="Y must be a HyperspectralImage"):
+            estimate_sparsity_weight(np.ones((2, 4)))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_positive_within_bound(self, seed):
         rng = np.random.default_rng(seed)
         L, N = rng.integers(2, 30), rng.integers(2, 50)
         Y = rng.random((L, N)) + 0.01
-        lam = estimate_sparsity_weight(Y)
+        lam = estimate_sparsity_weight(image_of(Y))
         bound = np.sqrt(L) * (np.sqrt(N) - 1) / np.sqrt(N - 1)
         assert 0.0 <= lam <= bound
         # per-row ratio stays inside [1, sqrt(N)]

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 from dataclasses import fields, is_dataclass
 
 import numpy as np
@@ -170,6 +171,13 @@ class TestSignatureAndAbundanceMatrices:
         with pytest.raises(ValueError, match="signatures must not be empty"):
             SignatureMatrix(np.ones(shape))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_wavelengths_are_rejected(self, bad):
+        # the library reader refuses such a file, so the writer must not get one
+        with pytest.raises(ValueError, match="wavelengths must be finite"):
+            SignatureMatrix(np.ones((2, 1)), wavelengths=[bad, 1.0])
+
     def test_wavelength_length_checked(self):
         with pytest.raises(ValueError, match="wavelengths length"):
             SignatureMatrix(np.ones((3, 2)), wavelengths=np.array([1.0, 2.0]))
@@ -203,6 +211,18 @@ class TestClusterAssignment:
         with pytest.raises(ValueError):
             ClusterAssignment(np.array([1, 1]), u, np.ones((3, 2)))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("labels", [[0.9, 1.2], [0.0, 1.5], [np.nan, 1.0], [0.0, np.inf]])
+    def test_non_integral_labels_are_rejected(self, labels):
+        # a cast would truncate [0.9, 1.2] to the argmax [0, 1]
+        with pytest.raises(ValueError, match="labels must be integers"):
+            ClusterAssignment(labels, np.array([[0.9, 0.2], [0.1, 0.8]]), np.ones((3, 2)))
+
+    @pytest.mark.parametrize("labels", [[0.0, 1.0], np.array([0, 1], dtype=np.int32), [False, True]])
+    def test_integer_valued_labels_are_stored_as_int64(self, labels):
+        ca = ClusterAssignment(labels, np.array([[0.9, 0.2], [0.1, 0.8]]), np.ones((3, 2)))
+        assert ca.labels.dtype == np.int64 and ca.labels.tolist() == [0, 1]
+
     # NaN passes every comparison the range and column-sum tests make
     def test_a_nan_membership_column_is_rejected(self):
         u = np.array([[0.9, np.nan], [0.1, np.nan]])
@@ -214,6 +234,19 @@ class TestClusterAssignment:
         centers[1, 1] = np.nan
         with pytest.raises(ValueError, match="centers must be finite"):
             ClusterAssignment(np.array([0, 1]), np.array([[0.9, 0.2], [0.1, 0.8]]), centers)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("make,message", [
+    (lambda: HyperspectralImage(np.ones((0, 4)), 2, 2), "image entries must not be empty, got shape (0, 4)"),
+    (lambda: SignatureMatrix(np.ones((3, 0))), "signatures must not be empty, got shape (3, 0)"),
+    (lambda: AbundanceMatrix(np.ones((3, 0))), "abundances must not be empty, got shape (3, 0)"),
+    (lambda: ClusterAssignment(np.zeros(0, dtype=np.int64), np.ones((3, 0)), np.ones((4, 3))),
+     "memberships must not be empty, got shape (3, 0)"),
+], ids=["image", "signatures", "abundances", "clusters"])
+def test_every_value_type_refuses_an_empty_matrix(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
 
 
 U = np.array([[0.9, 0.2], [0.1, 0.8]])  # memberships (or abundances) of two pixels

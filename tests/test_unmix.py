@@ -298,7 +298,7 @@ class TestAbundanceStepMatchesOracle:
         # the loop reuses its temporaries only: no hook array was written later
         assert all(np.array_equal(A, A0) and np.array_equal(S, S0) for A, S, A0, S0 in seen)
         preset = PRESETS[AlgorithmVariant(variant)]
-        lam = estimate_sparsity_weight(Y) if preset.sparse and q < 1 else 0.0
+        lam = estimate_sparsity_weight(image) if preset.sparse and q < 1 else 0.0
         graph = None
         if preset.coupled:
             graph = coupling(neighbor_weights(image, clusters if preset.cluster_mask else None), cfg.eta)
