@@ -57,16 +57,24 @@ def _load_library(path):
     return read_spectral_library(path)
 
 
-def _read_truth(args, bands: int, endmembers: int, pixels: int):
-    """``--truth-a`` and ``--truth-s``, checked for their shapes and the simplex; an error names the file."""
-    A_true, S_true = read_spectral_library(args.truth_a), read_cube(args.truth_s)
-    for flag, path, matrix, shape, axes in (
-        ("--truth-a", args.truth_a, A_true, (bands, endmembers), "bands x endmembers"),
-        ("--truth-s", args.truth_s, S_true, (endmembers, pixels), "endmembers x pixels"),
-    ):
+def _check_shapes(*checks) -> None:
+    """Raise ``ValueError`` naming the first file whose matrix has another shape than expected.
+
+    Each check is (flag, path, matrix, expected shape, axis names).
+    """
+    for flag, path, matrix, shape, axes in checks:
         if matrix.data.shape != shape:
             found, expected = (" x ".join(map(str, s)) for s in (matrix.data.shape, shape))
             raise ValueError(f"{flag} {path} is {found}, expected {expected} ({axes})")
+
+
+def _read_truth(args, bands: int, endmembers: int, pixels: int):
+    """``--truth-a`` and ``--truth-s``, checked for their shapes and the simplex; an error names the file."""
+    A_true, S_true = read_spectral_library(args.truth_a), read_cube(args.truth_s)
+    _check_shapes(
+        ("--truth-a", args.truth_a, A_true, (bands, endmembers), "bands x endmembers"),
+        ("--truth-s", args.truth_s, S_true, (endmembers, pixels), "endmembers x pixels"),
+    )
     try:
         return A_true, AbundanceMatrix(S_true.data)
     except ValueError as exc:
@@ -170,7 +178,9 @@ def _cmd_unmix(args) -> int:
 
 def _cmd_eval(args) -> int:
     A_est, S_est = read_spectral_library(args.est_a), read_cube(args.est_s)
-    A_true, S_true = _read_truth(args, *A_est.data.shape, S_est.n_pixels)
+    bands, endmembers = A_est.data.shape
+    A_true, S_true = _read_truth(args, bands, endmembers, S_est.n_pixels)
+    _check_shapes(("--est-s", args.est_s, S_est, (endmembers, S_est.n_pixels), "endmembers x pixels"))
     report = evaluate_matrices(A_true.data, S_true.data, A_est.data, S_est.data)
     if args.out is not None:
         write_report(args.out, report, [], {})

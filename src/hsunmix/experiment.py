@@ -25,7 +25,9 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from itertools import product
-from typing import Callable, List, Optional, Sequence, Tuple, Union, get_args, get_origin, get_type_hints
+from typing import (
+    Callable, List, NamedTuple, Optional, Sequence, Tuple, Union, get_args, get_origin, get_type_hints,
+)
 
 import numpy as np
 
@@ -252,6 +254,15 @@ def _cell_library(spec: ExperimentSpec, library: np.ndarray) -> np.ndarray:
     return library[:, chosen]
 
 
+class GroupScene(NamedTuple):
+    """A scene as a group's memo holds it: its image and its truth, without the
+    noise cube of :class:`~hsunmix.synth.SyntheticScene`, which no cell reads."""
+
+    Y: HyperspectralImage
+    A_true: SignatureMatrix
+    S_true: AbundanceMatrix
+
+
 def run_cell(
     spec: ExperimentSpec,
     library: np.ndarray,
@@ -267,7 +278,8 @@ def run_cell(
     The scene and initialization seeds depend only on (snr, run), and the
     FCM seed only on (snr, cluster count, run), so that all variants and
     cluster counts see the same data and starting point. ``group`` is the
-    memo of one (snr, run) group: the scene under ``"scene"``, the start
+    memo of one (snr, run) group: the scene under ``"scene"`` as a
+    :class:`GroupScene`, which holds no noise cube, the start
     under ``"init"``, each clustering under its cluster index, and each solve
     with its scores under ``(variant, cluster index)``, the index ``None`` if
     the variant does not cluster. The cell makes what the memo lacks and
@@ -284,10 +296,13 @@ def run_cell(
             group[key] = make()
         return group[key]
 
-    scene = shared("scene", lambda: generate_synthetic(
-        _cell_library(spec, library), **spec.scene_settings(snr),
-        seed=derive_seed(spec.seed, _SCENE, snr_idx, run),
-    ))
+    def make_scene():
+        scene = generate_synthetic(
+            _cell_library(spec, library), **spec.scene_settings(snr),
+            seed=derive_seed(spec.seed, _SCENE, snr_idx, run),
+        )
+        return GroupScene(scene.Y, scene.A_true, scene.S_true)
+    scene = shared("scene", make_scene)
     A0, S0 = shared("init", lambda: initial_estimates(
         scene.Y, spec.endmembers, spec.init, derive_seed(spec.seed, _INIT, snr_idx, run),
     ))

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DegenerateDataError, NumericalFailureError
 from .types import (
+    BLOCK_BYTES,
     AbundanceMatrix,
     HyperspectralImage,
     SignatureMatrix,
@@ -35,7 +36,9 @@ def vca(Y: HyperspectralImage, c: int, seed: int = 0) -> SignatureMatrix:
     of the endmembers selected so far, and keeps the pixel with the largest
     absolute projection onto what remains. The returned columns are actual
     pixels of Y. Deterministic for a fixed seed. Data whose squared norm
-    overflows raises :class:`NumericalFailureError`.
+    overflows raises :class:`NumericalFailureError`. The mean-removed data
+    are formed one pixel block of ``BLOCK_BYTES`` at a time, so VCA holds
+    no second image-sized array.
     """
     if not isinstance(Y, HyperspectralImage):
         raise ValueError("Y must be a HyperspectralImage")
@@ -58,10 +61,17 @@ def vca(Y: HyperspectralImage, c: int, seed: int = 0) -> SignatureMatrix:
         idx = np.array([int(np.argmax(scores))])
         return SignatureMatrix(arr[:, idx])
 
-    centered = arr - mean
+    step = max(1, BLOCK_BYTES // (arr.itemsize * n_bands))
+    blocks = [slice(k, k + step) for k in range(0, n_pixels, step)]
     # The subspace comes from the Gram matrix so that duplicating pixels
-    # leaves the basis (and therefore the selection) unchanged.
-    gram = centered @ centered.T / n_pixels
+    # leaves the basis (and therefore the selection) unchanged. Each pixel
+    # block is centred before it is multiplied: Y Y^T - N m m^T would cancel
+    # on scenes of little spread.
+    gram = np.zeros((n_bands, n_bands))
+    for b in blocks:
+        centered = arr[:, b] - mean
+        gram += centered @ centered.T
+    gram /= n_pixels
     eigvals, eigvecs = np.linalg.eigh(gram)
     order = np.argsort(eigvals)[::-1]
     eigvals = np.maximum(eigvals[order], 0.0)
@@ -77,9 +87,11 @@ def vca(Y: HyperspectralImage, c: int, seed: int = 0) -> SignatureMatrix:
             f"data rank is below {c - 1}; cannot extract {c} endmembers"
         )
     basis = eigvecs[:, : c - 1]
-    reduced = basis.T @ centered
-    lift = float(np.max(np.sqrt(column_sq_norms(reduced))))
-    z = np.vstack([reduced, np.full((1, n_pixels), lift)])
+    # the reduced coordinates, and a last row holding the largest of their norms
+    z = np.empty((c, n_pixels))
+    for b in blocks:
+        z[:-1, b] = basis.T @ (arr[:, b] - mean)
+    z[-1] = np.max(np.sqrt(column_sq_norms(z[:-1])))
 
     selected = np.zeros((c, c))
     selected[-1, 0] = 1.0

@@ -47,8 +47,15 @@ def estimate_sparsity_weight(Y: HyperspectralImage) -> float:
     n_bands, n_pixels = arr.shape
     if n_pixels == 1:
         return 0.0
-    l1 = np.abs(arr).sum(axis=1)
-    l2 = np.sqrt((arr * arr).sum(axis=1))
+    # in band-row blocks of BLOCK_BYTES, so no image-sized temporary is made;
+    # each row is still summed whole, as one contiguous pass
+    rows = max(1, BLOCK_BYTES // (arr.itemsize * n_pixels))
+    l1, sq = np.empty(n_bands), np.empty(n_bands)
+    for b in (slice(r, r + rows) for r in range(0, n_bands, rows)):
+        block = arr[b]
+        l1[b] = np.abs(block).sum(axis=1)
+        sq[b] = (block * block).sum(axis=1)
+    l2 = np.sqrt(sq)
     if np.any(l2 == 0):
         raise DegenerateDataError("image has an all-zero band row")
     terms = (np.sqrt(n_pixels) - l1 / l2) / np.sqrt(n_pixels - 1)

@@ -73,9 +73,12 @@ def _check_not_empty(data: np.ndarray, what: str) -> None:
 
 def _check_entries(data: np.ndarray, what: str) -> None:
     _check_not_empty(data, what)
-    if not np.all(np.isfinite(data)):
+    # the extremes decide both tests without an array-sized mask: a NaN
+    # carries through min and max, and an infinity is one of them
+    low, high = data.min(), data.max()
+    if not (np.isfinite(low) and np.isfinite(high)):
         raise ValueError(f"{what} must be finite")
-    if np.any(data < 0):
+    if low < 0:
         raise ValueError(f"{what} must be nonnegative")
 
 

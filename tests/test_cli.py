@@ -507,6 +507,27 @@ class TestEvalCommand:
         assert capsys.readouterr().err == "error: " + message.format(dir=scene_dir) + "\n"
         assert not (tmp_path / "scores.json").exists()
 
+    def test_abundance_estimates_of_another_endmember_count_name_their_file(self, scene_dir, tmp_path, capsys):
+        # two endmembers in the signature files and the truth, three in --est-s
+        signatures = tmp_path / "A2.csv"
+        A_true = read_spectral_library(scene_dir / "A_true.csv")
+        write_spectral_library(signatures, SignatureMatrix(A_true.data[:, :2]))
+        S = read_cube(scene_dir / "S_true.cube")
+        truth_s = tmp_path / "S2.cube"
+        write_cube(truth_s, HyperspectralImage(S.data[:2] / S.data[:2].sum(axis=0), S.width, S.height))
+        est_s = scene_dir / "S_true.cube"
+        rc = main(
+            [
+                "eval",
+                "--truth-a", str(signatures), "--truth-s", str(truth_s),
+                "--est-a", str(signatures), "--est-s", str(est_s),
+                "--out", str(tmp_path / "scores.json"),
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: --est-s {est_s} is 3 x 64, expected 2 x 64 (endmembers x pixels)\n"
+        assert not (tmp_path / "scores.json").exists()
+
     def test_out_is_a_report_with_the_scores_of_unmix(self, scene_dir, tmp_path):
         truth = ["--truth-a", str(scene_dir / "A_true.csv"), "--truth-s", str(scene_dir / "S_true.cube")]
         fit = tmp_path / "fit"
@@ -1022,6 +1043,19 @@ class TestRunExperiment:
             truths.append(group["scene"].A_true.data)
         same = [np.array_equal(truth, truths[0]) for truth in truths[1:]]
         assert all(same) if fix else not any(same)
+
+    def test_a_group_keeps_the_image_and_the_truth_but_no_noise_cube(self):
+        spec = ExperimentSpec(**MIXED_SPEC)
+        library = bundled_library().data
+        group = {}
+        run_cell(spec, library, 0, 0, 0, 0, group=group)
+        scene = group["scene"]
+        assert scene._fields == ("Y", "A_true", "S_true") and not hasattr(scene, "noise")
+        full = generate_synthetic(library, **spec.scene_settings(spec.snr_levels[0]),
+                                  seed=derive_seed(spec.seed, _SCENE, 0, 0))
+        assert scene.Y.data.tobytes() == full.Y.data.tobytes()
+        assert scene.A_true.data.tobytes() == full.A_true.data.tobytes()
+        assert scene.S_true.data.tobytes() == full.S_true.data.tobytes()
 
     def test_a_shared_solve_is_read_only(self):
         spec = ExperimentSpec(**MIXED_SPEC)

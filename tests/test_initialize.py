@@ -1,15 +1,18 @@
 """Endmember extraction and starting-point construction."""
 
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import hsunmix.unmix
+from hsunmix import initialize
 from hsunmix.errors import DegenerateDataError
 from hsunmix.initialize import fcls_abundances, random_init, vca
 from hsunmix.metrics import match_endmembers, sad
+from hsunmix.synth import bundled_library, generate_synthetic
 from hsunmix.types import HyperspectralImage, SignatureMatrix, validate_abundances
 
 
@@ -113,6 +116,26 @@ class TestVca:
         _, _, Y = random_scene_with_pure_pixels(rng, L=7, c=3, n_mixed=25)
         with pytest.raises(ValueError, match="Y must be a HyperspectralImage"):
             vca(Y, 3)
+
+    def test_no_image_sized_temporary(self):
+        # 224 x 10 000, about 17 blocks of BLOCK_BYTES; a centred copy would be 1.07 x the image
+        Y = generate_synthetic(bundled_library(), 6, 100, 100, snr_db=25.0, seed=3).Y
+        tracemalloc.start()
+        try:
+            vca(Y, 6, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * Y.data.nbytes, f"peak {peak / Y.data.nbytes:.3f} x the image"
+
+    # one pixel column per block, and one block for the whole image
+    @pytest.mark.parametrize("snr", [15.0, 25.0, 35.0])
+    def test_the_block_size_leaves_the_picks_of_a_noisy_scene(self, monkeypatch, snr):
+        Y = generate_synthetic(bundled_library(), 6, 40, 40, snr_db=snr, seed=7).Y
+        default = vca(Y, 6, seed=0).data
+        for block_bytes in (Y.data[:, 0].nbytes, 2 * Y.data.nbytes):
+            monkeypatch.setattr(initialize, "BLOCK_BYTES", block_bytes)
+            assert vca(Y, 6, seed=0).data.tobytes() == default.tobytes(), block_bytes
 
 
 class TestRandomInit:

@@ -10,6 +10,7 @@ import pytest
 from pixel_oracle import masked_neighbors
 from sort_projection import SHIFT_BOUND, sort_projection
 
+from hsunmix import regularizers
 from hsunmix.errors import DegenerateDataError, NumericalFailureError
 from hsunmix.regularizers import (
     SPARSITY_GUARD,
@@ -22,6 +23,7 @@ from hsunmix.regularizers import (
     sparsity_gradient,
     sparsity_norm,
 )
+from hsunmix.synth import bundled_library, generate_synthetic
 from hsunmix.types import ClusterAssignment, HyperspectralImage
 
 
@@ -47,7 +49,33 @@ def image_of(Y):
     return HyperspectralImage(Y, Y.shape[1], 1)
 
 
+def one_pass_sparsity_weight(arr):
+    """``estimate_sparsity_weight`` as one whole-image pass."""
+    n_bands, n_pixels = arr.shape
+    l1 = np.abs(arr).sum(axis=1)
+    l2 = np.sqrt((arr * arr).sum(axis=1))
+    return float(max(((np.sqrt(n_pixels) - l1 / l2) / np.sqrt(n_pixels - 1)).sum() / np.sqrt(n_bands), 0.0))
+
+
 class TestEstimateSparsityWeight:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_band_row_blocks_give_the_bits_of_one_pass(self, monkeypatch, seed):
+        Y = generate_synthetic(bundled_library(), 6, 37 + seed, 23, snr_db=25.0, seed=seed).Y
+        want = one_pass_sparsity_weight(Y.data)
+        assert estimate_sparsity_weight(Y) == want
+        monkeypatch.setattr(regularizers, "BLOCK_BYTES", Y.data[0].nbytes)
+        assert estimate_sparsity_weight(Y) == want
+
+    def test_no_image_sized_temporary(self):
+        Y = generate_synthetic(bundled_library(), 6, 64, 64, snr_db=25.0, seed=0).Y
+        tracemalloc.start()
+        try:
+            estimate_sparsity_weight(Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * Y.data.nbytes, f"peak {peak / Y.data.nbytes:.3f} x the image"
+
     def test_constant_rows_give_zero(self):
         Y = np.ones((2, 4))
         assert estimate_sparsity_weight(image_of(Y)) == 0.0

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import re
+import tracemalloc
 from dataclasses import fields, is_dataclass
 
 import numpy as np
@@ -159,6 +160,31 @@ class TestHyperspectralImage:
     def test_an_image_without_bands_is_rejected(self):
         with pytest.raises(ValueError, match="image entries must not be empty"):
             HyperspectralImage(np.ones((0, 4)), width=2, height=2)
+
+    # a non-finite entry is named before a negative one, whichever comes first
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entries,message", [
+        ([np.nan, 1.0], "finite"), ([-1.0, np.nan], "finite"), ([np.inf, -1.0], "finite"),
+        ([-np.inf, 1.0], "finite"), ([-1.0, 1.0], "nonnegative"), ([-0.0, 1e-300], None),
+    ])
+    def test_entries_are_judged_by_their_extremes(self, entries, message):
+        data = np.ones((2, 4))
+        data[1, 1:3] = entries
+        if message is None:
+            assert HyperspectralImage(data, width=2, height=2).data.tobytes() == data.tobytes()
+        else:
+            with pytest.raises(ValueError, match=f"^image entries must be {message}$"):
+                HyperspectralImage(data, width=2, height=2)
+
+    def test_the_check_makes_no_image_sized_temporary(self):
+        data = np.random.default_rng(0).random((224, 4096))
+        tracemalloc.start()
+        try:
+            HyperspectralImage(data, width=64, height=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * data.nbytes, f"peak {peak / data.nbytes:.3f} x the image"
 
 
 class TestSignatureAndAbundanceMatrices:
