@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NumericalFailureError
-from .types import BLOCK_BYTES, ClusterAssignment, HyperspectralImage, as_integer, as_matrix, column_sq_norms
+from .types import ClusterAssignment, HyperspectralImage, as_integer, as_matrix, blocks, column_sq_norms
 
 # defaults of fcm's settings, read by the experiment spec and the ``cluster``
 # and ``unmix`` commands; fcm itself takes the cluster count explicitly
@@ -153,10 +153,9 @@ def _sq_distances(arr: np.ndarray, centers: np.ndarray, y_sq: Optional[np.ndarra
     bound += sigma
     rows, cols = np.nonzero(~(d2 > bound))
     # each chunk of recomputed entries forms two L x chunk temporaries of at
-    # most BLOCK_BYTES each
-    step = max(1, BLOCK_BYTES // (8 * n_bands))
-    for start in range(0, rows.size, step):
-        r, k = rows[start:start + step], cols[start:start + step]
+    # most one block each
+    for b in blocks(rows.size, arr.itemsize * n_bands):
+        r, k = rows[b], cols[b]
         diff = arr[:, k]
         diff -= centers[:, r]
         d2[r, k] = column_sq_norms(diff)

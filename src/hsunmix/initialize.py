@@ -17,11 +17,11 @@ import numpy as np
 
 from .errors import DegenerateDataError, NumericalFailureError
 from .types import (
-    BLOCK_BYTES,
     AbundanceMatrix,
     HyperspectralImage,
     SignatureMatrix,
     UnmixingConfig,
+    blocks,
     column_sq_norms,
 )
 from .unmix import StopReason, run_unmixing
@@ -37,7 +37,7 @@ def vca(Y: HyperspectralImage, c: int, seed: int = 0) -> SignatureMatrix:
     absolute projection onto what remains. The returned columns are actual
     pixels of Y. Deterministic for a fixed seed. Data whose squared norm
     overflows raises :class:`NumericalFailureError`. The mean-removed data
-    are formed one pixel block of ``BLOCK_BYTES`` at a time, so VCA holds
+    are formed one pixel block of ``types.blocks`` at a time, so VCA holds
     no second image-sized array.
     """
     if not isinstance(Y, HyperspectralImage):
@@ -61,14 +61,13 @@ def vca(Y: HyperspectralImage, c: int, seed: int = 0) -> SignatureMatrix:
         idx = np.array([int(np.argmax(scores))])
         return SignatureMatrix(arr[:, idx])
 
-    step = max(1, BLOCK_BYTES // (arr.itemsize * n_bands))
-    blocks = [slice(k, k + step) for k in range(0, n_pixels, step)]
+    parts = blocks(n_pixels, arr.itemsize * n_bands)
     # The subspace comes from the Gram matrix so that duplicating pixels
     # leaves the basis (and therefore the selection) unchanged. Each pixel
     # block is centred before it is multiplied: Y Y^T - N m m^T would cancel
     # on scenes of little spread.
     gram = np.zeros((n_bands, n_bands))
-    for b in blocks:
+    for b in parts:
         centered = arr[:, b] - mean
         gram += centered @ centered.T
     gram /= n_pixels
@@ -89,7 +88,7 @@ def vca(Y: HyperspectralImage, c: int, seed: int = 0) -> SignatureMatrix:
     basis = eigvecs[:, : c - 1]
     # the reduced coordinates, and a last row holding the largest of their norms
     z = np.empty((c, n_pixels))
-    for b in blocks:
+    for b in parts:
         z[:-1, b] = basis.T @ (arr[:, b] - mean)
     z[-1] = np.max(np.sqrt(column_sq_norms(z[:-1])))
 
@@ -134,10 +133,7 @@ def fcls_abundances(Y: HyperspectralImage, signatures) -> AbundanceMatrix:
     the kernel's pass cap stops a pixel short of the optimum, a
     ``RuntimeWarning`` says so; that pixel's column is still feasible.
     """
-    A = SignatureMatrix(signatures)
-    if not np.any(A.data):
-        raise DegenerateDataError("signatures are identically zero")
-    result = run_unmixing(Y, UnmixingConfig(variant="fcls"), A, None)
+    result = run_unmixing(Y, UnmixingConfig(variant="fcls"), signatures, None)
     if result.stop_reason is StopReason.MAX_ITER:
         warnings.warn("fcls_abundances: the pass cap stopped some pixels short of the "
                       "least-squares optimum; their abundances are feasible", RuntimeWarning)

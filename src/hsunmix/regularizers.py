@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from .errors import DegenerateDataError, NumericalFailureError
-from .types import BLOCK_BYTES, ClusterAssignment, HyperspectralImage, check_q, column_sq_norms
+from .types import ClusterAssignment, HyperspectralImage, blocks, check_q, column_sq_norms
 
 SPARSITY_GUARD = 1e-12  # keeps the q-norm gradient finite at exact zeros
 
@@ -47,11 +47,10 @@ def estimate_sparsity_weight(Y: HyperspectralImage) -> float:
     n_bands, n_pixels = arr.shape
     if n_pixels == 1:
         return 0.0
-    # in band-row blocks of BLOCK_BYTES, so no image-sized temporary is made;
-    # each row is still summed whole, as one contiguous pass
-    rows = max(1, BLOCK_BYTES // (arr.itemsize * n_pixels))
+    # in band-row blocks, so no image-sized temporary is made; each row is
+    # still summed whole, as one contiguous pass
     l1, sq = np.empty(n_bands), np.empty(n_bands)
-    for b in (slice(r, r + rows) for r in range(0, n_bands, rows)):
+    for b in blocks(n_bands, arr.itemsize * n_pixels):
         block = arr[b]
         l1[b] = np.abs(block).sum(axis=1)
         sq[b] = (block * block).sum(axis=1)
@@ -197,10 +196,10 @@ def coupling_pull(graph: Coupling, S, out: Optional[np.ndarray] = None) -> np.nd
     other end of an image row, or one of the adjacent row of S) is finite,
     so it adds an exact 0. The planes are added in offset order to a zeroed
     sum, the order in which a compressed-row sparse product sums row k of W,
-    so the result has its bits. The pixels are taken in blocks whose sum,
-    product and window hold ``BLOCK_BYTES`` between them, so each block's
-    eight multiply-adds run in cache. The sum is written to ``out`` if given,
-    an array of S's shape that is not S.
+    so the result has its bits. The pixels are taken in the blocks of
+    ``types.blocks``, whose sum, product and window fill one block between
+    them, so each block's eight multiply-adds run in cache. The sum is
+    written to ``out`` if given, an array of S's shape that is not S.
     """
     c, n = S.shape
     margin = graph.W.shape[2] + 1
@@ -210,12 +209,11 @@ def coupling_pull(graph: Coupling, S, out: Optional[np.ndarray] = None) -> np.nd
     flat[margin:margin + size] = S.ravel()
     windows = [flat[margin + shift:margin + shift + size].reshape(c, n) for shift in graph.shifts]
     planes = graph.W.reshape(len(OFFSETS), n)
-    block = max(1, BLOCK_BYTES // (3 * flat.itemsize * c))
+    parts = blocks(n, 3 * flat.itemsize * c)
     pull = np.empty((c, n)) if out is None else out
     pull.fill(0.0)
-    term = np.empty((c, min(block, n)))
-    for start in range(0, n, block):
-        b = slice(start, start + block)
+    term = np.empty((c, parts[0].stop))
+    for b in parts:
         part = pull[:, b]
         product = term[:, :part.shape[1]]
         for plane, window in zip(planes[:, b], windows):

@@ -18,11 +18,11 @@ import numpy as np
 
 from .fileio import read_spectral_library
 from .types import (
-    BLOCK_BYTES,
     AbundanceMatrix,
     HyperspectralImage,
     SignatureMatrix,
     _Value,
+    blocks,
     read_only,
 )
 
@@ -217,7 +217,7 @@ def _scaled_truncated_noise(product: np.ndarray, draw: np.ndarray, snr_db: float
     so every entry of T stays truncated at the final scale.
 
     ``draw`` is scaled in place and returned as the noise. The truncation
-    test and the clipping run over blocks of rows of ``BLOCK_BYTES``, so the
+    test and the clipping run over the row blocks of ``types.blocks``, so the
     only image-sized temporaries are the squares summed for the energies,
     one at a time.
     """
@@ -229,15 +229,14 @@ def _scaled_truncated_noise(product: np.ndarray, draw: np.ndarray, snr_db: float
         raise ValueError(f"snr_db = {snr_db:g} asks for a noise energy beyond the range of a double")
 
     truncated_energy, free_energy = 0.0, float(np.sum(draw * draw))
-    rows = max(1, BLOCK_BYTES // draw[0].nbytes)
-    blocks = [slice(r, r + rows) for r in range(0, len(draw), rows)]
+    parts = blocks(len(draw), draw[0].nbytes)
     truncated = np.zeros(product.shape, dtype=bool)
     grown = np.empty_like(truncated)
     while True:
         if free_energy == 0:
             raise ValueError("no untruncated noise entry is left to scale")
         scale = np.sqrt((target - truncated_energy) / free_energy)
-        for b in blocks:
+        for b in parts:
             np.logical_or(truncated[b], scale * draw[b] < -product[b], out=grown[b])
         if np.array_equal(grown, truncated):
             break
@@ -246,6 +245,6 @@ def _scaled_truncated_noise(product: np.ndarray, draw: np.ndarray, snr_db: float
         free_energy = float(np.sum(np.square(draw), where=~truncated))
     # p + s < 0 exactly when s < -p, so this is the truncation rule above
     noise = np.multiply(scale, draw, out=draw)
-    for b in blocks:
+    for b in parts:
         np.maximum(noise[b], -product[b], out=noise[b])
     return noise

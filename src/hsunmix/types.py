@@ -31,6 +31,13 @@ ASC_TOL = 1e-9   # default tolerance on abundance column sums
 BLOCK_BYTES = 1024 * 1024
 
 
+def blocks(n: int, unit_bytes: int) -> list[slice]:
+    """The one block rule of every blocked pass: consecutive slices of ``range(n)``, each of as
+    many units of ``unit_bytes`` as fit in ``BLOCK_BYTES`` (at least one), the last ending at n."""
+    step = max(1, BLOCK_BYTES // unit_bytes)
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+
+
 def as_matrix(x, name: str = "array") -> np.ndarray:
     """Coerce ``x`` (ndarray or a wrapper with a ``data`` attribute) to a 2-D float array."""
     if hasattr(x, "data") and isinstance(getattr(x, "data"), np.ndarray):
@@ -195,7 +202,7 @@ class ClusterAssignment(_Value):
             raise ValueError("labels must have one entry per pixel")
         if centers.shape[1] != n_clusters:
             raise ValueError("centers must have one column per cluster")
-        if not validate_abundances(memberships) or np.any(memberships > 1):
+        if not validate_abundances(memberships) or memberships.max() > 1:
             raise ValueError(
                 f"memberships must be finite, lie in [0, 1] and sum to 1 per column within {ASC_TOL:g}"
             )
@@ -273,8 +280,7 @@ def validate_abundances(S, tol: float = ASC_TOL) -> bool:
     The result is invariant under column permutation.
     """
     arr = as_matrix(S, "abundances")
-    if not np.all(np.isfinite(arr)):
-        return False
-    if np.any(arr < 0):
+    # the extremes decide both tests, as in ``_check_entries``; no entries pass vacuously
+    if arr.size and not (np.isfinite(arr.max()) and arr.min() >= 0):
         return False
     return bool(np.all(np.abs(arr.sum(axis=0) - 1.0) <= tol))

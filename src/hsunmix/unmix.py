@@ -86,7 +86,7 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .errors import NumericalFailureError
+from .errors import DegenerateDataError, NumericalFailureError
 from .regularizers import (
     Coupling,
     coupling,
@@ -98,7 +98,6 @@ from .regularizers import (
     sparsity_norm,
 )
 from .types import (
-    BLOCK_BYTES,
     AbundanceMatrix,
     AlgorithmVariant,
     ClusterAssignment,
@@ -106,6 +105,7 @@ from .types import (
     SignatureMatrix,
     UnmixingConfig,
     as_matrix,
+    blocks,
     column_sq_norms,
 )
 
@@ -113,8 +113,8 @@ MULT_GUARD = 1e-12  # added to multiplicative-update denominators
 # An abundance update this large (or non-finite) has diverged. The simplex
 # projection handles any finite column; this bound only marks the step.
 DIVERGENCE_BOUND = 1.0 / np.finfo(np.float64).eps
-# ``signature_step`` reads the image in blocks of whole band rows of
-# ``BLOCK_BYTES``. Below this many rows a block saves less than the extra
+# ``signature_step`` reads the image in blocks of whole band rows from
+# ``types.blocks``. Below this many rows a block saves less than the extra
 # calls cost, and the image is read as one block; chosen by timing the
 # kernel at 224 bands on 24 x 24 to 200 x 200 scenes (BENCH_21.json).
 _MIN_BLOCK_BANDS = 16
@@ -322,15 +322,11 @@ def gram_fcls(P: Products) -> Tuple[np.ndarray, bool]:
         if k.size == 0:
             break
         F = free[:, k]
-        # number the distinct free sets: sort the pixels by their packed sets
-        order = np.lexsort(np.packbits(F, axis=0))
-        sets = F[:, order]
-        first = np.ones(k.size, dtype=bool)
-        first[1:] = (sets[:, 1:] != sets[:, :-1]).any(axis=0)
-        which = np.empty(k.size, dtype=np.intp)
-        which[order] = np.cumsum(first) - 1
+        # number the distinct free sets; NumPy 2.0.0 shapes the inverse (1, n)
+        packed, which = np.unique(np.packbits(F, axis=0), axis=1, return_inverse=True)
+        which = which.reshape(-1)
         # each set's KKT matrix at full size: identity rows hold the others at 0
-        Fm = sets[:, first].T.astype(np.float64)
+        Fm = np.unpackbits(packed, axis=0, count=c).T.astype(np.float64)
         kkt = np.zeros((Fm.shape[0], c + 1, c + 1))
         kkt[:, :c, :c] = G * (Fm[:, :, None] * Fm[:, None, :])
         kkt[:, np.arange(c), np.arange(c)] += 1.0 - Fm
@@ -367,22 +363,21 @@ def signature_step(Y, A, S, gram) -> Tuple[np.ndarray, Products]:
     A_new is formed and its share A_new[b]^T Y[b] of A_new^T Y added while
     the block is still in cache, one trip through memory where two full
     products take two (cache blocking as in Goto & van de Geijn, ACM TOMS
-    2008). A block holds ``BLOCK_BYTES`` of Y; when that is fewer than
-    ``_MIN_BLOCK_BANDS`` rows, Y is one block and the kernel is exactly the
-    two full products. Summing A_new^T Y over blocks rounds differently from
+    2008). The blocks come from ``types.blocks``; when the first has fewer
+    than ``_MIN_BLOCK_BANDS`` rows, Y is one block and the kernel is exactly
+    the two full products. Summing A_new^T Y over blocks rounds differently from
     one product, by a few ulps.
 
     Y S^T is formed as (S Y^T)^T, the operand layout BLAS is fast on for a
     C-ordered Y; it rounds differently from Y @ S.T, by a few ulps.
     """
     n_bands, n_pixels = Y.shape
-    rows = BLOCK_BYTES // (Y.itemsize * max(n_pixels, 1))
-    if rows < _MIN_BLOCK_BANDS:
-        rows = n_bands
+    bands = blocks(n_bands, Y.itemsize * max(n_pixels, 1))
+    if bands[0].stop < _MIN_BLOCK_BANDS:
+        bands = [slice(0, n_bands)]
     A_new = np.empty(A.shape)
     AtY = None
-    for start in range(0, n_bands, rows):
-        b = slice(start, start + rows)
+    for b in bands:
         Yb = Y[b]
         A_new[b] = A[b] * (S @ Yb.T).T / (A[b] @ gram + MULT_GUARD)
         part = A_new[b].T @ Yb
@@ -440,8 +435,9 @@ def run_unmixing(
     A^T A formed once. A non-finite |Y|^2, A^T Y or A^T A raises
     :class:`NumericalFailureError` there, before any kernel reads it.
 
-    The start is checked first, by its value types. ``clusters`` is required
-    by the clustered variant and ignored elsewhere.
+    The start is checked first, by its value types, and all-zero signatures
+    raise :class:`DegenerateDataError`. ``clusters`` is required by the
+    clustered variant and ignored elsewhere.
     ``on_iteration`` receives (iteration, A, S, objective) after each pass;
     the arrays must not be modified.
     """
@@ -454,6 +450,9 @@ def run_unmixing(
         raise ValueError("only the fcls variant runs without start abundances")
     S = None if init_S is None else AbundanceMatrix(init_S)
     Yd, A, S = _factors(Y, SignatureMatrix(init_A), S)
+    # the multiplicative rule keeps zero signatures, and every column fits them alike
+    if not A.any():
+        raise DegenerateDataError("signatures are identically zero")
     # fcls returns its signatures as the estimate, which must not share the
     # caller's array; S is replaced before anything could write to it
     A = A.copy()

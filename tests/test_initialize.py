@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import hsunmix.unmix
-from hsunmix import initialize
+from hsunmix import types
 from hsunmix.errors import DegenerateDataError
 from hsunmix.initialize import fcls_abundances, random_init, vca
 from hsunmix.metrics import match_endmembers, sad
@@ -134,7 +134,7 @@ class TestVca:
         Y = generate_synthetic(bundled_library(), 6, 40, 40, snr_db=snr, seed=7).Y
         default = vca(Y, 6, seed=0).data
         for block_bytes in (Y.data[:, 0].nbytes, 2 * Y.data.nbytes):
-            monkeypatch.setattr(initialize, "BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(types, "BLOCK_BYTES", block_bytes)
             assert vca(Y, 6, seed=0).data.tobytes() == default.tobytes(), block_bytes
 
 

@@ -1,17 +1,28 @@
 """Core data structures: images, signatures, abundances, neighborhoods."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 import re
+import sys
 import tracemalloc
 from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
 
-from hsunmix import clustering, synth
+import hsunmix
+from hsunmix import clustering, initialize, regularizers, synth, types, unmix
 from hsunmix.initialize import random_init
-from hsunmix.regularizers import OFFSETS, build_neighborhood
+from hsunmix.regularizers import (
+    OFFSETS,
+    build_neighborhood,
+    coupling,
+    coupling_pull,
+    estimate_sparsity_weight,
+    neighbor_weights,
+)
 from hsunmix.synth import bundled_library, generate_synthetic
 from hsunmix.types import (
     AbundanceMatrix,
@@ -416,10 +427,78 @@ def _recomputed_distances():
     return (d2,)
 
 
-@pytest.mark.parametrize("module, run", [(synth, _noisy_scene), (clustering, _recomputed_distances)],
-                         ids=["noise-scaling", "fcm-recompute"])
-def test_a_tiny_block_size_gives_the_bits_of_the_default(monkeypatch, module, run):
+def _sparsity_weight():
+    # a 1-byte block makes every one of the 224 band rows its own block
+    Y = generate_synthetic(bundled_library(), 6, 37, 23, snr_db=25.0, seed=0).Y
+    return (np.float64(estimate_sparsity_weight(Y)),)
+
+
+def _pull():
+    # three random clusters, so some weights are zero; a 1-byte block makes
+    # every pixel its own block
+    rng = np.random.default_rng(2)
+    Y = HyperspectralImage(rng.random((4, 1600)) + 0.05, 40, 40)
+    labels = rng.integers(0, 3, size=1600)
+    memberships = np.full((3, 1600), 0.1)
+    memberships[labels, np.arange(1600)] = 0.8
+    graph = coupling(neighbor_weights(Y, ClusterAssignment(labels, memberships, np.ones((4, 3)))), 0.1)
+    return (coupling_pull(graph, rng.dirichlet(np.ones(5), size=1600).T),)
+
+
+# the blocked passes whose bits do not depend on the block size
+@pytest.mark.parametrize("run", [_noisy_scene, _recomputed_distances, _sparsity_weight, _pull],
+                         ids=["noise-scaling", "fcm-recompute", "sparsity-weight", "pull"])
+def test_a_tiny_block_size_gives_the_bits_of_the_default(monkeypatch, run):
     default = run()
-    monkeypatch.setattr(module, "BLOCK_BYTES", 1)
+    monkeypatch.setattr(types, "BLOCK_BYTES", 1)
     for got, want in zip(run(), default):
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, unit_bytes, block_bytes, stops", [
+    (10, 3, 9, [3, 6, 9, 10]),  # three units a block, the last one clamped to n
+    (4, 5, 4, [1, 2, 3, 4]),    # a unit larger than a block still makes one
+    (7, 2, 64, [7]),
+    (0, 8, 64, []),
+])
+def test_blocks_cut_the_range_in_order(monkeypatch, n, unit_bytes, block_bytes, stops):
+    monkeypatch.setattr(types, "BLOCK_BYTES", block_bytes)
+    parts = types.blocks(n, unit_bytes)
+    assert [(b.start, b.stop) for b in parts] == list(zip([0] + stops[:-1], stops))
+
+
+def test_one_block_size_sets_the_blocks_of_every_pass(monkeypatch):
+    counts = {}
+
+    def counted(n, unit_bytes):
+        parts = types.blocks(n, unit_bytes)
+        counts[sys._getframe(1).f_code.co_name] = len(parts)
+        return parts
+
+    for module in (clustering, initialize, regularizers, synth, unmix):
+        monkeypatch.setattr(module, "blocks", counted)
+
+    def run_every_pass():
+        counts.clear()
+        scene = generate_synthetic(bundled_library(), 6, 40, 40, snr_db=25.0, seed=0)
+        Y, A, S = scene.Y, scene.A_true.data, scene.S_true.data
+        unmix.signature_step(Y.data, A, S, S @ S.T)
+        estimate_sparsity_weight(Y)
+        coupling_pull(coupling(neighbor_weights(Y), 0.1), S)
+        initialize.vca(Y, 6)
+        _recomputed_distances()
+        return dict(counts)
+
+    default = run_every_pass()
+    # 16 band rows of the 40 x 40 image, the fewest the signature step splits
+    monkeypatch.setattr(types, "BLOCK_BYTES", 16 * 1600 * 8)
+    shrunk = run_every_pass()
+    assert set(default) == {"signature_step", "estimate_sparsity_weight", "coupling_pull", "vca",
+                            "_sq_distances", "_scaled_truncated_noise"}
+    assert all(shrunk[name] > default[name] for name in default), (default, shrunk)
+
+
+def test_only_types_holds_the_block_size():
+    names = [info.name for info in pkgutil.iter_modules(hsunmix.__path__)]
+    holders = [name for name in names if "BLOCK_BYTES" in vars(importlib.import_module(f"hsunmix.{name}"))]
+    assert holders == ["types"]

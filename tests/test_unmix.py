@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import hsunmix
-from hsunmix import regularizers, unmix
+from hsunmix import regularizers, types, unmix
 from hsunmix.clustering import fcm
 from hsunmix.errors import NumericalFailureError
 from hsunmix.initialize import fcls_abundances, vca
@@ -607,7 +607,7 @@ class TestSignatureStep:
     def test_matches_the_two_full_products(self, monkeypatch, L, N, block_rows, blocks):
         Y, A, S = self._problem(L, N)
         if block_rows is not None:
-            monkeypatch.setattr(unmix, "BLOCK_BYTES", block_rows * Y.itemsize * N)
+            monkeypatch.setattr(types, "BLOCK_BYTES", block_rows * Y.itemsize * N)
         gram = S @ S.T
         log = {"paused": False, "products": 0}
         A_new, P = signature_step(CountedImage.watch(Y, log), A, S, gram)
@@ -627,7 +627,7 @@ class TestSignatureStep:
         # 224 x 10 000 is one block at the default size, seven at 32 rows
         Y, A, S = self._problem(224, 10_000)
         if block_rows is not None:
-            monkeypatch.setattr(unmix, "BLOCK_BYTES", block_rows * Y.itemsize * Y.shape[1])
+            monkeypatch.setattr(types, "BLOCK_BYTES", block_rows * Y.itemsize * Y.shape[1])
         gram = S @ S.T
         tracemalloc.start()
         try:
@@ -764,14 +764,6 @@ class TestCsrOracle:
         S = np.random.default_rng(1).dirichlet(np.ones(6), size=image.n_pixels).T
         assert coupling_pull(graph, S).tobytes() == np.ascontiguousarray(csr_pull(stored, S)).tobytes()
 
-    @pytest.mark.parametrize("block_pixels", [1, 7, 333])
-    def test_the_pull_in_blocks_has_the_same_bits(self, monkeypatch, block_pixels):
-        _, _, W, _ = self._network(40, 40, "random", seed=2)
-        graph = coupling(W, 0.1)
-        S = np.random.default_rng(3).dirichlet(np.ones(5), size=1600).T
-        monkeypatch.setattr(regularizers, "BLOCK_BYTES", 3 * S.itemsize * S.shape[0] * block_pixels)
-        assert coupling_pull(graph, S).tobytes() == np.ascontiguousarray(csr_pull(as_csr(W), S)).tobytes()
-
     @pytest.mark.parametrize("width,height", [(1, 7), (7, 1), (5, 4), (2, 9), (9, 2)])
     def test_a_pull_after_another_has_the_bits_of_its_own_product(self, width, height):
         # the loop writes each pull over the last: a sum that kept a term of
@@ -813,7 +805,7 @@ class TestRunUnmixing:
 
     @staticmethod
     def _bad_starts(A0, S0):
-        """(init_A, init_S, message) of starts the value types refuse, each from A0 and S0."""
+        """(init_A, init_S, message) of starts that are refused, each from A0 and S0."""
         on_simplex = "abundance columns must be nonnegative and sum to 1"
         bad = []
         for value, message in ((np.nan, "signatures must be finite"), (-0.1, "signatures must be nonnegative")):
@@ -824,6 +816,7 @@ class TestRunUnmixing:
         S_nan[1, 3] = np.nan
         S_negative[:, 3] = [1.2, -0.1, -0.1]
         bad += [(A0, S, on_simplex) for S in (S_nan, S_negative, 3 * S0.data)]
+        bad.append((np.zeros_like(A0.data), S0, "signatures are identically zero"))
         return bad
 
     # fcls runs both with a start (the loop) and without one (the exact solve)
